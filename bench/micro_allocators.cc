@@ -3,16 +3,38 @@
  * google-benchmark microbenchmarks of the allocators' hot paths:
  * single-threaded malloc/free pairs for one small and one large size,
  * reporting both real wall time (code efficiency) and modeled virtual
- * ns per operation (the figure-level metric).
+ * ns per operation (the figure-level metric); plus the CRC-32C kernel
+ * behind every persistent checksum.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/checksum.h"
+#include "common/rng.h"
 #include "workloads/harness.h"
 
 using namespace nvalloc;
 
 namespace {
+
+/** Arg 0 picks the kernel (0 = crc32() as dispatched for this CPU,
+ *  1 = the table reference); arg 1 the length: a slab geometry quintuple
+ *  (16 B), a WAL entry (40 B), a typical KV record (205 B) and a 16 KiB
+ *  KV value. */
+void
+BM_Crc32c(benchmark::State &state)
+{
+    auto *kernel = state.range(0) == 0 ? &crc32 : &detail::crc32cByTable;
+    std::vector<uint8_t> buf(size_t(state.range(1)));
+    Rng rng(1);
+    for (auto &b : buf)
+        b = uint8_t(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kernel(buf.data(), buf.size()));
+    state.SetBytesProcessed(int64_t(state.iterations()) * state.range(1));
+}
 
 void
 allocFreePairs(benchmark::State &state, AllocKind kind, size_t size)
@@ -61,5 +83,7 @@ BENCHMARK(BM_Large)
     ->Arg(int(AllocKind::PAllocator))
     ->Arg(int(AllocKind::Makalu))
     ->Arg(int(AllocKind::NvAllocLog));
+
+BENCHMARK(BM_Crc32c)->ArgsProduct({{0, 1}, {16, 40, 205, 16384}});
 
 BENCHMARK_MAIN();

@@ -3,25 +3,138 @@
  * Unit and property tests of the common substrate: RNG, smootherstep,
  * size classes, bitmap helpers, the intrusive LRU list, the intrusive
  * red-black tree (validated against std::multimap with invariant
- * checks), and the radix tree (validated against std::map).
+ * checks), the radix tree (validated against std::map), and the CRC-32C
+ * kernels behind every persistent checksum.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/bitmap_ops.h"
+#include "common/checksum.h"
 #include "common/lru_list.h"
 #include "common/radix_tree.h"
 #include "common/rbtree.h"
 #include "common/rng.h"
 #include "common/size_classes.h"
 #include "common/smootherstep.h"
+#include "kv/kv_store.h"
+#include "nvalloc/layout.h"
+#include "pm/pm_device.h"
 
 namespace nvalloc {
 namespace {
+
+// ---- CRC-32C ----------------------------------------------------------
+
+TEST(Crc32c, CheckValue)
+{
+    // The catalogued check value of CRC-32C (iSCSI, RFC 3720).
+    EXPECT_EQ(crc32("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(detail::crc32cByTable("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32c, HardwareKernelMatchesTable)
+{
+#ifdef NVALLOC_CRC32C_SSE42
+    if (!detail::kCrc32cUseSse42)
+        GTEST_SKIP() << "CPU lacks SSE4.2";
+    std::vector<uint8_t> buf(16384 + 8);
+    Rng rng(19);
+    for (auto &b : buf)
+        b = uint8_t(rng.next());
+    // Every start offset within a word, so the 8-, 4- and 1-byte steps
+    // all run on unaligned loads.
+    for (size_t start = 0; start < 8; ++start) {
+        const uint8_t *p = buf.data() + start;
+        for (size_t len = 0; len <= 4096; ++len)
+            ASSERT_EQ(detail::crc32cBySse42(p, len),
+                      detail::crc32cByTable(p, len))
+                << "start " << start << " len " << len;
+        ASSERT_EQ(detail::crc32cBySse42(p, 16384),
+                  detail::crc32cByTable(p, 16384))
+            << "start " << start;
+    }
+#else
+    GTEST_SKIP() << "no hardware CRC-32C kernel on this architecture";
+#endif
+}
+
+/**
+ * Checksums of fixed on-media structures, computed before the hardware
+ * kernel existed. Any kernel change that would orphan existing heaps
+ * fails here; with HardwareKernelMatchesTable, the values hold for
+ * both kernels.
+ */
+TEST(Crc32c, GoldenOnMediaValues)
+{
+    WalEntry e;
+    std::memset(&e, 0, sizeof(e));
+    e.block_op = 0x0000123456789000ull | kWalAlloc;
+    e.seq = 42;
+    e.where_off = 0x4000;
+    e.size = 64;
+    e.tx_id = 7;
+    e.tx_mark = kWalTxOp;
+    EXPECT_EQ(walEntryCrc(e), 0x24b53090u);
+
+    EXPECT_EQ(slabGeometryCrc(5, 1024, 6), 0x79f81a33u);
+
+    LogChunk c;
+    std::memset(&c, 0, sizeof(c));
+    c.id = 3;
+    c.active = 1;
+    EXPECT_EQ(logChunkCrc(c), 0x8a299f5bu);
+
+    LogHeader h;
+    std::memset(&h, 0, sizeof(h));
+    h.magic = kLogMagic;
+    h.num_chunks = 17;
+    EXPECT_EQ(logHeaderCrc(h), 0xbed2affdu);
+
+    NvSuperblock sb;
+    std::memset(&sb, 0, sizeof(sb));
+    sb.magic = kSuperMagic;
+    sb.version = 3;
+    sb.num_arenas = 4;
+    sb.stripes = 6;
+    sb.log_off = 0x100000;
+    sb.log_bytes = 4 << 20;
+    sb.wal_off = 0x80000;
+    EXPECT_EQ(superblockCrc(sb), 0x865d3fd4u);
+}
+
+TEST(Crc32c, GoldenKvRecordValue)
+{
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 27;
+    PmDevice dev(dcfg);
+    auto alloc = NvAlloc::openOrDie(dev, NvAllocConfig{});
+    ThreadCtx *ctx = alloc->attachThread();
+    ASSERT_NE(ctx, nullptr);
+    KvOptions ko;
+    ko.buckets = 64;
+    auto store = KvStore::open(*alloc, ko);
+    ASSERT_NE(store, nullptr);
+    ASSERT_EQ(store->put(*ctx, "golden-key", "golden-value-0123456789"),
+              KvStatus::Ok);
+    uint64_t off = store->recordOffset("golden-key");
+    ASSERT_NE(off, 0u);
+    // The record header's crc word: next(8) + vlen(4) + klen(2) +
+    // flags(2), then crc(4).
+    uint32_t crc = 0;
+    std::memcpy(&crc, static_cast<const char *>(store->heap().at(off)) + 16,
+                sizeof(crc));
+    EXPECT_EQ(crc, 0x5ced1ffbu);
+    store.reset();
+    alloc->detachThread(ctx);
+}
 
 // ---- Rng ------------------------------------------------------------
 
