@@ -1,7 +1,6 @@
 #include "kv/kv_store.h"
 
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 
 #include "common/checksum.h"
@@ -666,41 +665,6 @@ KvStore::recordOffset(std::string_view key)
     VLockGuard g(stripeOf(b));
     FindResult f = findLocked(b, key);
     return f.off;
-}
-
-std::string
-KvStore::json() const
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"records\": %llu, \"buckets\": %llu, \"max_chain\": %llu, "
-        "\"key_bytes\": %llu, \"value_bytes\": %llu, "
-        "\"inserts\": %llu, \"updates\": %llu, \"erases\": %llu, "
-        "\"gets\": %llu, \"hits\": %llu, \"misses\": %llu, "
-        "\"scans\": %llu, \"rmws\": %llu, "
-        "\"corrupt_records\": %llu, \"rejected_unhealthy\": %llu, "
-        "\"rejected_quota\": %llu, \"rebuilds\": %llu, "
-        "\"rebuilt_records\": %llu}",
-        (unsigned long long)count(),
-        (unsigned long long)buckets_,
-        (unsigned long long)maxChain(),
-        (unsigned long long)stats_.key_bytes.load(),
-        (unsigned long long)stats_.value_bytes.load(),
-        (unsigned long long)stats_.inserts.load(),
-        (unsigned long long)stats_.updates.load(),
-        (unsigned long long)stats_.erases.load(),
-        (unsigned long long)stats_.gets.load(),
-        (unsigned long long)stats_.hits.load(),
-        (unsigned long long)stats_.misses.load(),
-        (unsigned long long)stats_.scans.load(),
-        (unsigned long long)stats_.rmws.load(),
-        (unsigned long long)stats_.corrupt_records.load(),
-        (unsigned long long)stats_.rejected_unhealthy.load(),
-        (unsigned long long)stats_.rejected_quota.load(),
-        (unsigned long long)stats_.rebuilds.load(),
-        (unsigned long long)stats_.rebuilt_records.load());
-    return buf;
 }
 
 } // namespace nvalloc

@@ -149,9 +149,9 @@ class KvStore
     uint64_t buckets() const { return buckets_; }
     NvAlloc &heap() { return heap_; }
     const KvStats &stats() const { return stats_; }
-    /** Longest current chain (volatile index; racy snapshot). */
+    /** Longest current chain (volatile index; racy snapshot). Not a
+     *  counter, so not in the stats.kv.* ctl subtree. */
     uint64_t maxChain() const;
-    std::string json() const;
 
     /** Device offset of key's record (0 if absent / invalid): the
      *  chaos harness uses it to aim corruption at live payload. */

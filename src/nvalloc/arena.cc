@@ -190,10 +190,8 @@ Arena::refill(TCache &tcache, unsigned cls)
             morph_lru_.touch(slab);
         // Refresh a region slot with the slab we just worked: the next
         // dry tcache on this core can then reserve lock-free.
-        if (cfg_->fastpath == FastPathMode::LockFree &&
-            slab->available() > 0) {
+        if (slab->available() > 0)
             core_cache_.install(cls, slab);
-        }
     }
     if (tel_) {
         tel_->add(StatCounter::ArenaRefill);

@@ -34,47 +34,77 @@ fmt(const char *f, uint64_t a, uint64_t b = 0)
     return buf;
 }
 
+/** The report's counters, named once: the order is the summary and
+ *  JSON order, and only Violation counters make a heap un-clean. */
+enum class AuditKind
+{
+    Violation,
+    Info,
+    Repair,
+};
+
+struct AuditCounter
+{
+    const char *name;
+    uint64_t AuditReport::*member;
+    AuditKind kind;
+};
+
+#define NV_AUDIT_COUNTER(m, kind) {#m, &AuditReport::m, AuditKind::kind}
+constexpr AuditCounter kAuditCounters[] = {
+    NV_AUDIT_COUNTER(superblock_bad, Violation),
+    NV_AUDIT_COUNTER(region_table_bad, Violation),
+    NV_AUDIT_COUNTER(extent_overlap, Violation),
+    NV_AUDIT_COUNTER(extent_gap, Violation),
+    NV_AUDIT_COUNTER(slab_header_bad, Violation),
+    NV_AUDIT_COUNTER(slab_veh_mismatch, Violation),
+    NV_AUDIT_COUNTER(bitmap_mismatch, Violation),
+    NV_AUDIT_COUNTER(counter_mismatch, Violation),
+    NV_AUDIT_COUNTER(log_chain_bad, Violation),
+    NV_AUDIT_COUNTER(log_entry_bad, Violation),
+    NV_AUDIT_COUNTER(log_entry_orphan, Violation),
+    NV_AUDIT_COUNTER(veh_unlogged, Violation),
+    NV_AUDIT_COUNTER(wal_entry_bad, Violation),
+    NV_AUDIT_COUNTER(tx_orphan_entries, Violation),
+    NV_AUDIT_COUNTER(tx_conflict_staged, Violation),
+    NV_AUDIT_COUNTER(quarantine_bad, Violation),
+    NV_AUDIT_COUNTER(poisoned_free_lines, Info),
+    NV_AUDIT_COUNTER(poisoned_live_lines, Info),
+    NV_AUDIT_COUNTER(canary_stomped, Info),
+    NV_AUDIT_COUNTER(repaired_headers, Repair),
+    NV_AUDIT_COUNTER(repaired_bitmaps, Repair),
+    NV_AUDIT_COUNTER(repaired_wal_entries, Repair),
+    NV_AUDIT_COUNTER(repaired_tx_entries, Repair),
+    NV_AUDIT_COUNTER(requarantined_slabs, Repair),
+    NV_AUDIT_COUNTER(scrubbed_lines, Repair),
+};
+#undef NV_AUDIT_COUNTER
+
 } // namespace
+
+uint64_t
+AuditReport::violations() const
+{
+    uint64_t n = 0;
+    for (const AuditCounter &c : kAuditCounters)
+        if (c.kind == AuditKind::Violation)
+            n += this->*c.member;
+    return n;
+}
 
 std::string
 AuditReport::summary() const
 {
-    std::string s;
-    auto add = [&](const char *name, uint64_t v) {
-        if (v == 0)
-            return;
+    std::string s = clean() ? "audit: clean\n"
+                            : fmt("audit: %llu violation(s)\n", violations());
+    for (const AuditCounter &c : kAuditCounters) {
+        if (this->*c.member == 0)
+            continue;
         char buf[96];
-        std::snprintf(buf, sizeof(buf), "  %-22s %llu\n", name,
-                      (unsigned long long)v);
+        std::snprintf(buf, sizeof(buf), "  %-22s %llu\n", c.name,
+                      (unsigned long long)(this->*c.member));
         s += buf;
-    };
-    s += clean() ? "audit: clean\n"
-                 : fmt("audit: %llu violation(s)\n", violations());
-    add("superblock_bad", superblock_bad);
-    add("region_table_bad", region_table_bad);
-    add("extent_overlap", extent_overlap);
-    add("extent_gap", extent_gap);
-    add("slab_header_bad", slab_header_bad);
-    add("slab_veh_mismatch", slab_veh_mismatch);
-    add("bitmap_mismatch", bitmap_mismatch);
-    add("counter_mismatch", counter_mismatch);
-    add("log_chain_bad", log_chain_bad);
-    add("log_entry_bad", log_entry_bad);
-    add("log_entry_orphan", log_entry_orphan);
-    add("veh_unlogged", veh_unlogged);
-    add("wal_entry_bad", wal_entry_bad);
-    add("tx_orphan_entries", tx_orphan_entries);
-    add("tx_conflict_staged", tx_conflict_staged);
-    add("quarantine_bad", quarantine_bad);
-    add("poisoned_free_lines", poisoned_free_lines);
-    add("poisoned_live_lines", poisoned_live_lines);
-    add("canary_stomped", canary_stomped);
-    add("repaired_headers", repaired_headers);
-    add("repaired_bitmaps", repaired_bitmaps);
-    add("repaired_wal_entries", repaired_wal_entries);
-    add("repaired_tx_entries", repaired_tx_entries);
-    add("requarantined_slabs", requarantined_slabs);
-    add("scrubbed_lines", scrubbed_lines);
+    }
     for (const auto &n : notes)
         s += "  - " + n + "\n";
     return s;
@@ -85,44 +115,13 @@ AuditReport::json() const
 {
     JsonWriter w;
     w.beginObject();
-    w.key("clean");
-    w.value(clean());
-    w.key("violations");
-    w.value(violations());
-    w.key("counters");
-    w.beginObject();
-    auto add = [&](const char *name, uint64_t v) {
-        w.key(name);
-        w.value(v);
-    };
-    add("superblock_bad", superblock_bad);
-    add("region_table_bad", region_table_bad);
-    add("extent_overlap", extent_overlap);
-    add("extent_gap", extent_gap);
-    add("slab_header_bad", slab_header_bad);
-    add("slab_veh_mismatch", slab_veh_mismatch);
-    add("bitmap_mismatch", bitmap_mismatch);
-    add("counter_mismatch", counter_mismatch);
-    add("log_chain_bad", log_chain_bad);
-    add("log_entry_bad", log_entry_bad);
-    add("log_entry_orphan", log_entry_orphan);
-    add("veh_unlogged", veh_unlogged);
-    add("wal_entry_bad", wal_entry_bad);
-    add("tx_orphan_entries", tx_orphan_entries);
-    add("tx_conflict_staged", tx_conflict_staged);
-    add("quarantine_bad", quarantine_bad);
-    add("poisoned_free_lines", poisoned_free_lines);
-    add("poisoned_live_lines", poisoned_live_lines);
-    add("canary_stomped", canary_stomped);
-    add("repaired_headers", repaired_headers);
-    add("repaired_bitmaps", repaired_bitmaps);
-    add("repaired_wal_entries", repaired_wal_entries);
-    add("repaired_tx_entries", repaired_tx_entries);
-    add("requarantined_slabs", requarantined_slabs);
-    add("scrubbed_lines", scrubbed_lines);
+    w.key("clean").value(clean());
+    w.key("violations").value(violations());
+    w.key("counters").beginObject();
+    for (const AuditCounter &c : kAuditCounters)
+        w.key(c.name).value(this->*c.member);
     w.endObject();
-    w.key("notes");
-    w.beginArray();
+    w.key("notes").beginArray();
     for (const auto &n : notes)
         w.value(n);
     w.endArray();

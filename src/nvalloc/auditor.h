@@ -100,16 +100,8 @@ struct AuditReport
     /** Human-readable detail, one line per finding (capped). */
     std::vector<std::string> notes;
 
-    uint64_t
-    violations() const
-    {
-        return superblock_bad + region_table_bad + extent_overlap +
-               extent_gap + slab_header_bad + slab_veh_mismatch +
-               bitmap_mismatch + counter_mismatch + log_chain_bad +
-               log_entry_bad + log_entry_orphan + veh_unlogged +
-               wal_entry_bad + tx_orphan_entries + tx_conflict_staged +
-               quarantine_bad;
-    }
+    /** Sum of the violation counters (kAuditCounters, auditor.cc). */
+    uint64_t violations() const;
 
     bool clean() const { return violations() == 0; }
 

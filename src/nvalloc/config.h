@@ -54,20 +54,6 @@ enum class HardeningPolicy : uint8_t
     Abort,      //!< std::abort at the faulting operation
 };
 
-/**
- * Small alloc/free hot-path engine (DESIGN.md §14). LockFree is the
- * default and the measured configuration: per-core regions with CAS
- * reservation, no mutex on the hit path. Locked is the escape hatch —
- * the pre-ISSUE-9 shape where every slab mutation runs under the
- * owning arena's VLock — kept for bisection and as the fallback the
- * lock-free path itself drops into when a slab is frozen.
- */
-enum class FastPathMode : uint8_t
-{
-    Locked,
-    LockFree,
-};
-
 struct NvAllocConfig
 {
     Consistency consistency = Consistency::Log;
@@ -102,13 +88,7 @@ struct NvAllocConfig
      *  per socket and one arena per core. */
     unsigned num_arenas = 20;
 
-    /** Per-class tcache capacity in blocks. */
-    unsigned tcache_slots = 48;
-
     // ---- lock-free fast path (core_cache.h, DESIGN.md §14) ----------
-
-    /** Small alloc/free engine; see FastPathMode. */
-    FastPathMode fastpath = FastPathMode::LockFree;
 
     /** Per-arena, per-class region slots in the CoreCache: slabs
      *  pinned for lock-free reservation. More slots spread CAS traffic
@@ -180,10 +160,6 @@ struct NvAllocConfig
      *  to keep up with a fast mutator). */
     unsigned maintenance_interval_ms = 1;
 
-    /** Max media-poisoned lines scrubbed per slice (bounds the slice
-     *  even when a fault storm poisons many lines at once). */
-    unsigned maintenance_scrub_lines = 8;
-
     // ---- heap hardening (hardening.h, DESIGN.md §9) -----------------
 
     /**
@@ -231,16 +207,6 @@ struct NvAllocConfig
      */
     bool patrol_scrub = true;
 
-    /** Metadata items (slabs, log chunks, region entries) examined per
-     *  patrol slice. Bounds the virtual time a slice spends holding
-     *  arena vlocks / the large-allocator lock. */
-    unsigned patrol_items = 8;
-
-    /** Bounded re-read count before a checksum mismatch observed under
-     *  a concurrent mutator is declared damage rather than a transient
-     *  in-flight update. */
-    unsigned patrol_retries = 3;
-
     /**
      * Fault containment (HeapPool members): when corruption is
      * detected — by the hardened-free pipeline, the auditor, the
@@ -269,10 +235,6 @@ struct NvAllocConfig
             return "bit_stripes must be in [1, 32]";
         if (num_arenas < 1)
             return "num_arenas must be >= 1";
-        if (tcache_slots < 1)
-            return "tcache_slots must be >= 1";
-        if (fastpath > FastPathMode::LockFree)
-            return "fastpath out of range";
         if (fastpath_regions < 1 || fastpath_regions > 8)
             return "fastpath_regions must be in [1, 8]";
         if (fastpath_batch < 1 || fastpath_batch > 512)
@@ -290,14 +252,8 @@ struct NvAllocConfig
         if (!(maintenance_wake_fraction > 0.0 &&
               maintenance_wake_fraction <= 1.0))
             return "maintenance_wake_fraction must be in (0, 1]";
-        if (maintenance_scrub_lines == 0)
-            return "maintenance_scrub_lines must be > 0";
         if (hardening_policy > HardeningPolicy::Abort)
             return "hardening_policy out of range";
-        if (patrol_scrub && patrol_items == 0)
-            return "patrol_items must be > 0";
-        if (patrol_scrub && patrol_retries == 0)
-            return "patrol_retries must be > 0";
         if (capacity_quota_bytes != 0 &&
             capacity_quota_bytes < (uint64_t{1} << 16))
             return "capacity_quota_bytes must be 0 or >= 64 KB";

@@ -32,8 +32,8 @@ namespace nvalloc {
 
 /**
  * Heap-wide fast-path telemetry, surfaced as the stats.fastpath.* ctl
- * subtree and `nvalloc_stat --fastpath`. Relaxed increments: these are
- * diagnostic counters, not synchronization.
+ * subtree (`nvalloc_stat --ctl stats.fastpath`). Relaxed increments:
+ * these are diagnostic counters, not synchronization.
  */
 struct FastPathStats
 {

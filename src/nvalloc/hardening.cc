@@ -359,51 +359,4 @@ HardeningManager::dropQuarantine()
     quarantine_.clear();
 }
 
-// ---- introspection --------------------------------------------------
-
-std::string
-HardeningManager::json() const
-{
-    auto v = [](const std::atomic<uint64_t> &a) {
-        return a.load(std::memory_order_relaxed);
-    };
-    uint64_t qdepth, gdepth, wdepth;
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        qdepth = quarantine_.size();
-        gdepth = guard_map_.size();
-        wdepth = watch_.size();
-    }
-    std::string s = "{";
-    auto field = [&s](const char *name, uint64_t val, bool last = false) {
-        s += '"';
-        s += name;
-        s += "\":";
-        s += std::to_string(val);
-        if (!last)
-            s += ',';
-    };
-    field("validated_frees", v(stats_.validated_frees));
-    field("double_frees", v(stats_.double_frees));
-    field("misaligned_frees", v(stats_.misaligned_frees));
-    field("wild_frees", v(stats_.wild_frees));
-    field("cross_heap_frees", v(stats_.cross_heap_frees));
-    field("canary_stomps", v(stats_.canary_stomps));
-    field("tx_staged_frees", v(stats_.tx_staged_frees));
-    field("guard_allocs", v(stats_.guard_allocs));
-    field("guard_frees", v(stats_.guard_frees));
-    field("guard_overflows", v(stats_.guard_overflows));
-    field("guard_uaf", v(stats_.guard_uaf));
-    field("guard_live", gdepth);
-    field("guard_watched", wdepth);
-    field("quarantine_pushes", v(stats_.quarantine_pushes));
-    field("quarantine_evictions", v(stats_.quarantine_evictions));
-    field("quarantine_uaf", v(stats_.quarantine_uaf));
-    field("quarantine_depth", qdepth);
-    field("leaked_blocks", v(stats_.leaked_blocks));
-    field("reports", v(stats_.reports), /*last=*/true);
-    s += '}';
-    return s;
-}
-
 } // namespace nvalloc

@@ -265,11 +265,21 @@ class HardeningManager
         return quarantine_.size();
     }
 
-    // ---- introspection ----------------------------------------------
+    /** Live guard allocations (registered, not yet freed). */
+    uint64_t
+    guardLive() const
+    {
+        std::lock_guard<std::mutex> g(mu_);
+        return guard_map_.size();
+    }
 
-    /** The stats (plus current quarantine/guard depths) as a JSON
-     *  object, for nvalloc_fsck --json and nvalloc_stat. */
-    std::string json() const;
+    /** Freed guards whose reclaimed fill is still being watched. */
+    uint64_t
+    guardWatched() const
+    {
+        std::lock_guard<std::mutex> g(mu_);
+        return watch_.size();
+    }
 
   private:
     struct QuarantinedBlock

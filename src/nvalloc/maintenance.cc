@@ -253,8 +253,10 @@ MaintenanceService::runSlice(bool forced)
     if ((forced || budget_left()) && w_.dev &&
         (w_.dev->poisonedLineCount() > 0 ||
          (w_.quarantine_depth && w_.quarantine_depth() > 0))) {
-        unsigned n = w_.large->scrubUnmappedPoison(
-            cfg_.maintenance_scrub_lines, w_.protected_ranges);
+        // Bounds the slice even when a fault storm poisons many lines.
+        constexpr unsigned kScrubLinesPerSlice = 8;
+        unsigned n = w_.large->scrubUnmappedPoison(kScrubLinesPerSlice,
+                                                   w_.protected_ranges);
         if (n) {
             did = true;
             stats_.scrubbed_lines.fetch_add(n,
@@ -275,7 +277,7 @@ MaintenanceService::runSlice(bool forced)
     // 5. Online patrol scrub: one bounded batch of the heap's
     //    incremental metadata walk (superblock / region table / slabs
     //    / log chain, auditor.h) against the live mutator. The batch
-    //    is item-bounded by cfg_.patrol_items, keeping the vlock hold
+    //    is item-bounded (NvAlloc::patrolSlice), keeping the vlock hold
     //    times inside the slice budget; findings escalate to the heap
     //    health machine inside the callback.
     if ((forced || budget_left()) && w_.patrol && cfg_.patrol_scrub) {

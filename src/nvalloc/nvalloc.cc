@@ -1,7 +1,6 @@
 #include "nvalloc/nvalloc.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -376,9 +375,9 @@ NvAlloc::attachThread()
     // (attachThread runs on the attaching thread itself).
     tel_.bindArena(best->id());
 
+    constexpr unsigned kTcacheSlots = 48; // per-class capacity, blocks
     auto *ctx = new ThreadCtx(this, best, cfg_.bit_stripes,
-                              cfg_.interleaved_tcache, cfg_.tcache_slots,
-                              slot);
+                              cfg_.interleaved_tcache, kTcacheSlots, slot);
     // A recycled slot may hold entries of a previous thread whose
     // sequence numbers would shadow ours at replay; start clean.
     uint64_t ring_off = sb_->wal_off + uint64_t(slot) * kWalRingBytes;
@@ -547,18 +546,16 @@ NvAlloc::reclaimMemory(ThreadCtx &ctx)
 unsigned
 NvAlloc::refillSmall(ThreadCtx &ctx, unsigned cls)
 {
-    if (cfg_.fastpath == FastPathMode::LockFree) {
-        unsigned got = ctx.arena->fastReserve(ctx.tcache, cls);
-        if (got > 0) {
-            // The reserve's scan-and-claim CPU is real extra work
-            // (the hit path's own advance does not cover it), unlike
-            // the per-hit booking which only models serialization.
-            ctx.arena->bookFastOp(kFastReserveNs);
-            VClock::advance(kFastReserveNs, TimeKind::Other);
-            return got;
-        }
+    unsigned got = ctx.arena->fastReserve(ctx.tcache, cls);
+    if (got > 0) {
+        // The reserve's scan-and-claim CPU is real extra work (the hit
+        // path's own advance does not cover it), unlike the per-hit
+        // booking which only models serialization.
+        ctx.arena->bookFastOp(kFastReserveNs);
+        VClock::advance(kFastReserveNs, TimeKind::Other);
+        return got;
     }
-    unsigned got = ctx.arena->refill(ctx.tcache, cls);
+    got = ctx.arena->refill(ctx.tcache, cls);
     if (got > 0)
         return got;
     // The home arena is dry: no freelist slab, no morph candidate, and
@@ -566,18 +563,15 @@ NvAlloc::refillSmall(ThreadCtx &ctx, unsigned cls)
     // (no lock), then their locked refills, which can also morph or
     // carve a slab the steal cannot see. Only after every arena
     // refuses does the caller escalate to reclaim.
-    if (cfg_.fastpath == FastPathMode::LockFree) {
-        for (unsigned i = 1; i < arenas_.size(); ++i) {
-            Arena &peer =
-                *arenas_[(ctx.arena->id() + i) % arenas_.size()];
-            got = peer.fastReserve(ctx.tcache, cls);
-            if (got > 0) {
-                fp_stats_.region_steals.fetch_add(
-                    1, std::memory_order_relaxed);
-                peer.bookFastOp(kFastReserveNs);
-                VClock::advance(kFastReserveNs, TimeKind::Other);
-                return got;
-            }
+    for (unsigned i = 1; i < arenas_.size(); ++i) {
+        Arena &peer = *arenas_[(ctx.arena->id() + i) % arenas_.size()];
+        got = peer.fastReserve(ctx.tcache, cls);
+        if (got > 0) {
+            fp_stats_.region_steals.fetch_add(1,
+                                              std::memory_order_relaxed);
+            peer.bookFastOp(kFastReserveNs);
+            VClock::advance(kFastReserveNs, TimeKind::Other);
+            return got;
         }
     }
     for (unsigned i = 1; i < arenas_.size(); ++i) {
@@ -640,22 +634,16 @@ NvAlloc::allocSmall(ThreadCtx &ctx, size_t size, uint64_t where_off)
     // VLockFreeScope assert enforces exactly that in debug builds).
     // The gate only fails while the slab is frozen (morph, repair,
     // release), which routes through the locked fallback below.
-    bool fast_done = false;
-    if (cfg_.fastpath == FastPathMode::LockFree &&
-        blk.slab->enterFast()) {
+    if (blk.slab->enterFast()) {
         {
             VLockFreeScope nolock;
             blk.slab->markAllocated(blk.idx);
             blk.slab->exitFast();
         }
         blk.slab->arena->bookFastOp(kFastOpNs);
-        fast_done = true;
-    }
-    if (!fast_done) {
-        if (cfg_.fastpath == FastPathMode::LockFree) {
-            fp_stats_.locked_fallbacks.fetch_add(
-                1, std::memory_order_relaxed);
-        }
+    } else {
+        fp_stats_.locked_fallbacks.fetch_add(1,
+                                             std::memory_order_relaxed);
         VLockGuard g(blk.slab->arena->lock);
         blk.slab->markAllocated(blk.idx);
     }
@@ -773,9 +761,14 @@ NvAlloc::patrolSlice()
     bool published = health_.compare_exchange_strong(
         expect, HeapHealth::Scrubbing, std::memory_order_relaxed);
 
+    // Items per slice bound how long it holds arena vlocks and the
+    // large-allocator lock; a mismatch must read the same this many
+    // times under the live mutator before it counts as damage.
+    constexpr unsigned kPatrolItems = 8;
+    constexpr unsigned kPatrolRetries = 3;
     HeapAuditor aud(*this);
-    PatrolSliceResult r = aud.patrolStep(
-        patrol_cursor_, cfg_.patrol_items, cfg_.patrol_retries);
+    PatrolSliceResult r =
+        aud.patrolStep(patrol_cursor_, kPatrolItems, kPatrolRetries);
 
     if (published) {
         expect = HeapHealth::Scrubbing;
@@ -805,38 +798,6 @@ NvAlloc::patrolSlice()
                                        : r.notes.front().c_str());
     }
     return r.items;
-}
-
-std::string
-NvAlloc::healthJson() const
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"state\":\"%s\",\"escalations\":%llu,\"restores\":%llu,"
-        "\"rejected_ops\":%llu,\"scrub\":{\"slices\":%llu,"
-        "\"items\":%llu,\"findings\":%llu,\"repaired\":%llu,"
-        "\"retries\":%llu,\"passes\":%llu}}",
-        heapHealthName(health_.load(std::memory_order_relaxed)),
-        (unsigned long long)health_stats_.escalations.load(
-            std::memory_order_relaxed),
-        (unsigned long long)health_stats_.restores.load(
-            std::memory_order_relaxed),
-        (unsigned long long)health_stats_.rejected_ops.load(
-            std::memory_order_relaxed),
-        (unsigned long long)scrub_stats_.slices.load(
-            std::memory_order_relaxed),
-        (unsigned long long)scrub_stats_.items.load(
-            std::memory_order_relaxed),
-        (unsigned long long)scrub_stats_.findings.load(
-            std::memory_order_relaxed),
-        (unsigned long long)scrub_stats_.repaired.load(
-            std::memory_order_relaxed),
-        (unsigned long long)scrub_stats_.retries.load(
-            std::memory_order_relaxed),
-        (unsigned long long)scrub_stats_.passes.load(
-            std::memory_order_relaxed));
-    return buf;
 }
 
 // ---- hardening hooks (hardening.h, DESIGN.md §9) --------------------
@@ -1204,8 +1165,7 @@ NvAlloc::freeOffset(ThreadCtx &ctx, uint64_t off, uint64_t *where)
     // the quarantine FIFO keep the locked pipeline; those legs stay
     // green through the fallback below). A false return means the
     // fast path declined (frozen or morphing slab) — fall through.
-    if (cfg_.fastpath == FastPathMode::LockFree &&
-        !cfg_.redzone_canaries && cfg_.quarantine_depth == 0 &&
+    if (!cfg_.redzone_canaries && cfg_.quarantine_depth == 0 &&
         hardening_.policy() != HardeningPolicy::Quarantine) {
         NvStatus st;
         if (tryFastFree(ctx, slab, off, where, where_off, st))

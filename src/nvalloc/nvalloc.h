@@ -302,10 +302,6 @@ class NvAlloc
     TxManager &txManager() { return tx_mgr_; }
     const TxManager &txManager() const { return tx_mgr_; }
 
-    /** The stats.tx.* family plus live staged/open gauges as a JSON
-     *  object, for nvalloc_fsck --json and nvalloc_stat --tx. */
-    std::string txJson() const;
-
     /** C-API helper: record a tx call rejected before a ThreadCtx even
      *  exists (degraded-open heap) so nvalloc_errno reads EINVAL. */
     NvStatus txRejected();
@@ -407,10 +403,6 @@ class NvAlloc
     const ScrubStats &scrubStats() const { return scrub_stats_; }
     const HealthStats &healthStats() const { return health_stats_; }
 
-    /** Health + scrub state as a JSON object (nvalloc_stat --health,
-     *  per-heap objects in nvalloc_fsck --json --pool). */
-    std::string healthJson() const;
-
     /** True if recovery quarantined the slab at device offset `off`
      *  (this run or any earlier one — the list is persistent). */
     bool isQuarantined(uint64_t off) const;
@@ -502,15 +494,12 @@ class NvAlloc
     /** The full dotted-name registry (read-only; for enumeration). */
     const CtlRegistry &ctl();
 
-    /** Whole-heap statistics snapshot as nested JSON. */
-    std::string statsJson();
+    /** Statistics snapshot as nested JSON: the whole tree, or the
+     *  subtree under `prefix` (CtlRegistry::json). */
+    std::string statsJson(std::string_view prefix = {});
 
     /** Heap-wide lock-free fast-path counters (stats.fastpath.*). */
     const FastPathStats &fastPathStats() const { return fp_stats_; }
-
-    /** The stats.fastpath.* family as a JSON object, for
-     *  nvalloc_stat --fastpath and nvalloc_fsck --json. */
-    std::string fastpathJson() const;
 
     /** WAL commits since open: the sum of every thread ring's append
      *  sequence, plus the rings of threads that have since detached

@@ -98,7 +98,6 @@ optionsToConfig(const nvalloc_options *opts, NvAllocConfig &cfg)
     }
     cfg.maintenance_slice_ns = opts->maintenance_slice_ns;
     cfg.maintenance_wake_fraction = opts->maintenance_wake_fraction;
-    cfg.maintenance_scrub_lines = opts->maintenance_scrub_lines;
 
     if (opts->version >= 2) {
         cfg.guard_sample_rate = opts->guard_sample_rate;
@@ -121,23 +120,16 @@ optionsToConfig(const nvalloc_options *opts, NvAllocConfig &cfg)
 
     if (opts->version >= 3) {
         cfg.patrol_scrub = opts->patrol_scrub != 0;
-        cfg.patrol_items = opts->patrol_items;
-        cfg.patrol_retries = opts->patrol_retries;
         cfg.fault_containment = opts->fault_containment != 0;
         cfg.capacity_quota_bytes = opts->capacity_quota_bytes;
     }
 
     if (opts->version >= 4) {
-        switch (opts->fastpath) {
-        case NVALLOC_FASTPATH_LOCKED:
-            cfg.fastpath = FastPathMode::Locked;
-            break;
-        case NVALLOC_FASTPATH_LOCKFREE:
-            cfg.fastpath = FastPathMode::LockFree;
-            break;
-        default:
+        // Both modes open the lock-free engine; the field stays only
+        // for layout compatibility.
+        if (opts->fastpath != NVALLOC_FASTPATH_LOCKED &&
+            opts->fastpath != NVALLOC_FASTPATH_LOCKFREE)
             return NVALLOC_EINVAL;
-        }
         cfg.fastpath_regions = opts->fastpath_regions;
         cfg.fastpath_batch = opts->fastpath_batch;
     }

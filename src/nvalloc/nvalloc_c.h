@@ -39,15 +39,13 @@ struct NvAllocOptions
 /** Current nvalloc_options layout revision. */
 #define NVALLOC_OPTIONS_VERSION 4u
 
-/** Small-allocation fast-path modes for nvalloc_options.fastpath. */
+/** Values accepted in nvalloc_options.fastpath. Both open the
+ *  lock-free engine (per-core regions + atomic bitfields); the locked
+ *  mode is retired and kept only so v4 callers still validate. */
 enum NvFastPathMode
 {
-    NVALLOC_FASTPATH_LOCKED = 0,   //!< every alloc/free takes the
-                                   //!< arena lock (pre-v4 behaviour;
-                                   //!< escape hatch)
-    NVALLOC_FASTPATH_LOCKFREE = 1, //!< per-core regions + atomic
-                                   //!< bitfields; no mutex on the hit
-                                   //!< path (default)
+    NVALLOC_FASTPATH_LOCKED = 0,
+    NVALLOC_FASTPATH_LOCKFREE = 1,
 };
 
 /** Hardening policies for nvalloc_options.hardening_policy: what to
@@ -86,7 +84,7 @@ struct nvalloc_options
     uint64_t maintenance_slice_ns;    //!< slice budget, virtual ns
     double maintenance_wake_fraction; //!< wake at this share of the
                                       //!< log GC threshold, (0,1]
-    unsigned maintenance_scrub_lines; //!< poison lines per slice
+    unsigned maintenance_scrub_lines; //!< ignored (fixed at 8)
     /* -- version 2 fields (hardening, PR 5) ------------------------ */
     unsigned guard_sample_rate;  //!< redirect 1-in-N small allocs to a
                                  //!< guard extent; 0 disables sampling
@@ -97,13 +95,14 @@ struct nvalloc_options
     int hardening_policy;        //!< an NvHardeningPolicy value
     /* -- version 3 fields (pool & patrol scrub, PR 7) -------------- */
     int patrol_scrub;            //!< online metadata patrol (stage 5)
-    unsigned patrol_items;       //!< items examined per patrol slice
-    unsigned patrol_retries;     //!< re-reads before declaring damage
+    unsigned patrol_items;       //!< ignored (fixed at 8)
+    unsigned patrol_retries;     //!< ignored (fixed at 3)
     int fault_containment;       //!< Degraded/Quarantined refuses ops
                                  //!< (forced on for named/pool opens)
     uint64_t capacity_quota_bytes; //!< per-tenant extent quota; 0 = off
     /* -- version 4 fields (lock-free fast path, PR 9) -------------- */
-    int fastpath;                //!< an NvFastPathMode value
+    int fastpath;                //!< an NvFastPathMode value; both
+                                 //!< select the lock-free engine
     unsigned fastpath_regions;   //!< per-core region slots per size
                                  //!< class, [1,8]
     unsigned fastpath_batch;     //!< blocks claimed per lock-free
@@ -165,8 +164,9 @@ NvInstance *nvalloc_init(PmDevice *dev,
  *    fastpath_batch outside [1,512]). *out is untouched and the
  *    device was not modified. Callers compiled against v1/v2/v3
  *    headers are still accepted: fields their revision did not define
- *    are never read and take this library's defaults (fastpath
- *    defaults to NVALLOC_FASTPATH_LOCKFREE).
+ *    are never read and take this library's defaults.
+ *    maintenance_scrub_lines, patrol_items and patrol_retries are
+ *    never validated or read.
  *  - NVALLOC_ECORRUPT: the heap image failed validation. *out
  *    receives a *degraded* instance: allocation calls fail with
  *    NVALLOC_ECORRUPT, but nvalloc_ctl / nvalloc_stats_json /

@@ -21,7 +21,6 @@ HeapPool::sameConfig(const NvAllocConfig &a, const NvAllocConfig &b)
            a.morph_threshold == b.morph_threshold &&
            a.log_bookkeeping == b.log_bookkeeping &&
            a.num_arenas == b.num_arenas &&
-           a.tcache_slots == b.tcache_slots &&
            a.log_file_bytes == b.log_file_bytes &&
            a.log_gc_threshold == b.log_gc_threshold &&
            a.decay_window_ns == b.decay_window_ns &&
@@ -33,15 +32,12 @@ HeapPool::sameConfig(const NvAllocConfig &a, const NvAllocConfig &b)
            a.maintenance_slice_ns == b.maintenance_slice_ns &&
            a.maintenance_wake_fraction == b.maintenance_wake_fraction &&
            a.maintenance_interval_ms == b.maintenance_interval_ms &&
-           a.maintenance_scrub_lines == b.maintenance_scrub_lines &&
            a.hardened_free == b.hardened_free &&
            a.guard_sample_rate == b.guard_sample_rate &&
            a.redzone_canaries == b.redzone_canaries &&
            a.quarantine_depth == b.quarantine_depth &&
            a.hardening_policy == b.hardening_policy &&
            a.patrol_scrub == b.patrol_scrub &&
-           a.patrol_items == b.patrol_items &&
-           a.patrol_retries == b.patrol_retries &&
            a.fault_containment == b.fault_containment &&
            a.capacity_quota_bytes == b.capacity_quota_bytes;
 }
@@ -226,42 +222,6 @@ HeapPool::snapshot() const
         }
         out.push_back(std::move(h));
     }
-    return out;
-}
-
-std::string
-HeapPool::healthJson() const
-{
-    std::lock_guard<std::mutex> g(mu_);
-    std::string out = "{\"members\":{";
-    bool first = true;
-    for (const auto &[name, m] : members_) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += name; // member names come from code, not hostile input
-        out += "\":";
-        out += m.heap->healthJson();
-    }
-    out += "},\"stats\":{\"opens\":";
-    out += std::to_string(stats_.opens.load(std::memory_order_relaxed));
-    out += ",\"reopen_hits\":";
-    out += std::to_string(
-        stats_.reopen_hits.load(std::memory_order_relaxed));
-    out += ",\"option_mismatches\":";
-    out += std::to_string(
-        stats_.option_mismatches.load(std::memory_order_relaxed));
-    out += ",\"escalations\":";
-    out += std::to_string(
-        stats_.escalations.load(std::memory_order_relaxed));
-    out += ",\"quarantines\":";
-    out += std::to_string(
-        stats_.quarantines.load(std::memory_order_relaxed));
-    out += ",\"restores\":";
-    out += std::to_string(
-        stats_.restores.load(std::memory_order_relaxed));
-    out += "}}";
     return out;
 }
 

@@ -139,10 +139,6 @@ class HeapPool
     /** Health snapshot of every member. */
     std::vector<MemberHealth> snapshot() const;
 
-    /** {"members":{name: <healthJson>, ...}, "stats":{...}} for
-     *  nvalloc_stat --health and nvalloc_fsck --pool. */
-    std::string healthJson() const;
-
     const Stats &stats() const { return stats_; }
 
   private:

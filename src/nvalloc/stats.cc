@@ -264,8 +264,8 @@ NvAlloc::buildCtlRegistry()
     });
 
     // Hardening (PR 5): detection and containment counters, plus the
-    // live depths of the guard watch and the quarantine FIFO. All
-    // relaxed atomics / mutex-free reads.
+    // live depths of the guard map, the guard watch and the quarantine
+    // FIFO (those three take the hardening mutex briefly).
     const HardeningStats *hs = &hardening_.stats();
     ctl_.registerName("stats.hardening.validated_frees", [hs] {
         return hs->validated_frees.load(std::memory_order_relaxed);
@@ -314,6 +314,12 @@ NvAlloc::buildCtlRegistry()
     });
     ctl_.registerName("stats.hardening.quarantine_depth", [this] {
         return uint64_t(hardening_.quarantineDepth());
+    });
+    ctl_.registerName("stats.hardening.guard_live", [this] {
+        return uint64_t(hardening_.guardLive());
+    });
+    ctl_.registerName("stats.hardening.guard_watched", [this] {
+        return uint64_t(hardening_.guardWatched());
     });
     ctl_.registerName("stats.hardening.tx_staged_frees", [hs] {
         return hs->tx_staged_frees.load(std::memory_order_relaxed);
@@ -493,39 +499,10 @@ NvAlloc::ctlRead(const char *name, uint64_t *out)
 }
 
 std::string
-NvAlloc::statsJson()
+NvAlloc::statsJson(std::string_view prefix)
 {
     std::call_once(ctl_once_, [this] { buildCtlRegistry(); });
-    return ctl_.json();
-}
-
-std::string
-NvAlloc::fastpathJson() const
-{
-    // Compact standalone snapshot for nvalloc_stat --fastpath and
-    // nvalloc_fsck --json; mirrors the stats.fastpath.* registry
-    // names.
-    const FastPathStats &s = fp_stats_;
-    auto rd = [](const std::atomic<uint64_t> &c) {
-        return c.load(std::memory_order_relaxed);
-    };
-    std::string out = "{";
-    auto field = [&out](const char *k, uint64_t v, bool last = false) {
-        out += "\"";
-        out += k;
-        out += "\":";
-        out += std::to_string(v);
-        if (!last)
-            out += ",";
-    };
-    field("reserve_hits", rd(s.reserve_hits));
-    field("reserve_misses", rd(s.reserve_misses));
-    field("cas_retries", rd(s.cas_retries));
-    field("region_steals", rd(s.region_steals));
-    field("refill_searches", rd(s.refill_searches));
-    field("locked_fallbacks", rd(s.locked_fallbacks), true);
-    out += "}";
-    return out;
+    return ctl_.json(prefix);
 }
 
 } // namespace nvalloc

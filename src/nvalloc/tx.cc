@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/json.h"
 #include "common/logging.h"
 #include "nvalloc/nvalloc.h"
 #include "pm/vclock.h"
@@ -602,34 +601,6 @@ NvAlloc::txUndoRun(const std::vector<WalEntry> &run)
         }
         // kWalFree: staged only — nothing was mutated, nothing to undo.
     }
-}
-
-std::string
-NvAlloc::txJson() const
-{
-    const TxStats &s = tx_mgr_.stats();
-    JsonWriter w;
-    w.beginObject();
-    auto add = [&](const char *k, uint64_t v) {
-        w.key(k);
-        w.value(v);
-    };
-    add("begins", s.begins.load(std::memory_order_relaxed));
-    add("commits", s.commits.load(std::memory_order_relaxed));
-    add("aborts", s.aborts.load(std::memory_order_relaxed));
-    add("ops_alloc", s.ops_alloc.load(std::memory_order_relaxed));
-    add("ops_free", s.ops_free.load(std::memory_order_relaxed));
-    add("ops_write", s.ops_write.load(std::memory_order_relaxed));
-    add("rejected", s.rejected.load(std::memory_order_relaxed));
-    add("oversize", s.oversize.load(std::memory_order_relaxed));
-    add("plain_ops_rejected",
-        s.plain_ops_rejected.load(std::memory_order_relaxed));
-    add("recovered_committed", s.recovered_committed);
-    add("recovered_rolled_back", s.recovered_rolled_back);
-    add("open", tx_mgr_.openCount());
-    add("staged_blocks", tx_mgr_.stagedCount());
-    w.endObject();
-    return w.take();
 }
 
 } // namespace nvalloc

@@ -62,15 +62,10 @@ CtlRegistry::read(std::string_view name, uint64_t &out) const
     return CtlStatus::Ok;
 }
 
-std::vector<std::string>
-CtlRegistry::names(std::string_view prefix) const
+template <typename Fn>
+void
+CtlRegistry::forEachUnder(std::string_view prefix, Fn &&fn) const
 {
-    std::vector<std::string> out;
-    if (prefix.empty()) {
-        for (const auto &[name, reader] : entries_)
-            out.push_back(name);
-        return out;
-    }
     for (auto it = entries_.lower_bound(prefix); it != entries_.end();
          ++it) {
         const std::string &name = it->first;
@@ -78,10 +73,20 @@ CtlRegistry::names(std::string_view prefix) const
             break;
         // Whole-component match: the prefix must be the full name or
         // be followed by a dot.
-        if (name.size() > prefix.size() && name[prefix.size()] != '.')
+        if (!prefix.empty() && name.size() > prefix.size() &&
+            name[prefix.size()] != '.')
             continue;
-        out.push_back(name);
+        fn(name, it->second);
     }
+}
+
+std::vector<std::string>
+CtlRegistry::names(std::string_view prefix) const
+{
+    std::vector<std::string> out;
+    forEachUnder(prefix, [&](const std::string &name, const Reader &) {
+        out.push_back(name);
+    });
     return out;
 }
 
@@ -94,12 +99,13 @@ CtlRegistry::forEach(
 }
 
 std::string
-CtlRegistry::json() const
+CtlRegistry::json(std::string_view prefix) const
 {
     JsonWriter w;
     w.beginObject();
     std::vector<std::string_view> open; // interior nodes currently open
-    for (const auto &[name, reader] : entries_) {
+    forEachUnder(prefix, [&](const std::string &name,
+                             const Reader &reader) {
         std::vector<std::string_view> parts = splitName(name);
         size_t interior = parts.size() - 1;
         size_t common = 0;
@@ -115,7 +121,7 @@ CtlRegistry::json() const
             open.push_back(parts[i]);
         }
         w.key(parts[interior]).value(reader());
-    }
+    });
     while (!open.empty()) {
         w.endObject();
         open.pop_back();

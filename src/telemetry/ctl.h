@@ -6,8 +6,8 @@
  * "stats.arena.0.flush.reflush", "stats.tcache.hit" — each mapping to
  * a reader function that computes the value on demand. The registry
  * is built once (by nvalloc/stats.cc for a heap) and then served
- * read-only: lookups are a map find, the whole tree can be walked for
- * a JSON snapshot, and prefixes can be enumerated for CLI discovery.
+ * read-only: lookups are a map find, and the whole tree or any subtree
+ * can be enumerated or dumped as JSON.
  *
  * Names must form a proper tree: a name cannot be both a leaf and an
  * interior node ("stats.flush" and "stats.flush.total" cannot both be
@@ -65,13 +65,21 @@ class CtlRegistry
         const;
 
     /**
-     * Serialize the whole tree as nested JSON objects, splitting
-     * names on dots: {"stats":{"flush":{"total":123,...},...}}.
+     * Serialize the leaves names(prefix) selects as nested JSON
+     * objects, splitting names on dots and keeping full paths:
+     * {"stats":{"flush":{"total":123,...},...}}. An empty prefix dumps
+     * the whole tree; an unknown one gives {}.
      */
-    std::string json() const;
+    std::string json(std::string_view prefix = {}) const;
 
   private:
-    std::map<std::string, Reader, std::less<>> entries_;
+    using Map = std::map<std::string, Reader, std::less<>>;
+
+    /** Visit the entries names(prefix) selects, sorted by name. */
+    template <typename Fn>
+    void forEachUnder(std::string_view prefix, Fn &&fn) const;
+
+    Map entries_;
 };
 
 } // namespace nvalloc

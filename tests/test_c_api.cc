@@ -291,14 +291,13 @@ TEST(CApiOpenEx, FastPathOptionsV4Contract)
     opts.fastpath_batch = 0;
     NvInstance *inst = nullptr;
     ASSERT_EQ(nvalloc_open_ex(&dev, &opts, &inst), NVALLOC_OK);
-    EXPECT_EQ(nvalloc_impl(inst)->config().fastpath,
-              FastPathMode::LockFree);
     EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_regions, 2u);
     EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_batch, 24u);
     nvalloc_exit(inst);
 
-    // The v4 escape hatch maps through, and the fastpath ctl leaves
-    // are reachable through the C veneer.
+    // The retired locked mode still validates and opens the lock-free
+    // engine: the heap serves a malloc and a free, and the first
+    // refill goes through a region reservation.
     PmDevice dev2;
     nvalloc_options_init(&opts);
     opts.fastpath = NVALLOC_FASTPATH_LOCKED;
@@ -306,17 +305,44 @@ TEST(CApiOpenEx, FastPathOptionsV4Contract)
     opts.fastpath_batch = 64;
     inst = nullptr;
     ASSERT_EQ(nvalloc_open_ex(&dev2, &opts, &inst), NVALLOC_OK);
-    EXPECT_EQ(nvalloc_impl(inst)->config().fastpath,
-              FastPathMode::Locked);
     EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_regions, 4u);
     EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_batch, 64u);
     uint64_t *root = nvalloc_root(inst, 0);
     ASSERT_NE(nvalloc_malloc_to(inst, 96, root), nullptr);
     EXPECT_EQ(nvalloc_free_from(inst, root), NVALLOC_OK);
-    uint64_t v = 1;
-    EXPECT_EQ(nvalloc_ctl(inst, "stats.fastpath.reserve_hits", &v),
+    uint64_t hits = 0, misses = 0;
+    EXPECT_EQ(nvalloc_ctl(inst, "stats.fastpath.reserve_hits", &hits),
               NVALLOC_OK);
-    EXPECT_EQ(v, 0u) << "locked mode must take no reservations";
+    EXPECT_EQ(nvalloc_ctl(inst, "stats.fastpath.reserve_misses", &misses),
+              NVALLOC_OK);
+    EXPECT_GT(hits + misses, 0u) << "locked mode maps to the lock-free engine";
+    nvalloc_exit(inst);
+}
+
+TEST(CApiOpenEx, RetiredTuningFieldsAreIgnored)
+{
+    // maintenance_scrub_lines, patrol_items and patrol_retries stay in
+    // the layout but are fixed inside the library: values that once
+    // failed validation now open.
+    PmDevice dev;
+    nvalloc_options opts;
+    nvalloc_options_init(&opts);
+    opts.maintenance_mode = NVALLOC_MAINT_MANUAL;
+    opts.patrol_scrub = 1;
+    opts.patrol_items = 0;
+    opts.patrol_retries = 0;
+    opts.maintenance_scrub_lines = 0;
+    NvInstance *inst = nullptr;
+    ASSERT_EQ(nvalloc_open_ex(&dev, &opts, &inst), NVALLOC_OK);
+    uint64_t *root = nvalloc_root(inst, 0);
+    ASSERT_NE(nvalloc_malloc_to(inst, 64, root), nullptr);
+    EXPECT_EQ(nvalloc_free_from(inst, root), NVALLOC_OK);
+    EXPECT_EQ(nvalloc_maintenance(inst, "step"), NVALLOC_OK);
+    uint64_t patrols = 0;
+    EXPECT_EQ(nvalloc_ctl(inst, "stats.maintenance.patrol_slices",
+                          &patrols),
+              NVALLOC_OK);
+    EXPECT_EQ(patrols, 1u) << "the patrol still runs its fixed batch";
     nvalloc_exit(inst);
 }
 

@@ -6,10 +6,9 @@
  * recover to a clean heap, and a 128-thread Larson-style churn stays
  * audit-clean under virtual time.
  *
- * Honours the CI matrix envs: NVALLOC_MAINTENANCE=off|manual|thread,
- * NVALLOC_HARDENING=full (which legitimately routes frees through the
- * locked path — the lock-freedom asserts adapt), and
- * NVALLOC_FASTPATH=locked|lockfree.
+ * Honours the CI matrix envs: NVALLOC_MAINTENANCE=off|manual|thread
+ * and NVALLOC_HARDENING=full (which legitimately routes frees through
+ * the locked path — the lock-freedom asserts adapt).
  */
 
 #include <gtest/gtest.h>
@@ -42,11 +41,6 @@ fastpathConfig()
         cfg.redzone_canaries = true;
         cfg.quarantine_depth = 16;
     }
-    const char *fp = std::getenv("NVALLOC_FASTPATH");
-    if (fp && std::strcmp(fp, "locked") == 0)
-        cfg.fastpath = FastPathMode::Locked;
-    else
-        cfg.fastpath = FastPathMode::LockFree;
     return cfg;
 }
 
@@ -75,8 +69,6 @@ readCtl(NvAlloc &alloc, const char *name)
 TEST(FastPath, HitPathAcquiresNoVLocks)
 {
     NvAllocConfig cfg = fastpathConfig();
-    if (cfg.fastpath != FastPathMode::LockFree)
-        GTEST_SKIP() << "NVALLOC_FASTPATH=locked leg";
 
     PmDeviceConfig dcfg;
     dcfg.size = size_t{128} << 20;
@@ -194,9 +186,7 @@ TEST(FastPath, CasRetryStormNeverDoublesABlock)
 
     // The reservation machinery actually ran (not the locked
     // fallback throughout).
-    if (cfg.fastpath == FastPathMode::LockFree) {
-        EXPECT_GT(readCtl(alloc, "stats.fastpath.reserve_hits"), 0u);
-    }
+    EXPECT_GT(readCtl(alloc, "stats.fastpath.reserve_hits"), 0u);
 
     AuditReport rep = HeapAuditor(alloc).audit();
     EXPECT_EQ(rep.violations(), 0u) << rep.summary();
@@ -214,8 +204,6 @@ TEST(FastPath, CasRetryStormNeverDoublesABlock)
 TEST(FastPath, RegionStealServesExhaustedPeerArena)
 {
     NvAllocConfig cfg = fastpathConfig();
-    if (cfg.fastpath != FastPathMode::LockFree)
-        GTEST_SKIP() << "NVALLOC_FASTPATH=locked leg";
     cfg.num_arenas = 2;
 
     PmDeviceConfig dcfg;
@@ -322,7 +310,6 @@ TEST_P(FastPathCrashSweep, SafeInsideReservationRefill)
     SCOPED_TRACE(::testing::Message() << "flush=" << nth);
 
     NvAllocConfig cfg = fastpathConfig();
-    cfg.fastpath = FastPathMode::LockFree; // the sweep's subject
 
     PmDeviceConfig dcfg;
     dcfg.size = size_t{1} << 29;
@@ -472,50 +459,6 @@ TEST(FastPath, Larson128ThreadChurnAuditsClean)
     AuditReport rep = HeapAuditor(alloc).audit();
     EXPECT_EQ(rep.violations(), 0u) << rep.summary();
     EXPECT_EQ(liveSmallBlocks(alloc), 0u) << "blocks leaked by churn";
-}
-
-// ---------------------------------------------------------------------
-// The v4 escape hatch: fastpath=locked must behave like the pre-v4
-// allocator — correct, audit-clean, and with the reservation counters
-// untouched.
-// ---------------------------------------------------------------------
-TEST(FastPath, LockedEscapeHatchTakesNoReservations)
-{
-    NvAllocConfig cfg = fastpathConfig();
-    cfg.fastpath = FastPathMode::Locked;
-
-    PmDeviceConfig dcfg;
-    dcfg.size = size_t{128} << 20;
-    PmDevice dev(dcfg);
-    auto alloc_h = NvAlloc::openOrDie(dev, cfg);
-    NvAlloc &alloc = *alloc_h;
-    ThreadCtx *ctx = alloc.attachThread();
-    ASSERT_NE(ctx, nullptr);
-
-    Rng rng(5);
-    std::vector<uint64_t> live;
-    for (unsigned op = 0; op < 4000; ++op) {
-        if (live.empty() || rng.nextBounded(3) != 0) {
-            uint64_t off = alloc.allocOffset(
-                *ctx, 16 + rng.nextBounded(200), nullptr);
-            ASSERT_NE(off, 0u);
-            live.push_back(off);
-        } else {
-            size_t pick = rng.nextBounded(live.size());
-            ASSERT_EQ(alloc.freeOffset(*ctx, live[pick], nullptr),
-                      NvStatus::Ok);
-            live[pick] = live.back();
-            live.pop_back();
-        }
-    }
-    EXPECT_EQ(readCtl(alloc, "stats.fastpath.reserve_hits"), 0u);
-    EXPECT_EQ(readCtl(alloc, "stats.fastpath.reserve_misses"), 0u);
-
-    for (uint64_t off : live)
-        alloc.freeOffset(*ctx, off, nullptr);
-    AuditReport rep = HeapAuditor(alloc).audit();
-    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
-    alloc.detachThread(ctx);
 }
 
 } // namespace

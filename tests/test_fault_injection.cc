@@ -229,11 +229,7 @@ constexpr unsigned kMaxOps = 400;
  *  points landing inside canary stamps and quarantine traffic still
  *  recover to a clean heap. Guard sampling stays off here: guards are
  *  large extents, which would skew this sweep's small-block leak
- *  oracle (the chaos harness crash-sweeps guards instead).
- *
- *  NVALLOC_FASTPATH=locked|lockfree pins the small-path mode (the
- *  tsan-fastpath CI leg sweeps with lockfree explicitly; locked is
- *  the escape-hatch leg). Unset keeps the config default. */
+ *  oracle (the chaos harness crash-sweeps guards instead). */
 NvAllocConfig
 sweepConfig()
 {
@@ -248,11 +244,6 @@ sweepConfig()
         cfg.redzone_canaries = true;
         cfg.quarantine_depth = 16;
     }
-    const char *fp = std::getenv("NVALLOC_FASTPATH");
-    if (fp && std::strcmp(fp, "locked") == 0)
-        cfg.fastpath = FastPathMode::Locked;
-    else if (fp && std::strcmp(fp, "lockfree") == 0)
-        cfg.fastpath = FastPathMode::LockFree;
     return cfg;
 }
 

@@ -68,6 +68,28 @@ TEST(CtlRegistry, JsonNestsDottedNames)
     EXPECT_EQ(reg.json(), R"({"s":{"a":{"x":1,"y":2},"b":3}})");
 }
 
+TEST(CtlRegistry, JsonFiltersByPrefix)
+{
+    CtlRegistry reg;
+    reg.registerName("s.a.x", [] { return uint64_t{1}; });
+    reg.registerName("s.a.y", [] { return uint64_t{2}; });
+    reg.registerName("s.ab", [] { return uint64_t{4}; });
+    reg.registerName("s.b", [] { return uint64_t{3}; });
+    const char *whole = R"({"s":{"a":{"x":1,"y":2},"ab":4,"b":3}})";
+
+    EXPECT_EQ(reg.json(""), whole) << "empty prefix: the whole tree";
+    EXPECT_EQ(reg.json(), reg.json(""));
+    EXPECT_EQ(reg.json("s"), whole);
+    EXPECT_EQ(reg.json("s.a.y"), R"({"s":{"a":{"y":2}}})")
+        << "a leaf keeps its full path";
+    EXPECT_EQ(reg.json("s.a"), R"({"s":{"a":{"x":1,"y":2}}})")
+        << "\"s.ab\" shares the string prefix but not the component";
+    EXPECT_EQ(reg.json("s.ab"), R"({"s":{"ab":4}})");
+    EXPECT_EQ(reg.json("s.c"), "{}");
+    EXPECT_EQ(reg.json("s.a.x.z"), "{}");
+    EXPECT_EQ(reg.json("t"), "{}");
+}
+
 // ---------------------------------------------------------------------
 // EventRing.
 // ---------------------------------------------------------------------
@@ -395,6 +417,74 @@ TEST_F(TelemetryHeap, ConfigDisableZeroesEverything)
         << "the tree still answers";
     EXPECT_EQ(v, 0u) << "but counters never move";
     quiet.detachThread(ctx);
+}
+
+// The ctl tree is the only exporter of per-subsystem counters, so
+// every tx, fast-path, hardening, health/scrub and KV value the tools
+// report must be a leaf. Not leaves by design: KV max_chain (a walk
+// of the volatile index, KvStore::maxChain()) and the pool's own
+// counters (HeapPool::stats()).
+TEST(CtlSnapshot, CoversEveryRetiredEmitterField)
+{
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    PmDevice dev(dcfg);
+    NvAllocConfig cfg;
+    cfg.guard_sample_rate = 1; // every small allocation is a guard
+    auto alloc = NvAlloc::openOrDie(dev, cfg);
+    ThreadCtx *ctx = alloc->attachThread();
+    ASSERT_NE(ctx, nullptr);
+    auto read = [&](const std::string &name) {
+        uint64_t v = 0;
+        EXPECT_EQ(alloc->ctlRead(name.c_str(), &v), NvStatus::Ok) << name;
+        return v;
+    };
+
+    uint64_t off = alloc->allocOffset(*ctx, 64, nullptr);
+    ASSERT_NE(off, 0u);
+    EXPECT_EQ(read("stats.hardening.guard_allocs"), 1u);
+    EXPECT_EQ(read("stats.hardening.guard_live"), 1u);
+    EXPECT_EQ(read("stats.hardening.guard_watched"), 0u);
+    ASSERT_EQ(alloc->freeOffset(*ctx, off, nullptr), NvStatus::Ok);
+    EXPECT_EQ(read("stats.hardening.guard_live"), 0u);
+    EXPECT_EQ(read("stats.hardening.guard_watched"), 1u);
+    EXPECT_EQ(read("stats.health.state"), uint64_t(HeapHealth::Serving));
+
+    const std::pair<const char *, std::vector<const char *>> kFamilies[] = {
+        {"stats.tx.",
+         {"begins", "commits", "aborts", "ops_alloc", "ops_free",
+          "ops_write", "rejected", "oversize", "plain_ops_rejected",
+          "recovered_committed", "recovered_rolled_back", "open",
+          "staged_blocks"}},
+        {"stats.fastpath.",
+         {"reserve_hits", "reserve_misses", "cas_retries",
+          "region_steals", "refill_searches", "locked_fallbacks"}},
+        {"stats.hardening.",
+         {"validated_frees", "double_frees", "misaligned_frees",
+          "wild_frees", "cross_heap_frees", "canary_stomps",
+          "tx_staged_frees", "guard_allocs", "guard_frees",
+          "guard_overflows", "guard_uaf", "guard_live", "guard_watched",
+          "quarantine_pushes", "quarantine_evictions", "quarantine_uaf",
+          "quarantine_depth", "leaked_blocks", "reports"}},
+        {"stats.health.",
+         {"state", "escalations", "restores", "rejected_ops"}},
+        {"stats.scrub.",
+         {"slices", "items", "findings", "repaired", "retries", "passes"}},
+        {"stats.kv.",
+         {"records", "buckets", "key_bytes", "value_bytes", "inserts",
+          "updates", "erases", "gets", "hits", "misses", "scans", "rmws",
+          "corrupt_records", "rejected_unhealthy", "rejected_quota",
+          "rebuilds", "rebuilt_records"}},
+    };
+    size_t fields = 0;
+    for (const auto &[prefix, leaves] : kFamilies) {
+        for (const char *leaf : leaves) {
+            read(std::string(prefix) + leaf);
+            ++fields;
+        }
+    }
+    EXPECT_EQ(fields, 13u + 6u + 19u + 4u + 6u + 17u);
+    alloc->detachThread(ctx);
 }
 
 TEST_F(TelemetryHeap, EveryRegisteredNameIsReadable)

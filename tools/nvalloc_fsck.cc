@@ -20,7 +20,12 @@
  *   nvalloc_fsck                       # clean build + audit -> 0
  *   nvalloc_fsck --flip-bitmap --repair              # -> 1
  *   nvalloc_fsck --flip-bitmap                       # -> 2
- *   nvalloc_fsck --pool --json         # per-member objects + health
+ *   nvalloc_fsck --pool --json         # pool counters + per-member
+ *                                      # verdict, audit, stats
+ *
+ * --json prints AuditReports and ctl snapshots (NvAlloc::statsJson)
+ * only; every live counter, health state included, is read from the
+ * "stats" snapshot.
  */
 
 #include <cstdio>
@@ -30,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "nvalloc/auditor.h"
 #include "nvalloc/nvalloc.h"
 #include "nvalloc/pool.h"
@@ -81,7 +87,7 @@ usage(const char *argv0)
         "  --pool           audit a 3-tenant heap pool: per-member\n"
         "                   reports; damage flags hit tenant0 only\n"
         "  --quiet          print only the verdict\n"
-        "  --json           machine-readable report + stats snapshot\n",
+        "  --json           audit report(s) + ctl stats snapshot\n",
         argv0);
 }
 
@@ -261,14 +267,16 @@ poolMain(const Options &o)
         bool ok = rep.clean() &&
                   unsigned(h->health()) < unsigned(HeapHealth::Degraded);
         all_ok &= ok;
-        if (!members.empty())
-            members += ",";
-        members += "\"";
-        members += kNames[i];
-        members += "\":{\"clean\":";
-        members += rep.clean() ? "true" : "false";
-        members += ",\"health\":" + std::string(h->healthJson());
-        members += ",\"audit\":" + rep.json() + "}";
+        if (o.json) {
+            if (!members.empty())
+                members += ",";
+            members += "\"";
+            members += kNames[i];
+            members += "\":{\"clean\":";
+            members += rep.clean() ? "true" : "false";
+            members += ",\"audit\":" + rep.json();
+            members += ",\"stats\":" + h->statsJson() + "}";
+        }
         if (text)
             std::printf("fsck: %s: %s, health=%s\n", kNames[i],
                         rep.clean() ? "clean" : "NOT CLEAN",
@@ -276,9 +284,21 @@ poolMain(const Options &o)
     }
 
     if (o.json) {
-        std::string doc = "{\"pool\":" + pool.healthJson();
-        doc += ",\"members\":{" + members + "}}";
-        std::printf("%s\n", doc.c_str());
+        const HeapPool::Stats &ps = pool.stats();
+        JsonWriter w;
+        auto add = [&w](const char *key, const std::atomic<uint64_t> &c) {
+            w.key(key).value(c.load(std::memory_order_relaxed));
+        };
+        w.beginObject();
+        add("opens", ps.opens);
+        add("reopen_hits", ps.reopen_hits);
+        add("option_mismatches", ps.option_mismatches);
+        add("escalations", ps.escalations);
+        add("quarantines", ps.quarantines);
+        add("restores", ps.restores);
+        w.endObject();
+        std::printf("{\"pool\":%s,\"members\":{%s}}\n", w.str().c_str(),
+                    members.c_str());
     } else if (!text) {
         std::printf("fsck: pool %s\n",
                     all_ok ? (any_finding ? "repaired" : "clean")
@@ -331,8 +351,8 @@ main(int argc, char **argv)
     }
 
     // Exercise the transaction layer on the reporting instance so the
-    // report's "tx" object reflects live counters: one committed and
-    // one aborted group. Both close before the audit runs, so no
+    // snapshot's stats.tx.* counters are live: one committed and one
+    // aborted group. Both close before the audit runs, so no
     // staged state leaks into the checks.
     {
         ThreadCtx *tctx = alloc.attachThread();
@@ -418,9 +438,6 @@ main(int argc, char **argv)
         if (!repair_json.empty())
             doc += ",\"repair\":" + repair_json +
                    ",\"final_audit\":" + rep.json();
-        doc += ",\"tx\":" + alloc.txJson();
-        doc += ",\"hardening\":" + alloc.hardening().json();
-        doc += ",\"fastpath\":" + alloc.fastpathJson();
         doc += ",\"stats\":" + alloc.statsJson() + "}";
         std::printf("%s\n", doc.c_str());
         return verdict(initial_clean, rep.clean());

@@ -4,11 +4,11 @@
  *
  * The emulated PM device lives in anonymous memory, so — like
  * nvalloc_fsck — the tool builds a heap, runs a mixed workload on it,
- * and then serves the telemetry ctl tree over the result. It is both a
- * smoke test for the introspection API (every registered name is
- * readable) and a discovery aid: `--list` enumerates the tree,
- * `--ctl NAME` reads one leaf exactly as an embedding application
- * would via nvalloc_ctl().
+ * and then serves the telemetry ctl tree over the result. Everything it
+ * prints is a ctl dump: the whole tree, or with `--ctl NAME` the leaf
+ * or subtree NAME selects (the same registry an embedding application
+ * reads via nvalloc_ctl()). The workload flags (--hardening, --tx,
+ * --health, --kv) only choose what traffic populates the tree.
  *
  * Exit status: 0 = ok, 1 = unknown ctl name, 2 = usage error or the
  * heap refused to open.
@@ -16,7 +16,8 @@
  *   nvalloc_stat                      # full name/value table
  *   nvalloc_stat --json               # whole-heap JSON snapshot
  *   nvalloc_stat --ctl stats.alloc.small
- *   nvalloc_stat --list stats.arena.0
+ *   nvalloc_stat --ctl stats.arena.0  # every leaf under a prefix
+ *   nvalloc_stat --health --ctl stats.health --json
  *   nvalloc_stat --reopen --trace 64  # recovery stats + event trace
  */
 
@@ -39,19 +40,16 @@ struct Options
     bool gc = false;
     bool base = false; //!< in-place descriptors instead of the log
     bool json = false;
-    bool list = false;
     bool reopen = false; //!< dirty-restart + recover before reporting
     bool hardening = false; //!< full hardening + hostile-free traffic
-    bool tx = false;        //!< transactional traffic + tx section
-    bool health = false;    //!< patrol-scrub + health report section
-    bool kv = false;        //!< KV service traffic + stats.kv section
-    bool fastpath = false;  //!< stats.fastpath report section
+    bool tx = false;        //!< committed + aborted transactions
+    bool health = false;    //!< one full patrol-scrub pass
+    bool kv = false;        //!< KV service traffic
     size_t trace = 0;    //!< per-thread event-ring capacity
     size_t device_mb = 256;
     unsigned ops = 20000;
     MaintenanceMode maintenance = MaintenanceMode::Off;
-    std::string prefix;       //!< --list filter
-    std::vector<std::string> ctls; //!< --ctl names, in order
+    std::vector<std::string> ctls; //!< --ctl leaves/prefixes, in order
     std::vector<std::string> maint_actions; //!< --maint, in order
 };
 
@@ -66,26 +64,22 @@ usage(const char *argv0)
         "  --device-mb N  emulated device size in MB (default 256)\n"
         "  --ops N        workload operations before reporting\n"
         "  --reopen       dirty-restart and recover before reporting\n"
-        "  --hardening    enable canaries/quarantine/guard sampling,\n"
-        "                 mix hostile frees into the workload, and\n"
-        "                 append the hardening report section\n"
+        "  --hardening    enable canaries/quarantine/guard sampling\n"
+        "                 and mix hostile frees into the workload\n"
+        "                 (stats.hardening.*)\n"
         "  --tx           group part of the workload into committed\n"
-        "                 and aborted transactions and append the\n"
-        "                 stats.tx report section\n"
+        "                 and aborted transactions (stats.tx.*)\n"
         "  --health       run a full patrol-scrub pass after the\n"
-        "                 workload and append the health report\n"
-        "                 (state, escalations, stats.scrub.*)\n"
-        "  --kv           open the KV service on the heap, run mixed\n"
-        "                 put/get/erase traffic, and append the\n"
-        "                 stats.kv report section (LOG variant only)\n"
-        "  --fastpath     append the lock-free small-path report\n"
-        "                 (reservation hits/misses, CAS retries,\n"
-        "                 region steals, refill searches)\n"
+        "                 workload (stats.health.*, stats.scrub.*)\n"
+        "  --kv           open the KV service on the heap and run\n"
+        "                 mixed put/get/erase traffic (stats.kv.*;\n"
+        "                 LOG variant only)\n"
         "  --trace N      arm per-thread event rings of N events and\n"
         "                 dump the merged trace\n"
-        "  --ctl NAME     read one ctl leaf (repeatable)\n"
-        "  --list [PFX]   list registered ctl names (under PFX)\n"
-        "  --json         whole-heap JSON snapshot\n"
+        "  --ctl NAME     print every leaf under NAME, a leaf or a\n"
+        "                 prefix (repeatable)\n"
+        "  --json         one JSON snapshot: the whole tree, or the\n"
+        "                 subtree of a single --ctl\n"
         "  --maintenance M  background maintenance: off|manual|thread\n"
         "                 (manual steps a slice every 512 workload ops)\n"
         "  --maint A      run a maintenance action after the workload:\n"
@@ -117,14 +111,6 @@ parseArgs(int argc, char **argv, Options &o)
             o.health = true;
         } else if (a == "--kv") {
             o.kv = true;
-        } else if (a == "--fastpath") {
-            o.fastpath = true;
-        } else if (a == "--list") {
-            o.list = true;
-            // Optional prefix: consume the next token unless it is
-            // another flag.
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                o.prefix = argv[++i];
         } else if (a == "--ctl") {
             const char *v = next();
             if (!v)
@@ -166,7 +152,8 @@ parseArgs(int argc, char **argv, Options &o)
             return false;
         }
     }
-    return o.device_mb >= 16;
+    // One JSON document: the whole tree or a single subtree.
+    return o.device_mb >= 16 && !(o.json && o.ctls.size() > 1);
 }
 
 NvAllocConfig
@@ -316,7 +303,7 @@ main(int argc, char **argv)
 
     if (o.health) {
         // One full patrol pass: step slices until the cursor wraps
-        // (bounded — each slice covers cfg.patrol_items items).
+        // (bounded — each slice covers a fixed number of items).
         uint64_t passes = 0;
         alloc.ctlRead("stats.scrub.passes", &passes);
         for (unsigned s = 0; s < 4096; ++s) {
@@ -328,8 +315,8 @@ main(int argc, char **argv)
         }
     }
 
-    // The store registers the stats.kv.* subtree on open and detaches
-    // it on destruction, so it must outlive the reporting below.
+    // The store feeds the stats.kv.* subtree while mounted and detaches
+    // on destruction, so it must outlive the reporting below.
     std::unique_ptr<KvStore> kv;
     if (o.kv) {
         if (o.gc) {
@@ -388,61 +375,33 @@ main(int argc, char **argv)
         }
     }
 
+    const CtlRegistry &ctl = alloc.ctl();
     int rc = 0;
-    if (o.list) {
-        for (const std::string &name : alloc.ctl().names(o.prefix))
-            std::printf("%s\n", name.c_str());
-    } else if (!o.ctls.empty()) {
-        for (const std::string &name : o.ctls) {
-            uint64_t v = 0;
-            if (alloc.ctlRead(name.c_str(), &v) != NvStatus::Ok) {
-                std::fprintf(stderr, "stat: unknown ctl name: %s\n",
-                             name.c_str());
-                rc = 1;
-                continue;
-            }
-            std::printf("%s: %llu\n", name.c_str(),
-                        (unsigned long long)v);
+    for (const std::string &name : o.ctls) {
+        if (ctl.names(name).empty()) {
+            std::fprintf(stderr, "stat: unknown ctl name: %s\n",
+                         name.c_str());
+            rc = 1;
         }
-    } else if (o.json) {
-        std::printf("%s\n", alloc.statsJson().c_str());
+    }
+    if (o.json) {
+        std::printf("%s\n",
+                    alloc.statsJson(o.ctls.empty() ? "" : o.ctls[0])
+                        .c_str());
+    } else if (!o.ctls.empty()) {
+        for (const std::string &prefix : o.ctls) {
+            for (const std::string &name : ctl.names(prefix)) {
+                uint64_t v = 0;
+                ctl.read(name, v);
+                std::printf("%s: %llu\n", name.c_str(),
+                            (unsigned long long)v);
+            }
+        }
     } else {
-        alloc.ctl().forEach([](const std::string &name, uint64_t v) {
+        ctl.forEach([](const std::string &name, uint64_t v) {
             std::printf("%-40s %llu\n", name.c_str(),
                         (unsigned long long)v);
         });
-    }
-
-    if (o.hardening) {
-        if (o.json)
-            std::printf("%s\n", alloc.hardening().json().c_str());
-        else
-            std::printf("hardening: %s\n",
-                        alloc.hardening().json().c_str());
-    }
-    if (o.tx) {
-        if (o.json)
-            std::printf("%s\n", alloc.txJson().c_str());
-        else
-            std::printf("tx: %s\n", alloc.txJson().c_str());
-    }
-    if (o.health) {
-        if (o.json)
-            std::printf("%s\n", alloc.healthJson().c_str());
-        else
-            std::printf("health: %s\n", alloc.healthJson().c_str());
-    }
-    if (o.fastpath) {
-        if (o.json)
-            std::printf("%s\n", alloc.fastpathJson().c_str());
-        else
-            std::printf("fastpath: %s\n", alloc.fastpathJson().c_str());
-    }
-    if (kv) {
-        if (o.json)
-            std::printf("%s\n", kv->json().c_str());
-        else
-            std::printf("kv: %s\n", kv->json().c_str());
     }
 
     if (o.trace > 0 && !o.json)
