@@ -91,7 +91,6 @@ main(int argc, char **argv)
                 c.interleaved_wal = cfg.wal_il;
                 c.interleaved_log = cfg.log && cfg.wal_il;
                 c.log_bookkeeping = cfg.log;
-                c.hardened_free = cfg.harden;
                 c.redzone_canaries = cfg.harden;
                 c.quarantine_depth = cfg.harden ? 16 : 0;
             };

@@ -224,16 +224,19 @@ Arena::freeOld(VSlab *slab, unsigned old_idx)
 }
 
 void
-Arena::noteAvailable(VSlab *slab)
-{
-    if (slab->lru_link.linked())
-        morph_lru_.touch(slab);
-    maybeRelease(slab);
-}
-
-void
 Arena::returnLent(VSlab *slab, unsigned idx)
 {
+    // Through the fast-op gate, like a free: the pending stack tells
+    // the next locked refill. Only a freeze in flight (a lent block
+    // pins its slab against morph and release, so that is a repair)
+    // sends the return to the lock.
+    if (slab->enterFast()) {
+        slab->unlendBlock(idx);
+        slab->exitFast();
+        pendingPush(slab);
+        return;
+    }
+    VLockGuard g(lock);
     slab->unlendBlock(idx);
     enlist(slab);
     maybeRelease(slab);

@@ -80,12 +80,9 @@ class Arena
      *  `lock`. */
     void freeOld(VSlab *slab, unsigned old_idx);
 
-    /** Note that a slab gained availability (e.g. a block was freed
-     *  into a tcache); re-enlists it. Caller must hold `lock`. */
-    void noteAvailable(VSlab *slab);
-
-    /** Return a never-allocated block from a drained tcache. Caller
-     *  must hold `lock`. */
+    /** Return a lent, unallocated block (tcache drain, quarantine
+     *  eviction). Synchronizes itself; the caller must hold no arena
+     *  lock and be inside no fast-op gate. */
     void returnLent(VSlab *slab, unsigned idx);
 
     // -- lock-free fast path (DESIGN.md §14) ------------------------

@@ -266,7 +266,7 @@ HeapAuditor::patrolRegionTable(PatrolCursor &cur, unsigned budget,
     // Entries are published/retired with single-word updates, so each
     // read observes either 0 or a complete entry — no re-read needed.
     while (cur.pos < a_.region_slots_ && used < budget) {
-        uint64_t e = a_.region_table_[cur.pos];
+        uint64_t e = loadRegionWord(a_.region_table_[cur.pos]);
         ++used;
         ++res.items;
         ++cur.pos;
@@ -533,7 +533,7 @@ HeapAuditor::checkRegionsAndExtents()
     // Region table (persistent) vs the volatile region map.
     std::unordered_map<uint64_t, uint64_t> table;
     for (unsigned i = 0; i < a_.region_slots_; ++i) {
-        uint64_t e = a_.region_table_[i];
+        uint64_t e = loadRegionWord(a_.region_table_[i]);
         if (e == 0)
             continue;
         uint64_t off = regionEntryOff(e);

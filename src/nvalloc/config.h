@@ -162,19 +162,13 @@ struct NvAllocConfig
 
     // ---- heap hardening (hardening.h, DESIGN.md §9) -----------------
 
-    /**
-     * Classified free validation: rejected frees are sorted into
-     * double/misaligned/wild/cross-heap (stats.hardening.*) and go
-     * through the HardeningPolicy report machinery. The ordered
-     * under-lock validation itself always runs — this flag only
-     * controls the classification extras (including the cross-heap
-     * registry probe) and the guard sampler.
-     */
-    bool hardened_free = true;
+    // Every free runs the one validator (DESIGN.md §9); a rejected
+    // free is always classified (double/misaligned/wild/cross-heap,
+    // stats.hardening.*) and goes through the HardeningPolicy report
+    // machinery. The knobs below add detection on top of it.
 
     /** Redirect one in N small allocations to a guard extent with a
-     *  poisoned redzone tail (GWP-ASan style). 0 disables sampling;
-     *  requires hardened_free. */
+     *  poisoned redzone tail (GWP-ASan style). 0 disables sampling. */
     unsigned guard_sample_rate = 0;
 
     /**
@@ -257,8 +251,6 @@ struct NvAllocConfig
         if (capacity_quota_bytes != 0 &&
             capacity_quota_bytes < (uint64_t{1} << 16))
             return "capacity_quota_bytes must be 0 or >= 64 KB";
-        if (guard_sample_rate != 0 && !hardened_free)
-            return "guard_sample_rate requires hardened_free";
         if (quarantine_depth > (1u << 20))
             return "quarantine_depth must be <= 2^20";
         return nullptr;

@@ -42,7 +42,7 @@ struct FastPathStats
     std::atomic<uint64_t> cas_retries{0};    //!< bitfield CAS losses
     std::atomic<uint64_t> region_steals{0};  //!< sibling-arena refills
     std::atomic<uint64_t> refill_searches{0}; //!< locked tree searches
-    std::atomic<uint64_t> locked_fallbacks{0}; //!< hot ops via VLock
+    std::atomic<uint64_t> locked_fallbacks{0}; //!< frees/allocs via VLock
 };
 
 class CoreCache

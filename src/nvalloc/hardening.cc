@@ -334,9 +334,7 @@ HardeningManager::evictOne(QuarantinedBlock b)
         report(CorruptionKind::QuarantineStomp, b.off, ~0u,
                "quarantined block was written after free");
     }
-    Arena *arena = b.slab->arena;
-    VLockGuard g(arena->lock);
-    arena->returnLent(b.slab, b.idx);
+    b.slab->arena->returnLent(b.slab, b.idx);
     bump(stats_.quarantine_evictions);
 }
 

@@ -13,10 +13,11 @@
  *    and catches linear overflows at the faulting allocation, and a
  *    bounded watch list over freed guard extents catches
  *    use-after-free writes into the poisoned user area;
- *  - a hardened free pipeline: every free is validated in one ordered
- *    pass (provenance → alignment → double-free under the slab vlock)
- *    and rejections are classified per kind, including cross-heap
- *    frees via a process-wide heap registry;
+ *  - one free pipeline (nvalloc.cc): every free — plain, hardened,
+ *    transactional or replayed — resolves provenance, then validates
+ *    alignment and double free under the block's freeing claim inside
+ *    the slab's fast-op gate, and rejections are classified per kind,
+ *    including cross-heap frees via a process-wide heap registry;
  *  - redzone canaries: opt-in per-block canary words stamped at
  *    allocation and checked on free and by the auditor, so a linear
  *    overflow of *any* small block (not just sampled ones) is caught
@@ -243,11 +244,12 @@ class HardeningManager
     /**
      * Push a freed small block into the quarantine FIFO. The caller
      * must have markFreeToTcache()d it (persistent bit cleared, block
-     * still lent so its slab cannot be released) and must NOT hold the
-     * arena lock — eviction of the oldest entry re-locks its (possibly
-     * different) arena. The block is filled with kQuarantineByte; the
-     * eviction verifies the fill and reports QuarantineStomp on a
-     * mismatch before returning the block to its arena.
+     * still lent so its slab cannot be released) and must be outside
+     * every fast-op gate and arena lock — eviction of the oldest entry
+     * may report, and returns the block through its (possibly
+     * different) slab's gate (Arena::returnLent). The block is filled
+     * with kQuarantineByte; the eviction verifies the fill and reports
+     * QuarantineStomp on a mismatch before returning the block.
      */
     void quarantinePush(VSlab *slab, unsigned idx, uint64_t off,
                         unsigned block_size);

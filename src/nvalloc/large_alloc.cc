@@ -78,8 +78,9 @@ bool
 LargeAllocator::regionTableAdd(uint64_t region_off, uint64_t size)
 {
     for (unsigned i = 0; i < region_slots_; ++i) {
-        if (region_table_[i] == 0) {
-            region_table_[i] = packRegionEntry(region_off, size);
+        if (loadRegionWord(region_table_[i]) == 0) {
+            storeRegionWord(region_table_[i],
+                            packRegionEntry(region_off, size));
             dev_->persistFence(&region_table_[i], sizeof(uint64_t),
                                TimeKind::FlushMeta);
             regions_[region_off] = size;
@@ -94,9 +95,9 @@ LargeAllocator::regionTableRemove(uint64_t region_off)
 {
     regions_.erase(region_off);
     for (unsigned i = 0; i < region_slots_; ++i) {
-        if (region_table_[i] != 0 &&
-            regionEntryOff(region_table_[i]) == region_off) {
-            region_table_[i] = 0;
+        uint64_t e = loadRegionWord(region_table_[i]);
+        if (e != 0 && regionEntryOff(e) == region_off) {
+            storeRegionWord(region_table_[i], 0);
             dev_->persistFence(&region_table_[i], sizeof(uint64_t),
                                TimeKind::FlushMeta);
             return;

@@ -21,6 +21,7 @@
 #ifndef NVALLOC_NVALLOC_LAYOUT_H
 #define NVALLOC_NVALLOC_LAYOUT_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -417,6 +418,22 @@ constexpr uint64_t
 regionEntrySize(uint64_t e)
 {
     return (e & ((uint64_t{1} << 28) - 1)) << 16;
+}
+
+/** Region-table words are published and retired under the large
+ *  allocator's lock but read lock-free by the patrol scrubber, so every
+ *  access that can race is a relaxed atomic one. */
+inline uint64_t
+loadRegionWord(const uint64_t &w)
+{
+    return std::atomic_ref<const uint64_t>(w).load(
+        std::memory_order_relaxed);
+}
+
+inline void
+storeRegionWord(uint64_t &w, uint64_t e)
+{
+    std::atomic_ref<uint64_t>(w).store(e, std::memory_order_relaxed);
 }
 
 /** Slabs recovery refused to adopt (bad header after a crash +

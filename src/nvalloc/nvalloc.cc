@@ -395,9 +395,7 @@ void
 NvAlloc::drainTcache(ThreadCtx *ctx)
 {
     ctx->tcache.drain([](unsigned, const CachedBlock &b) {
-        Arena *arena = b.slab->arena;
-        VLockGuard g(arena->lock);
-        arena->returnLent(b.slab, b.idx);
+        b.slab->arena->returnLent(b.slab, b.idx);
     });
 }
 
@@ -859,35 +857,6 @@ NvAlloc::guardAlloc(ThreadCtx &ctx, size_t size, uint64_t where_off)
     return off;
 }
 
-NvStatus
-NvAlloc::guardFree(ThreadCtx &ctx, uint64_t off, uint64_t *where,
-                   uint64_t where_off)
-{
-    HardeningManager::GuardInfo info;
-    if (!hardening_.takeGuard(off, &info))
-        return rejectFree(off, CorruptionKind::DoubleFree);
-    if (!hardening_.guardRedzoneIntact(off, info)) {
-        hardening_.report(
-            CorruptionKind::GuardOverflow, off, ~0u,
-            "guard redzone dirtied — overflow past the allocation");
-    }
-    ctx.wal.append(kWalFree, off, where_off, 0);
-    publish(where, 0);
-    // Poison the user area, retire the extent, and watch it: a
-    // use-after-free write lands in the poison fill, which the watch
-    // list verifies (under the large allocator's lock) while the
-    // extent is still reclaimed.
-    std::memset(dev_.at(off), HardeningManager::kGuardFreeByte,
-                info.user_size);
-    large_.free(off);
-    hardening_.watchFreedGuard(off, info);
-    hardening_.noteGuardFree();
-    VClock::advance(kFreeCpuNs, TimeKind::Other);
-    tel_.noteLargeFree(info.extent_size, off);
-    maint_.pollLogPressure();
-    return NvStatus::Ok;
-}
-
 /** Reject a free: classify it, bump the degradation and hardening
  *  counters, run the report/policy machinery, and leave the heap (and
  *  the WAL) untouched. */
@@ -896,18 +865,16 @@ NvAlloc::rejectFree(uint64_t off, CorruptionKind kind)
 {
     ++deg_stats_.invalid_frees;
     tel_.noteInvalidFree(off, uint16_t(NvStatus::InvalidFree));
-    if (cfg_.hardened_free) {
-        // A locally-unowned offset that another live heap owns is the
-        // classic cross-heap free; only probed on the cold reject
-        // path, and only when nothing local claimed the offset.
-        if (kind == CorruptionKind::WildFree &&
-            hardening_.ownedByAnotherHeap(off)) {
-            kind = CorruptionKind::CrossHeapFree;
-        }
-        hardening_.report(kind, off, ~0u,
-                          std::string("rejected free (") +
-                              corruptionKindName(kind) + ")");
+    // A locally-unowned offset that another live heap owns is the
+    // classic cross-heap free; only probed on the cold reject path,
+    // and only when nothing local claimed the offset.
+    if (kind == CorruptionKind::WildFree &&
+        hardening_.ownedByAnotherHeap(off)) {
+        kind = CorruptionKind::CrossHeapFree;
     }
+    hardening_.report(kind, off, ~0u,
+                      std::string("rejected free (") +
+                          corruptionKindName(kind) + ")");
     return failOp(NvStatus::InvalidFree);
 }
 
@@ -984,8 +951,7 @@ NvAlloc::allocOffset(ThreadCtx &ctx, size_t size, uint64_t *where)
 
     uint64_t off;
     if (size <= smallLimit()) {
-        off = cfg_.hardened_free && cfg_.guard_sample_rate &&
-                      guardDue(ctx)
+        off = cfg_.guard_sample_rate && guardDue(ctx)
                   ? guardAlloc(ctx, size, where_off)
                   : allocSmall(ctx, size, where_off);
     } else {
@@ -1004,111 +970,35 @@ NvAlloc::mallocTo(ThreadCtx &ctx, size_t size, uint64_t *where)
     return off ? dev_.at(off) : nullptr;
 }
 
-/**
- * Lock-free small free (DESIGN.md §14). Returns true with `st` set
- * when the free was fully handled here — including rejections, which
- * are arbitrated by the freeing-bitfield so exactly one of two racing
- * frees of a block proceeds. Returns false (nothing mutated) when the
- * fast path declines: slab frozen (morph/repair/release in flight) or
- * morphing — the caller then runs the locked pipeline.
- */
-bool
-NvAlloc::tryFastFree(ThreadCtx &ctx, VSlab *slab, uint64_t off,
-                     uint64_t *where, uint64_t where_off, NvStatus &st)
+/** Verdict of a small free's gate step, consumed by finishSmall. */
+struct NvAlloc::SmallFree
 {
-    if (!slab->enterFast())
-        return false; // frozen: morph/repair in flight, or released
-
-    // Morphing slabs keep the locked pipeline: old-geometry blocks
-    // need the index-table walk and the tcache bypass. Stable inside
-    // the gate — a morph cannot start until the gate drains.
-    if (slab->morphing()) {
-        slab->exitFast();
-        return false;
-    }
-
-    unsigned idx = slab->blockIndexOf(off);
-    if (idx >= slab->capacity() || slab->blockOffset(idx) != off) {
-        slab->exitFast();
-        st = rejectFree(off, CorruptionKind::MisalignedFree);
-        return true;
-    }
-    // Exactly one of two racing frees of the same block proceeds. The
-    // persistent bit cannot arbitrate — journal-first ordering clears
-    // it only after the WAL append — so a dedicated claim bit does.
-    // A set claim bit is NOT itself a double-free verdict: the
-    // previous free of this block clears the allocation bit before
-    // releasing its claim, so a refill can re-grant the block — and
-    // the new owner re-free it — inside that instruction-scale
-    // window. Wait out the in-flight free, then re-arbitrate; a true
-    // double-free resolves below through the allocation bit.
-    unsigned spins = 0;
-    while (!slab->tryBeginFree(idx)) {
-        if (++spins >= 128) {
-            std::this_thread::yield();
-            spins = 0;
-        }
-    }
-    if (!slab->isAllocated(idx)) {
-        slab->endFree(idx);
-        slab->exitFast();
-        st = rejectFree(off, CorruptionKind::DoubleFree);
-        return true;
-    }
-
-    unsigned cls = slab->sizeClass();
-    // Mostly-idle slabs are morph candidates; blocks freed into a
-    // tcache would pin them (same rule as the locked pipeline).
-    bool keep_unpinned = cfg_.slab_morphing &&
-                         slab->occupancy() <= cfg_.morph_threshold;
-    bool to_tcache = !keep_unpinned && !ctx.tcache.full(cls);
+    enum class Kind : uint8_t
     {
-        // Journal, clear the attach word, then clear + persist the
-        // bit — the same WAL discipline as the locked path, minus the
-        // mutex (enforced in debug by the scope assert).
-        VLockFreeScope nolock;
-        if (logMode())
-            ctx.wal.append(kWalFree, off, where_off, 0);
-        publish(where, 0);
-        if (to_tcache)
-            slab->markFreeToTcache(idx);
-        else
-            slab->markFree(idx);
-        slab->endFree(idx);
-        slab->exitFast();
-    }
-    slab->arena->bookFastOp(kFastOpNs);
-    if (to_tcache) {
-        bool ok = ctx.tcache.push(cls, CachedBlock{off, slab, idx});
-        NV_ASSERT(ok);
-    } else {
-        // The freelists don't know about this availability yet; hand
-        // the slab to the next locked refill via the pending stack.
-        slab->arena->pendingPush(slab);
-    }
-    hardening_.noteValidatedFree();
-    VClock::advance(kFreeCpuNs, TimeKind::Other);
-    tel_.noteSmallFree(cls, off);
-    st = NvStatus::Ok;
-    return true;
-}
+        Retired,
+        Leaked,
+        Misaligned,
+        AlreadyFree,
+        Resolve, //!< slab released under us: resolve provenance again
+    };
+    enum class Route : uint8_t { Tcache, Quarantine, Pending, Old };
+    Kind kind = Kind::Retired;
+    Route route = Route::Pending;
+    bool stomped = false; //!< canary dirtied; reported after the gate
+    unsigned idx = 0;
+    unsigned cls = 0;
+    unsigned bsize = 0;
+};
 
 /**
- * The hardened free pipeline: one ordered validator shared by free,
- * free_from and the C API. Provenance (guard registry → slab radix →
- * extent radix) decides the path; each path validates *inside* the
- * critical section that also journals and mutates, so validation and
- * mutation see the same state — the PR 3/4 seed race was an unlocked
- * bitmap probe that raced markAllocated/morphTo under the arena lock.
- * Rejections are classified (rejectFree) and leave the WAL and the
- * heap untouched.
+ * Plain free: the strict caller of the free pipeline. While this
+ * thread holds an open transaction, an untagged entry at its ring tail
+ * would shadow the run's all-or-nothing resolution after a crash, so
+ * plain ops are rejected until commit/abort.
  */
 NvStatus
 NvAlloc::freeOffset(ThreadCtx &ctx, uint64_t off, uint64_t *where)
 {
-    // While this thread holds an open transaction, an untagged entry at
-    // its ring tail would shadow the run's all-or-nothing resolution
-    // after a crash — plain ops are rejected until commit/abort.
     if (ctx.tx.open()) {
         tx_mgr_.stats().plain_ops_rejected.fetch_add(
             1, std::memory_order_relaxed);
@@ -1116,161 +1006,314 @@ NvAlloc::freeOffset(ThreadCtx &ctx, uint64_t off, uint64_t *where)
     }
     if (refuseUnhealthy())
         return NvStatus::HeapUnhealthy;
-    if (off == 0 || off >= dev_.size())
-        return rejectFree(off, CorruptionKind::WildFree);
     // A block staged by ANY open transaction (allocated-but-unpublished
     // or pending a deferred free) is off-limits to plain free until
     // the transaction resolves. One relaxed load when no tx is staging.
     if (tx_mgr_.isStaged(off))
         return rejectFree(off, CorruptionKind::TxStagedFree);
-
     uint64_t where_off =
         where && dev_.contains(where) ? dev_.offsetOf(where) : kWalNoWhere;
+    FreeResult r =
+        freeBlock(FreeCall{&ctx, off, where, where_off, FreeMode::Strict});
+    return r == FreeResult::Refused ? NvStatus::InvalidFree
+                                    : NvStatus::Ok;
+}
 
+/**
+ * The free pipeline's provenance resolver (DESIGN.md §9): guard
+ * registry, then slab radix, then extent radix. Each retire path
+ * validates inside the step that also journals and mutates, so
+ * validation and mutation see the same state; rejections keep their
+ * kinds (wild, misaligned, double) and, except for idempotent callers,
+ * are classified and reported by rejectFree.
+ */
+NvAlloc::FreeResult
+NvAlloc::freeBlock(const FreeCall &c)
+{
+    if (c.off == 0 || c.off >= dev_.size())
+        return refuseFree(c, CorruptionKind::WildFree);
     // Guard extents first: underneath they are large extents, but
     // their free verifies the redzone and poisons the user area.
-    if (cfg_.hardened_free && cfg_.guard_sample_rate &&
-        hardening_.isGuard(off)) {
-        return guardFree(ctx, off, where, where_off);
-    }
+    if (cfg_.guard_sample_rate && hardening_.isGuard(c.off))
+        return retireExtent(c, /*guard=*/true);
+    if (VSlab *slab = slabOf(c.off))
+        return retireSmall(c, slab);
+    return retireExtent(c, /*guard=*/false);
+}
 
-    VSlab *slab = slabOf(off);
-    if (!slab) {
-        // Large extent: validate before journaling anything. A foreign
-        // offset (no extent, mid-extent, free extent, or a slab's
-        // interior) must leave both the WAL and the heap untouched.
-        Veh *veh = large_.findVeh(off);
+NvAlloc::FreeResult
+NvAlloc::refuseFree(const FreeCall &c, CorruptionKind kind)
+{
+    if (c.mode != FreeMode::Idempotent)
+        rejectFree(c.off, kind);
+    return FreeResult::Refused;
+}
+
+/** Frees route through the delayed-reuse FIFO. Never during recovery:
+ *  the manager is wired after recoverHeap returns, and the quarantine
+ *  is a volatile defense against live mutators, of which there are
+ *  none yet. */
+bool
+NvAlloc::quarantineFrees() const
+{
+    return hardening_.ready() &&
+           (cfg_.quarantine_depth > 0 ||
+            (cfg_.redzone_canaries &&
+             hardening_.policy() == HardeningPolicy::Quarantine));
+}
+
+/**
+ * The one extent retire, shared by plain, guard and commit-time frees:
+ * validate, journal + clear the attach word (strict callers only),
+ * then return the extent. A guard additionally has its redzone
+ * verified and its user area poisoned and watched: a use-after-free
+ * write lands in the poison fill, which the watch list verifies
+ * (under the large allocator's lock) while the extent stays reclaimed.
+ */
+NvAlloc::FreeResult
+NvAlloc::retireExtent(const FreeCall &c, bool guard)
+{
+    HardeningManager::GuardInfo info;
+    if (guard) {
+        if (c.mode == FreeMode::Validate)
+            return FreeResult::Retired; // registered = live
+        if (!hardening_.takeGuard(c.off, &info))
+            return refuseFree(c, CorruptionKind::DoubleFree);
+        if (!hardening_.guardRedzoneIntact(c.off, info)) {
+            hardening_.report(
+                CorruptionKind::GuardOverflow, c.off, ~0u,
+                "guard redzone dirtied — overflow past the allocation");
+        }
+    } else {
+        // A foreign offset (no extent, mid-extent, free extent, or a
+        // slab's interior) must leave both the WAL and the heap
+        // untouched.
+        Veh *veh = large_.findVeh(c.off);
         if (!veh)
-            return rejectFree(off, CorruptionKind::WildFree);
-        if (veh->off != off)
-            return rejectFree(off, CorruptionKind::MisalignedFree);
+            return refuseFree(c, CorruptionKind::WildFree);
+        if (veh->off != c.off)
+            return refuseFree(c, CorruptionKind::MisalignedFree);
         if (veh->state != Veh::State::Activated)
-            return rejectFree(off, CorruptionKind::DoubleFree);
+            return refuseFree(c, CorruptionKind::DoubleFree);
         if (veh->is_slab)
-            return rejectFree(off, CorruptionKind::MisalignedFree);
-        // Journal, clear the attach word, then retire.
-        uint64_t veh_size = veh->size;
-        ctx.wal.append(kWalFree, off, where_off, 0);
-        publish(where, 0);
-        large_.free(off);
-        hardening_.noteValidatedFree();
-        VClock::advance(kFreeCpuNs, TimeKind::Other);
-        tel_.noteLargeFree(veh_size, off);
-        maint_.pollLogPressure(); // the tombstone may cross the wake level
-        return NvStatus::Ok;
+            return refuseFree(c, CorruptionKind::MisalignedFree);
+        if (c.mode == FreeMode::Validate)
+            return FreeResult::Retired;
+        info.extent_size = veh->size;
     }
+    if (c.mode == FreeMode::Strict) {
+        c.ctx->wal.append(kWalFree, c.off, c.where_off, 0);
+        publish(c.where, 0);
+    }
+    if (guard) {
+        std::memset(dev_.at(c.off), HardeningManager::kGuardFreeByte,
+                    info.user_size);
+    }
+    large_.free(c.off);
+    if (guard) {
+        hardening_.watchFreedGuard(c.off, info);
+        hardening_.noteGuardFree();
+    } else {
+        hardening_.noteValidatedFree();
+    }
+    if (c.mode == FreeMode::Strict)
+        VClock::advance(kFreeCpuNs, TimeKind::Other);
+    tel_.noteLargeFree(info.extent_size, c.off);
+    maint_.pollLogPressure(); // the tombstone may cross the wake level
+    return FreeResult::Retired;
+}
 
-    // Lock-free small free (DESIGN.md §14): eligible when no hardening
-    // feature needs the big critical section (canary verification and
-    // the quarantine FIFO keep the locked pipeline; those legs stay
-    // green through the fallback below). A false return means the
-    // fast path declined (frozen or morphing slab) — fall through.
-    if (!cfg_.redzone_canaries && cfg_.quarantine_depth == 0 &&
-        hardening_.policy() != HardeningPolicy::Quarantine) {
-        NvStatus st;
-        if (tryFastFree(ctx, slab, off, where, where_off, st))
-            return st;
+/**
+ * The one small-block retire (DESIGN.md §14). Lock-free through the
+ * slab's fast-op gate; the arena VLock is taken only when the gate is
+ * frozen (morph, repair or release in flight) or when the block may be
+ * an old-geometry one of a morphing slab, whose index table only the
+ * lock serializes. Reports and FIFO/stack pushes happen after both
+ * the gate and the lock are left.
+ */
+NvAlloc::FreeResult
+NvAlloc::retireSmall(const FreeCall &c, VSlab *slab)
+{
+    SmallFree f;
+    if (!slab->enterFast() || !gateRetire(c, slab, false, f)) {
         fp_stats_.locked_fallbacks.fetch_add(1,
                                              std::memory_order_relaxed);
+        VLockGuard g(slab->arena->lock);
+        unsigned old_idx = 0;
+        // Freezers hold this lock, so a slab still frozen now was
+        // released: its radix range names whatever reuses the extent.
+        if (slab->frozen() || slabOf(c.off) != slab) {
+            f.kind = SmallFree::Kind::Resolve;
+        } else if (slab->isOldBlock(c.off, old_idx)) {
+            // blocks_before bypass the tcache and the quarantine (paper
+            // §5.2); a stomped one leaks under every policy.
+            f.route = SmallFree::Route::Old;
+            f.cls = slab->header()->old_size_class;
+            f.stomped = c.mode != FreeMode::Idempotent &&
+                        cfg_.redzone_canaries &&
+                        !canaryOk(c.off, classToSize(f.cls));
+            if (f.stomped) {
+                f.kind = SmallFree::Kind::Leaked;
+            } else if (c.mode != FreeMode::Validate) {
+                if (c.mode == FreeMode::Strict) {
+                    if (logMode())
+                        c.ctx->wal.append(kWalFree, c.off, c.where_off, 0);
+                    publish(c.where, 0);
+                }
+                slab->arena->freeOld(slab, old_idx);
+            }
+        } else {
+            bool entered = slab->enterFast();
+            NV_ASSERT(entered); // no freeze can start under our lock
+            gateRetire(c, slab, true, f);
+        }
+    }
+    if (f.kind == SmallFree::Kind::Resolve)
+        return freeBlock(c);
+    return finishSmall(c, slab, f);
+}
+
+/**
+ * Validate and retire a current-geometry block inside the fast-op gate
+ * (entered by the caller, always exited here). Exactly one of two
+ * racing frees of a block proceeds: the persistent bit cannot
+ * arbitrate — journal-first ordering clears it only after the WAL
+ * append — so the freeing claim bit does. Returns false, having
+ * touched nothing, when an unlocked caller must retry under the lock.
+ */
+bool
+NvAlloc::gateRetire(const FreeCall &c, VSlab *slab, bool locked,
+                    SmallFree &f)
+{
+    VLockFreeScope nolock;
+    unsigned idx = slab->blockIndexOf(c.off);
+    bool aligned = idx < slab->capacity();
+    // In a morphing slab only an allocated current-geometry bit proves
+    // the block is not an old-geometry one (VSlab::isOldBlock).
+    if (!locked && slab->morphing() &&
+        !(aligned && slab->isAllocated(idx))) {
+        slab->exitFast();
+        return false;
+    }
+    if (!aligned) {
+        slab->exitFast();
+        f.kind = SmallFree::Kind::Misaligned;
+        return true;
+    }
+    // A set claim bit is NOT itself a double-free verdict: the previous
+    // free of this block clears the allocation bit before releasing
+    // its claim, so a refill can re-grant the block — and the new
+    // owner re-free it — inside that instruction-scale window. Wait out
+    // the in-flight free, then re-arbitrate; a true double free
+    // resolves below through the allocation bit.
+    unsigned spins = 0;
+    while (!slab->tryBeginFree(idx)) {
+        if (++spins >= 128) {
+            std::this_thread::yield();
+            spins = 0;
+        }
+    }
+    f.idx = idx;
+    f.cls = slab->sizeClass();
+    f.bsize = slab->blockSize();
+    bool allocated = slab->isAllocated(idx);
+    f.stomped = allocated && c.mode != FreeMode::Idempotent &&
+                cfg_.redzone_canaries && !canaryOk(c.off, f.bsize);
+    // Under the Quarantine policy a stomped block is still freed,
+    // through the delayed-reuse FIFO; otherwise it is reported and
+    // leaked (its bit stays set, nothing is journaled).
+    bool leak = f.stomped && (c.mode == FreeMode::Validate ||
+                              hardening_.policy() !=
+                                  HardeningPolicy::Quarantine);
+    if (!allocated || leak || c.mode == FreeMode::Validate) {
+        slab->endFree(idx);
+        slab->exitFast();
+        f.kind = !allocated ? SmallFree::Kind::AlreadyFree
+                 : leak     ? SmallFree::Kind::Leaked
+                            : SmallFree::Kind::Retired;
+        return true;
     }
 
-    Arena *arena = slab->arena;
-    unsigned cls = 0;
-    bool to_tcache = false;
-    bool to_quarantine = false;
-    unsigned bsize = 0;
-    unsigned idx = 0;
-    {
-        // One critical section: validate (alignment, double free,
-        // canary) against the same state the journal/publish/bitmap
-        // mutation will see. The WAL and attach-word flushes inside
-        // the hold grow the modeled critical section — that is the
-        // honest cost of a race-free validator.
-        VLockGuard g(arena->lock);
-        unsigned old_idx = 0;
-        if (slab->isOldBlock(off, old_idx)) {
-            // blocks_before bypass the tcache (paper §5.2).
-            unsigned old_cls = slab->header()->old_size_class;
-            if (cfg_.redzone_canaries &&
-                !canaryOk(off, classToSize(old_cls))) {
-                hardening_.report(CorruptionKind::CanaryStomp, off,
-                                  old_cls,
-                                  "old-geometry block canary dirtied");
-                // Report policy: leak the block (it stays allocated,
-                // the audit stays clean); Quarantine has no lent-block
-                // path for old-geometry blocks, so it leaks too.
-                hardening_.noteLeakedBlock();
-                publish(where, 0);
-                return NvStatus::Ok;
-            }
-            if (logMode())
-                ctx.wal.append(kWalFree, off, where_off, 0);
-            publish(where, 0);
-            arena->freeOld(slab, old_idx);
-            hardening_.noteValidatedFree();
-            VClock::advance(kFreeCpuNs, TimeKind::Other);
-            tel_.noteSmallFree(old_cls, off);
-            return NvStatus::Ok;
-        }
-        idx = slab->blockIndexOf(off);
-        if (idx >= slab->capacity() || slab->blockOffset(idx) != off)
-            return rejectFree(off, CorruptionKind::MisalignedFree);
-        if (!slab->isAllocated(idx))
-            return rejectFree(off, CorruptionKind::DoubleFree);
-        cls = slab->sizeClass();
-        bsize = slab->blockSize();
-        if (cfg_.redzone_canaries && !canaryOk(off, bsize)) {
-            hardening_.report(CorruptionKind::CanaryStomp, off, cls,
-                              "block canary dirtied — overflow into "
-                              "the canary word");
-            if (hardening_.policy() != HardeningPolicy::Quarantine) {
-                // Report-and-leak: the persistent bit stays set, the
-                // caller's word is cleared, nothing is journaled.
-                hardening_.noteLeakedBlock();
-                publish(where, 0);
-                return NvStatus::Ok;
-            }
-            // Quarantine policy: complete the free below, but force
-            // the block through the delayed-reuse FIFO.
-        }
+    // Mostly-idle slabs are morph candidates; blocks freed into a
+    // tcache or the quarantine stay lent and would pin them, so those
+    // frees go straight back to the slab (like blocks_before, §5.2).
+    bool keep_unpinned = cfg_.slab_morphing &&
+                         slab->occupancy() <= cfg_.morph_threshold;
+    if (!keep_unpinned && quarantineFrees())
+        f.route = SmallFree::Route::Quarantine;
+    else if (!keep_unpinned && c.mode == FreeMode::Strict &&
+             !c.ctx->tcache.full(f.cls))
+        f.route = SmallFree::Route::Tcache;
+    else
+        f.route = SmallFree::Route::Pending;
+
+    // Journal, clear the attach word, then clear + persist the bit.
+    if (c.mode == FreeMode::Strict) {
         if (logMode())
-            ctx.wal.append(kWalFree, off, where_off, 0);
-        publish(where, 0);
-        // Mostly-idle slabs are morph candidates; blocks freed into a
-        // tcache (or the quarantine — both keep the block lent) would
-        // pin them, so their frees bypass both, like blocks_before do
-        // (§5.2).
-        bool keep_unpinned =
-            cfg_.slab_morphing &&
-            slab->occupancy() <= cfg_.morph_threshold;
-        bool quarantine_on =
-            cfg_.quarantine_depth > 0 ||
-            (cfg_.redzone_canaries &&
-             hardening_.policy() == HardeningPolicy::Quarantine);
-        if (quarantine_on && !keep_unpinned) {
-            slab->markFreeToTcache(idx);
-            to_quarantine = true;
-        } else if (ctx.tcache.full(cls) || keep_unpinned) {
-            arena->freeDirect(slab, idx);
-        } else {
-            slab->markFreeToTcache(idx);
-            arena->noteAvailable(slab);
-            to_tcache = true;
-        }
+            c.ctx->wal.append(kWalFree, c.off, c.where_off, 0);
+        publish(c.where, 0);
     }
-    if (to_tcache) {
-        bool ok = ctx.tcache.push(
-            cls, CachedBlock{off, slab, idx});
+    if (f.route == SmallFree::Route::Pending)
+        slab->markFree(idx);
+    else
+        slab->markFreeToTcache(idx);
+    slab->endFree(idx);
+    slab->exitFast();
+    // Under the lock the VLock's own hold accounting models the
+    // serialization; the gate books its fast-op window instead.
+    if (!locked)
+        slab->arena->bookFastOp(kFastOpNs);
+    f.kind = SmallFree::Kind::Retired;
+    return true;
+}
+
+/** Outside the gate and the lock: reports, the tcache / quarantine /
+ *  pending-stack hand-off, and the per-free charges. */
+NvAlloc::FreeResult
+NvAlloc::finishSmall(const FreeCall &c, VSlab *slab, const SmallFree &f)
+{
+    if (f.kind == SmallFree::Kind::Misaligned)
+        return refuseFree(c, CorruptionKind::MisalignedFree);
+    if (f.kind == SmallFree::Kind::AlreadyFree)
+        return refuseFree(c, CorruptionKind::DoubleFree);
+    if (f.stomped) {
+        hardening_.report(CorruptionKind::CanaryStomp, c.off, f.cls,
+                          f.route == SmallFree::Route::Old
+                              ? "old-geometry block canary dirtied"
+                              : "block canary dirtied — overflow into "
+                                "the canary word");
+    }
+    if (f.kind == SmallFree::Kind::Leaked) {
+        hardening_.noteLeakedBlock();
+        if (c.mode == FreeMode::Strict)
+            publish(c.where, 0);
+        return FreeResult::Leaked;
+    }
+    if (c.mode == FreeMode::Validate)
+        return FreeResult::Retired;
+    switch (f.route) {
+    case SmallFree::Route::Tcache: {
+        bool ok = c.ctx->tcache.push(f.cls,
+                                     CachedBlock{c.off, slab, f.idx});
         NV_ASSERT(ok);
-    } else if (to_quarantine) {
-        // Outside the arena lock: evicting the FIFO's oldest entry
-        // locks that entry's (possibly different) arena.
-        hardening_.quarantinePush(slab, idx, off, bsize);
+        break;
+    }
+    case SmallFree::Route::Quarantine:
+        hardening_.quarantinePush(slab, f.idx, c.off, f.bsize);
+        break;
+    case SmallFree::Route::Pending:
+        // The freelists don't know about this availability yet; hand
+        // the slab to the next locked refill via the pending stack.
+        slab->arena->pendingPush(slab);
+        break;
+    case SmallFree::Route::Old:
+        break; // freeOld already re-enlisted it under the lock
     }
     hardening_.noteValidatedFree();
-    VClock::advance(kFreeCpuNs, TimeKind::Other);
-    tel_.noteSmallFree(cls, off);
-    return NvStatus::Ok;
+    if (c.mode == FreeMode::Strict)
+        VClock::advance(kFreeCpuNs, TimeKind::Other);
+    tel_.noteSmallFree(f.cls, c.off);
+    return FreeResult::Retired;
 }
 
 NvStatus

@@ -384,8 +384,8 @@ class NvAlloc
 
     /** Pool subscription: called on every upward health transition,
      *  from the detecting thread — possibly under heap locks (the
-     *  canary validator escalates from inside the arena lock), so the
-     *  hook must record-and-return, never call back into the heap.
+     *  patrol escalates under its own mutex), so the hook must
+     *  record-and-return, never call back into the heap.
      *  Set before traffic starts; not synchronized against in-flight
      *  escalation. */
     using HealthHook = std::function<void(HeapHealth, const char *)>;
@@ -617,6 +617,7 @@ class NvAlloc
     void recoverHeap();
     void quarantineSlab(uint64_t off);
     void replayWals();
+    bool rollForwardAlloc(uint64_t block);
     void conservativeGc();
     void clearWalRings();
     void setArenaStates(ArenaState state);
@@ -629,23 +630,69 @@ class NvAlloc
 
     // Lock-free fast path (DESIGN.md §14).
     unsigned refillSmall(ThreadCtx &ctx, unsigned cls);
-    bool tryFastFree(ThreadCtx &ctx, VSlab *slab, uint64_t off,
-                     uint64_t *where, uint64_t where_off, NvStatus &st);
+
+    // The free pipeline (nvalloc.cc, DESIGN.md §9): one provenance
+    // resolver, one small-block retire, one extent retire.
+
+    /** How a caller drives the free pipeline. */
+    enum class FreeMode : uint8_t
+    {
+        Strict,     //!< plain free: journal, publish, retire; an
+                    //!< already-free block is a DoubleFree
+        Validate,   //!< txFree: the same checks, nothing changes
+        Idempotent, //!< commit apply, rollback, replay: retire without
+                    //!< journaling; an already-free block is a no-op
+    };
+
+    /** What the pipeline did with one free. */
+    enum class FreeResult : uint8_t
+    {
+        Retired, //!< passed validation (and, unless Validate, retired)
+        Leaked,  //!< canary stomp reported, block left allocated
+        Refused, //!< rejected — or, idempotently, already free
+    };
+
+    struct FreeCall
+    {
+        ThreadCtx *ctx;     //!< Strict/Validate: journal ring, tcache
+        uint64_t off;
+        uint64_t *where;    //!< Strict: attach word cleared on retire
+        uint64_t where_off; //!< journaled where-offset (Strict)
+        FreeMode mode;
+    };
+
+    struct SmallFree; //!< gate-step verdict (nvalloc.cc)
+
+    FreeResult freeBlock(const FreeCall &c);
+    FreeResult retireSmall(const FreeCall &c, VSlab *slab);
+    bool gateRetire(const FreeCall &c, VSlab *slab, bool locked,
+                    SmallFree &f);
+    FreeResult finishSmall(const FreeCall &c, VSlab *slab,
+                           const SmallFree &f);
+    FreeResult retireExtent(const FreeCall &c, bool guard);
+    FreeResult refuseFree(const FreeCall &c, CorruptionKind kind);
+    bool quarantineFrees() const;
+
+    /** Commit apply, rollback and replay: retire `off` if it is still
+     *  allocated, unjournaled, never into a tcache. */
+    FreeResult
+    settleFree(uint64_t off)
+    {
+        return freeBlock(
+            FreeCall{nullptr, off, nullptr, kWalNoWhere,
+                     FreeMode::Idempotent});
+    }
 
     // Hardening hooks (nvalloc.cc, hardening.h).
     size_t smallLimit() const;
     bool guardDue(ThreadCtx &ctx);
     uint64_t guardAlloc(ThreadCtx &ctx, size_t size, uint64_t where_off);
-    NvStatus guardFree(ThreadCtx &ctx, uint64_t off, uint64_t *where,
-                       uint64_t where_off);
     NvStatus rejectFree(uint64_t off, CorruptionKind kind);
     void stampCanary(uint64_t off, unsigned block_size);
     bool canaryOk(uint64_t off, unsigned block_size) const;
     void restampCanaries();
 
     // Transaction internals (tx.cc).
-    void applyTxFree(uint64_t off);
-    void undoTxAlloc(uint64_t off);
     void finishTx(ThreadCtx &ctx, bool committed);
     void resolveTxRun(uint64_t ring_off, uint32_t tx_id);
     void txRedoRun(const std::vector<WalEntry> &run);

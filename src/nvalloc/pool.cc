@@ -32,7 +32,6 @@ HeapPool::sameConfig(const NvAllocConfig &a, const NvAllocConfig &b)
            a.maintenance_slice_ns == b.maintenance_slice_ns &&
            a.maintenance_wake_fraction == b.maintenance_wake_fraction &&
            a.maintenance_interval_ms == b.maintenance_interval_ms &&
-           a.hardened_free == b.hardened_free &&
            a.guard_sample_rate == b.guard_sample_rate &&
            a.redzone_canaries == b.redzone_canaries &&
            a.quarantine_depth == b.quarantine_depth &&
@@ -46,9 +45,8 @@ void
 HeapPool::installHook(const std::string &name, NvAlloc *heap)
 {
     // By contract the hook only records: it can fire under heap locks
-    // (the canary validator escalates from inside the arena lock), so
-    // it touches pool atomics and the leaf reason_mu_ — never mu_ and
-    // never any heap.
+    // (the patrol escalates under its own mutex), so it touches pool
+    // atomics and the leaf reason_mu_ — never mu_ and never any heap.
     heap->setHealthHook([this, name](HeapHealth to, const char *why) {
         stats_.escalations.fetch_add(1, std::memory_order_relaxed);
         if (to == HeapHealth::Quarantined)

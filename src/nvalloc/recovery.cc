@@ -245,17 +245,6 @@ NvAlloc::clearWalRings()
 void
 NvAlloc::replayWals()
 {
-    auto ensure_small_free = [&](VSlab *slab, uint64_t off) {
-        unsigned idx = slab->blockIndexOf(off);
-        if (idx < slab->capacity() && slab->isAllocated(idx)) {
-            // Rebuilt vslab counts this block live; undo it.
-            VLockGuard g(slab->arena->lock);
-            slab->arena->freeDirect(slab, idx);
-            return true;
-        }
-        return false;
-    };
-
     // Tx runs found across the rings are resolved *after* the scan,
     // sorted by tx id. Different threads' committed transactions may
     // have written the same word (a KV bucket head, say): re-applying
@@ -317,59 +306,18 @@ NvAlloc::replayWals()
                 *static_cast<uint64_t *>(dev_.at(e->where_off)) == block;
         }
 
-        VSlab *slab = slabOf(block);
-        Veh *veh = slab ? nullptr : large_.findVeh(block);
-
-        if (op == kWalAlloc) {
-            if (published) {
-                // Committed. Normally the allocation bit went durable
-                // before the attach word, but an early cache eviction
-                // can persist the word while the bit is lost with the
-                // cut — roll the bit forward so the reachable object
-                // is never handed out again.
-                unsigned idx =
-                    slab ? slab->blockIndexOf(block) : 0;
-                if (slab && idx < slab->capacity() &&
-                    !slab->isAllocated(idx)) {
-                    VLockGuard g(slab->arena->lock);
-                    slab->claimBlock(idx);
-                }
-                ++recovery_.wal_completions;
-                continue;
-            }
-            // Undo a torn allocation: clear the block/extent state.
-            if (slab) {
-                if (ensure_small_free(slab, block))
-                    ++recovery_.wal_undos;
-            } else if (veh && veh->off == block &&
-                       veh->state == Veh::State::Activated &&
-                       !veh->is_slab) {
-                large_.free(block);
+        if (op == kWalAlloc && published) {
+            rollForwardAlloc(block);
+            ++recovery_.wal_completions;
+        } else if (op == kWalAlloc) {
+            // Undo a torn allocation: the block/extent goes back.
+            if (settleFree(block) == FreeResult::Retired)
                 ++recovery_.wal_undos;
-            }
-        } else if (op == kWalFree) {
-            if (published)
-                continue; // the free never reached its commit point
-            // Complete a torn free.
-            if (slab) {
-                unsigned old_idx = 0;
-                VLockGuard g(slab->arena->lock);
-                if (slab->isOldBlock(block, old_idx)) {
-                    slab->arena->freeOld(slab, old_idx);
-                    ++recovery_.wal_completions;
-                } else {
-                    unsigned idx = slab->blockIndexOf(block);
-                    if (idx < slab->capacity() && slab->isAllocated(idx)) {
-                        slab->arena->freeDirect(slab, idx);
-                        ++recovery_.wal_completions;
-                    }
-                }
-            } else if (veh && veh->off == block &&
-                       veh->state == Veh::State::Activated &&
-                       !veh->is_slab) {
-                large_.free(block);
+        } else if (op == kWalFree && !published) {
+            // Complete a torn free (a published word means the free
+            // never reached its commit point).
+            if (settleFree(block) == FreeResult::Retired)
                 ++recovery_.wal_completions;
-            }
         }
     }
 
@@ -378,6 +326,32 @@ NvAlloc::replayWals()
         resolveTxRun(ring_off, tx_id);
 
     tx_mgr_.seedNextId(max_tx_id);
+}
+
+/**
+ * A committed allocation whose bit may be lost: normally the bit went
+ * durable before the attach word (or commit record), but an early
+ * cache eviction can persist the word while the bit is lost with the
+ * cut — claim it again so the reachable object is never handed out
+ * twice. Returns whether the block demonstrably exists: a current slab
+ * block, or an activated extent at exactly that offset.
+ */
+bool
+NvAlloc::rollForwardAlloc(uint64_t block)
+{
+    if (VSlab *slab = slabOf(block)) {
+        unsigned idx = slab->blockIndexOf(block);
+        if (idx >= slab->capacity())
+            return false;
+        if (!slab->isAllocated(idx)) {
+            VLockGuard g(slab->arena->lock);
+            slab->claimBlock(idx);
+        }
+        return true;
+    }
+    Veh *veh = large_.findVeh(block);
+    return veh && veh->off == block && !veh->is_slab &&
+           veh->state == Veh::State::Activated;
 }
 
 /**

@@ -477,11 +477,14 @@ VSlab::morphTo(unsigned new_cls, unsigned stripes)
     }
     NV_ASSERT(n == liveBlocks() && n <= kIndexTableCap);
     hdr_->index_count = uint16_t(n);
+    persistHeaderLine(hdr_, kCacheLine); // index_count
     persistHeaderLine(hdr_->index_table, n * sizeof(uint16_t));
     // The flag-2 rollback treats the index table as authoritative, so
     // it must be durable in an epoch strictly before the flag advance:
     // were they fenced together, a crash at that fence could commit
-    // flag 2 while dropping the table lines.
+    // flag 2 while dropping the table lines. That includes the count,
+    // which shares the first line with the flag — a word-granular tear
+    // of the flag-2 flush could otherwise land the flag alone.
     if (flush_)
         dev_->fence();
     setFlag(2);

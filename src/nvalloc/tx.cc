@@ -7,7 +7,6 @@
  */
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 #include "nvalloc/nvalloc.h"
@@ -119,71 +118,23 @@ NvAlloc::txFree(ThreadCtx &ctx, uint64_t off)
         tx_mgr_.stats().oversize.fetch_add(1, std::memory_order_relaxed);
         return failOp(NvStatus::InvalidArgument);
     }
-    if (off == 0 || off >= dev_.size())
-        return rejectFree(off, CorruptionKind::WildFree);
-
     // Stage before validating so no other thread can pass its own
     // staged-probe between our validation and the commit; back out on
     // any rejection below.
     if (!tx_mgr_.stage(off))
         return rejectFree(off, CorruptionKind::TxStagedFree);
 
-    // Same ordered validation as freeOffset, but with the mutation
-    // deferred: the block must be provably ours and allocated NOW; the
-    // bitmap/extent state only changes at commit.
-    if (VSlab *slab = slabOf(off)) {
-        VLockGuard g(slab->arena->lock);
-        unsigned old_idx = 0;
-        if (slab->isOldBlock(off, old_idx)) {
-            unsigned old_cls = slab->header()->old_size_class;
-            if (cfg_.redzone_canaries &&
-                !canaryOk(off, classToSize(old_cls))) {
-                hardening_.report(CorruptionKind::CanaryStomp, off,
-                                  old_cls,
-                                  "old-geometry block canary dirtied");
-                hardening_.noteLeakedBlock();
-                tx_mgr_.unstage(off);
-                return NvStatus::Ok; // report-and-leak, nothing staged
-            }
-        } else {
-            unsigned idx = slab->blockIndexOf(off);
-            if (idx >= slab->capacity() || slab->blockOffset(idx) != off) {
-                tx_mgr_.unstage(off);
-                return rejectFree(off, CorruptionKind::MisalignedFree);
-            }
-            if (!slab->isAllocated(idx)) {
-                tx_mgr_.unstage(off);
-                return rejectFree(off, CorruptionKind::DoubleFree);
-            }
-            // Canary stomps are detected here at stage time (the live
-            // heap's canaries are trustworthy; the recovery redo path's
-            // are not until restamp) and handled report-and-leak: the
-            // block stays allocated and no deferred free is journaled.
-            if (cfg_.redzone_canaries &&
-                !canaryOk(off, slab->blockSize())) {
-                hardening_.report(CorruptionKind::CanaryStomp, off,
-                                  slab->sizeClass(),
-                                  "block canary dirtied — overflow "
-                                  "into the canary word");
-                hardening_.noteLeakedBlock();
-                tx_mgr_.unstage(off);
-                return NvStatus::Ok; // report-and-leak, nothing staged
-            }
-        }
-    } else {
-        Veh *veh = large_.findVeh(off);
-        if (!veh) {
-            tx_mgr_.unstage(off);
-            return rejectFree(off, CorruptionKind::WildFree);
-        }
-        if (veh->off != off || veh->is_slab) {
-            tx_mgr_.unstage(off);
-            return rejectFree(off, CorruptionKind::MisalignedFree);
-        }
-        if (veh->state != Veh::State::Activated) {
-            tx_mgr_.unstage(off);
-            return rejectFree(off, CorruptionKind::DoubleFree);
-        }
+    // The free pipeline's checks with the mutation deferred: the block
+    // must be provably ours and allocated NOW; the bitmap/extent state
+    // only changes at commit. A canary stomp is caught here, where the
+    // live heap's canaries are trustworthy (the recovery redo path's
+    // are not until restamp), and leaks the block: nothing is staged.
+    FreeResult r = freeBlock(
+        FreeCall{&ctx, off, nullptr, kWalNoWhere, FreeMode::Validate});
+    if (r != FreeResult::Retired) {
+        tx_mgr_.unstage(off);
+        return r == FreeResult::Leaked ? NvStatus::Ok
+                                       : NvStatus::InvalidFree;
     }
 
     // Journal the deferred free (one flush, tagged). No attach word is
@@ -261,7 +212,7 @@ NvAlloc::txCommit(ThreadCtx &ctx)
             publish(op.where, op.off);
             break;
         case TxOp::Kind::Free:
-            applyTxFree(op.off);
+            settleFree(op.off);
             break;
         case TxOp::Kind::Write:
             break; // landed in place at txWrite time
@@ -306,7 +257,7 @@ NvAlloc::txAbort(ThreadCtx &ctx)
             break;
         }
         case TxOp::Kind::Alloc:
-            undoTxAlloc(it->off);
+            settleFree(it->off);
             break;
         case TxOp::Kind::Free:
             break; // nothing was mutated at stage time
@@ -336,117 +287,6 @@ NvAlloc::finishTx(ThreadCtx &ctx, bool committed)
         tx_mgr_.stats().aborts.fetch_add(1, std::memory_order_relaxed);
     ctx.tx.reset();
     maint_.unpin();
-}
-
-/**
- * Commit-time deferred free: the mutation half of freeOffset's slab /
- * large / guard paths, without journaling (the tx-tagged kWalFree
- * entry from txFree is the journal) and with idempotent guards so the
- * recovery redo path can run the same code after a partial apply.
- * Deferred frees route through the delayed-reuse quarantine exactly
- * like hot frees do; the tcache is bypassed (the committing thread may
- * not own the freeing thread's cache).
- */
-void
-NvAlloc::applyTxFree(uint64_t off)
-{
-    if (cfg_.hardened_free && cfg_.guard_sample_rate &&
-        hardening_.isGuard(off)) {
-        HardeningManager::GuardInfo info;
-        if (!hardening_.takeGuard(off, &info))
-            return; // already resolved
-        if (!hardening_.guardRedzoneIntact(off, info)) {
-            hardening_.report(
-                CorruptionKind::GuardOverflow, off, ~0u,
-                "guard redzone dirtied — overflow past the allocation");
-        }
-        std::memset(dev_.at(off), HardeningManager::kGuardFreeByte,
-                    info.user_size);
-        large_.free(off);
-        hardening_.watchFreedGuard(off, info);
-        hardening_.noteGuardFree();
-        tel_.noteLargeFree(info.extent_size, off);
-        return;
-    }
-
-    VSlab *slab = slabOf(off);
-    if (!slab) {
-        Veh *veh = large_.findVeh(off);
-        if (veh && veh->off == off &&
-            veh->state == Veh::State::Activated && !veh->is_slab) {
-            uint64_t veh_size = veh->size;
-            large_.free(off);
-            hardening_.noteValidatedFree();
-            tel_.noteLargeFree(veh_size, off);
-            maint_.pollLogPressure();
-        }
-        return;
-    }
-
-    Arena *arena = slab->arena;
-    unsigned cls = 0;
-    unsigned bsize = 0;
-    unsigned idx = 0;
-    bool to_quarantine = false;
-    {
-        VLockGuard g(arena->lock);
-        unsigned old_idx = 0;
-        if (slab->isOldBlock(off, old_idx)) {
-            unsigned old_cls = slab->header()->old_size_class;
-            arena->freeOld(slab, old_idx);
-            hardening_.noteValidatedFree();
-            tel_.noteSmallFree(old_cls, off);
-            return;
-        }
-        idx = slab->blockIndexOf(off);
-        if (idx >= slab->capacity() || slab->blockOffset(idx) != off ||
-            !slab->isAllocated(idx))
-            return; // already resolved (idempotent redo)
-        cls = slab->sizeClass();
-        bsize = slab->blockSize();
-        bool keep_unpinned = cfg_.slab_morphing &&
-                             slab->occupancy() <= cfg_.morph_threshold;
-        // hardening_.ready() is false while recovery replays a redo
-        // run (the manager is wired after recoverHeap returns): those
-        // frees go direct — the quarantine is a volatile delayed-reuse
-        // defense against live mutators, and there are none yet.
-        bool quarantine_on =
-            hardening_.ready() &&
-            (cfg_.quarantine_depth > 0 ||
-             (cfg_.redzone_canaries &&
-              hardening_.policy() == HardeningPolicy::Quarantine));
-        if (quarantine_on && !keep_unpinned) {
-            slab->markFreeToTcache(idx);
-            to_quarantine = true;
-        } else {
-            arena->freeDirect(slab, idx);
-        }
-    }
-    if (to_quarantine)
-        hardening_.quarantinePush(slab, idx, off, bsize);
-    hardening_.noteValidatedFree();
-    tel_.noteSmallFree(cls, off);
-}
-
-/** Abort-time rollback of a tx allocation: return the (unpublished)
- *  block, idempotently — recovery may already have undone it. */
-void
-NvAlloc::undoTxAlloc(uint64_t off)
-{
-    if (VSlab *slab = slabOf(off)) {
-        unsigned idx = slab->blockIndexOf(off);
-        if (idx < slab->capacity() && slab->blockOffset(idx) == off &&
-            slab->isAllocated(idx)) {
-            VLockGuard g(slab->arena->lock);
-            slab->arena->freeDirect(slab, idx);
-        }
-        return;
-    }
-    Veh *veh = large_.findVeh(off);
-    if (veh && veh->off == off && veh->state == Veh::State::Activated &&
-        !veh->is_slab) {
-        large_.free(off);
-    }
 }
 
 // ---- recovery-side resolution (called from replayWals) --------------
@@ -509,31 +349,13 @@ NvAlloc::txRedoRun(const std::vector<WalEntry> &run)
         WalOp op = WalOp(e.block_op & 3);
         uint64_t block = e.block_op >> 2;
         if (op == kWalAlloc) {
-            // The allocation bit went durable before the commit record
-            // could; re-claim defensively, then finish the publish the
-            // apply phase may not have reached. Publish only when the
-            // block demonstrably exists (slab bit claimed, or an
-            // activated extent at that offset): a torn-line crash can
-            // durably commit the record while the extent's own log
-            // entry was dropped, and an attach word must never point
-            // at space recovery just returned to the free pool.
-            bool present = false;
-            if (VSlab *slab = slabOf(block)) {
-                unsigned idx = slab->blockIndexOf(block);
-                if (idx < slab->capacity() &&
-                    slab->blockOffset(idx) == block) {
-                    if (!slab->isAllocated(idx)) {
-                        VLockGuard g(slab->arena->lock);
-                        slab->claimBlock(idx);
-                    }
-                    present = true;
-                }
-            } else {
-                Veh *veh = large_.findVeh(block);
-                present = veh && veh->off == block && !veh->is_slab &&
-                          veh->state == Veh::State::Activated;
-            }
-            if (present && e.where_off != kWalNoWhere &&
+            // Re-claim defensively, then finish the publish the apply
+            // phase may not have reached — only when the block
+            // demonstrably exists: a torn-line crash can durably commit
+            // the record while the extent's own log entry was dropped,
+            // and an attach word must never point at space recovery
+            // just returned to the free pool.
+            if (rollForwardAlloc(block) && e.where_off != kWalNoWhere &&
                 e.where_off + sizeof(uint64_t) <= dev_.size()) {
                 auto *w =
                     static_cast<uint64_t *>(dev_.at(e.where_off));
@@ -545,7 +367,7 @@ NvAlloc::txRedoRun(const std::vector<WalEntry> &run)
             }
             ++recovery_.wal_completions;
         } else if (op == kWalFree) {
-            applyTxFree(block);
+            settleFree(block);
             ++recovery_.wal_completions;
         } else if (op == kWalTxData) {
             // Word update: re-apply the redo value.
@@ -571,7 +393,7 @@ NvAlloc::txUndoRun(const std::vector<WalEntry> &run)
         WalOp op = WalOp(e.block_op & 3);
         uint64_t block = e.block_op >> 2;
         if (op == kWalAlloc) {
-            undoTxAlloc(block);
+            settleFree(block);
             // The publish only happens after the commit record, so the
             // attach word cannot hold the block — but scrub it
             // defensively against torn-entry replay with verify off.

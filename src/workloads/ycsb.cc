@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <mutex>
+#include <unordered_set>
 
 namespace nvalloc {
 
@@ -37,6 +39,36 @@ struct OpCounters
 {
     std::atomic<uint64_t> reads{0}, updates{0}, inserts{0}, scans{0},
         rmws{0}, not_found{0}, errors{0};
+};
+
+/**
+ * YCSB's AcknowledgedCounterGenerator: an insert id is handed out
+ * before its put completes, so read-latest picks only below limit(),
+ * the highest id whose inserts — and all earlier ones — have been
+ * acknowledged.
+ */
+class AckedInserts
+{
+  public:
+    explicit AckedInserts(uint64_t first) : limit_(first) {}
+
+    uint64_t limit() const { return limit_.load(std::memory_order_acquire); }
+
+    void
+    acknowledge(uint64_t id)
+    {
+        std::lock_guard<std::mutex> g(mu_);
+        done_.insert(id);
+        uint64_t l = limit_.load(std::memory_order_relaxed);
+        while (done_.erase(l))
+            ++l;
+        limit_.store(l, std::memory_order_release);
+    }
+
+  private:
+    std::atomic<uint64_t> limit_;
+    std::mutex mu_;
+    std::unordered_set<uint64_t> done_; //!< acknowledged, above limit_
 };
 
 } // namespace
@@ -149,6 +181,7 @@ ycsbRun(KvStore &store, const YcsbSpec &spec, VtimeEpoch &epoch,
     // Shared, immutable after construction; next() takes the caller's
     // Rng so the per-thread streams stay independent and seeded.
     ZipfianGenerator zipf(spec.record_count, spec.theta);
+    AckedInserts acked(inserted.load(std::memory_order_relaxed));
 
     auto body = [&](unsigned tid) -> uint64_t {
         ThreadCtx *ctx = heap.attachThread();
@@ -164,13 +197,14 @@ ycsbRun(KvStore &store, const YcsbSpec &spec, VtimeEpoch &epoch,
         std::vector<std::pair<std::string, std::string>> scratch;
 
         auto pick = [&]() -> uint64_t {
-            uint64_t base = inserted.load(std::memory_order_relaxed);
             uint64_t rank = spec.zipfian ? zipf.next(rng)
                                          : rng.nextBounded(
                                                spec.record_count);
-            if (spec.workload == YcsbWorkload::D)
-                // Read-latest: rank 0 is the newest inserted id.
+            if (spec.workload == YcsbWorkload::D) {
+                // Read-latest: rank 0 is the newest acknowledged id.
+                uint64_t base = acked.limit();
                 return base - 1 - (rank % base);
+            }
             return rank;
         };
         auto valueLen = [&]() -> uint32_t {
@@ -216,6 +250,7 @@ ycsbRun(KvStore &store, const YcsbSpec &spec, VtimeEpoch &epoch,
                 note(store.put(*ctx, ycsbKey(id),
                                ycsbValue(id, 0, valueLen())),
                      c.inserts);
+                acked.acknowledge(id);
             } else { // F: read-modify-write
                 uint64_t id = pick();
                 uint64_t version = rng.next() & 0xffff;

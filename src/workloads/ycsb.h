@@ -117,7 +117,9 @@ YcsbResult ycsbLoad(KvStore &store, const YcsbSpec &spec,
 /**
  * Run phase: spec.op_count ops in spec.workload's mix. `inserted`
  * carries the next insert id across phases (ycsbLoad leaves it at
- * record_count); workload D reads cluster near its current value.
+ * record_count) and is bumped before each insert runs; workload D
+ * reads cluster below the newest id whose insert, and every earlier
+ * one, has completed.
  * Returns per-op-type counts; `errors` should be zero on a healthy
  * heap.
  */

@@ -7,8 +7,8 @@
  * audit-clean under virtual time.
  *
  * Honours the CI matrix envs: NVALLOC_MAINTENANCE=off|manual|thread
- * and NVALLOC_HARDENING=full (which legitimately routes frees through
- * the locked path — the lock-freedom asserts adapt).
+ * and NVALLOC_HARDENING=full (canaries and the quarantine ride the
+ * same lock-free free path, so the lock-freedom asserts hold there too).
  */
 
 #include <gtest/gtest.h>
@@ -44,13 +44,6 @@ fastpathConfig()
     return cfg;
 }
 
-bool
-hardeningFull()
-{
-    const char *hard = std::getenv("NVALLOC_HARDENING");
-    return hard && std::strcmp(hard, "full") == 0;
-}
-
 uint64_t
 readCtl(NvAlloc &alloc, const char *name)
 {
@@ -61,10 +54,11 @@ readCtl(NvAlloc &alloc, const char *name)
 
 // ---------------------------------------------------------------------
 // The acceptance gate: zero VLock acquisitions on the alloc/free hit
-// path. The thread-local acquisition counter in vlock.h observes every
-// VLock::lock() on this thread, so a zero delta proves the whole call
-// chain — tcache pop, gate entry, bitfield CAS, WAL append, publish —
-// took no lock.
+// path, plain and transactional. The thread-local acquisition counter
+// in vlock.h observes every VLock::lock() on this thread, so a zero
+// delta proves the whole call chain — tcache pop, gate entry, bitfield
+// CAS, canary check, WAL append, publish, quarantine push and eviction,
+// tx validation and commit-time retire — took no lock.
 // ---------------------------------------------------------------------
 TEST(FastPath, HitPathAcquiresNoVLocks)
 {
@@ -87,9 +81,8 @@ TEST(FastPath, HitPathAcquiresNoVLocks)
         ASSERT_EQ(alloc.freeOffset(*ctx, off, nullptr), NvStatus::Ok);
 
     // Measured rounds: every alloc hits the tcache, every free takes
-    // the lock-free gate (unless the hardening leg routes frees
-    // through quarantine, which is the documented locked fallback —
-    // so the two sides are metered separately).
+    // the lock-free gate — into the tcache, or under the hardening leg
+    // into the quarantine, whose evictions return blocks lock-free.
     uint64_t alloc_locks = 0;
     uint64_t free_locks = 0;
     for (unsigned round = 0; round < 8; ++round) {
@@ -103,9 +96,24 @@ TEST(FastPath, HitPathAcquiresNoVLocks)
     }
 
     EXPECT_EQ(alloc_locks, 0u) << "alloc hit path acquired a VLock";
-    if (!hardeningFull()) {
-        EXPECT_EQ(free_locks, 0u) << "free hit path acquired a VLock";
+    EXPECT_EQ(free_locks, 0u) << "free hit path acquired a VLock";
+
+    // Transactional frees: txFree validates through the same gate and
+    // txCommit retires through it, neither under the arena lock.
+    std::vector<uint64_t> staged;
+    for (unsigned i = 0; i < 8; ++i)
+        staged.push_back(alloc.allocOffset(*ctx, 64, nullptr));
+    uint64_t tx_locks = 0;
+    for (uint64_t off : staged) {
+        ASSERT_NE(off, 0u);
+        uint64_t t0 = tl_vlock_acquisitions;
+        ASSERT_EQ(alloc.txBegin(*ctx), NvStatus::Ok);
+        ASSERT_EQ(alloc.txFree(*ctx, off), NvStatus::Ok);
+        ASSERT_EQ(alloc.txCommit(*ctx), NvStatus::Ok);
+        tx_locks += tl_vlock_acquisitions - t0;
+        EXPECT_FALSE(blockIsLive(alloc, off)) << "commit retired it";
     }
+    EXPECT_EQ(tx_locks, 0u) << "transactional free acquired a VLock";
 
     alloc.detachThread(ctx);
 }

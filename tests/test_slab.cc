@@ -328,5 +328,36 @@ TEST_F(MorphFixture, CrashAtEarlyFlagUndoesMorph)
     EXPECT_EQ(rebuilt.liveBlocks(), 2u);
 }
 
+TEST_F(MorphFixture, TornFlagTwoCommitKeepsLiveBlocks)
+{
+    // Crash at the fence that commits flag 2 while landing lines tear
+    // at 8-byte words: whatever subset of the flag line survives,
+    // recovery must keep all three live blocks (rolled back from the
+    // index table, or never morphed).
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        PmDeviceConfig cfg;
+        cfg.size = size_t{1} << 26;
+        cfg.shadow = true;
+        dev_ = std::make_unique<PmDevice>(cfg);
+        slab_off_ = dev_->mapRegion(kSlabSize);
+        auto slab = makeSparse(64, {0, 5, 9});
+
+        FaultPolicy fp;
+        fp.seed = seed;
+        fp.staged_persist_fraction = 0.5;
+        fp.word_granularity = true;
+        dev_->enableFaultInjection(fp);
+        dev_->armCrashAtFence(3); // fences: flag 1, index table, flag 2
+        ASSERT_TRUE(slab->morphTo(sizeToClass(256), 6));
+        ASSERT_TRUE(dev_->crashTriggered());
+        slab.reset();
+        dev_->crash();
+
+        VSlab rebuilt(dev_.get(), slab_off_, true, false);
+        EXPECT_EQ(rebuilt.sizeClass(), sizeToClass(64)) << "seed " << seed;
+        EXPECT_EQ(rebuilt.liveBlocks(), 3u) << "seed " << seed;
+    }
+}
+
 } // namespace
 } // namespace nvalloc

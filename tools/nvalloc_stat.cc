@@ -191,8 +191,7 @@ runWorkload(NvAlloc &alloc, ThreadCtx &ctx, unsigned ops, bool tx)
     };
     static const size_t sizes[] = {16, 48, 256, 1024, 4096, 24 * 1024,
                                    80 * 1024};
-    bool hostile = alloc.config().hardened_free &&
-                   alloc.config().quarantine_depth > 0;
+    bool hostile = alloc.config().quarantine_depth > 0;
     for (unsigned i = 0; i < ops; ++i) {
         if (i % 512 == 511 &&
             alloc.config().maintenance_mode == MaintenanceMode::Manual)
