@@ -17,12 +17,6 @@ namespace nvalloc {
 
 namespace {
 
-// Log-region geometry (mirrors bookkeeping_log.cc): a 64 B header at
-// the region start, then chunks of one header line plus 1 KB of
-// entries each.
-constexpr size_t kLogHeaderArea = 64;
-constexpr size_t kLogChunkStride = sizeof(LogChunk);
-
 constexpr size_t kMaxNotes = 64;
 
 std::string
@@ -150,6 +144,32 @@ HeapAuditor::note(const std::string &msg)
         rep_.notes.push_back(msg);
 }
 
+/** Patrol accounting after each examined item: one finding if its
+ *  checks raised any violation, however many. */
+void
+HeapAuditor::tally()
+{
+    ++slice_.items;
+    uint64_t v = rep_.violations();
+    if (v != tallied_)
+        ++slice_.findings;
+    tallied_ = v;
+}
+
+/** A live mismatch counts only if `unchanged` holds on each of
+ *  max_retries_ re-reads; audit() has none to make. */
+bool
+HeapAuditor::stable(const std::function<bool()> &unchanged)
+{
+    for (unsigned r = 0; r < max_retries_; ++r) {
+        ++slice_.retries;
+        std::this_thread::yield();
+        if (!unchanged())
+            return false;
+    }
+    return true;
+}
+
 AuditReport
 HeapAuditor::run(bool repair)
 {
@@ -195,275 +215,75 @@ HeapAuditor::run(bool repair)
 }
 
 // ---- online patrol scrub (maintenance stage 5) ---------------------
-//
-// Unlike run(), nothing here pauses maintenance or assumes quiescence:
-// patrolStep executes FROM a maintenance slice, so it takes only the
-// per-structure locks it needs for the current bounded batch and
-// treats first-observation mismatches as potentially transient.
-
-namespace {
-constexpr size_t kPatrolMaxNotes = 8;
-}
+// Runs FROM a maintenance slice, so unlike run() it pauses nothing;
+// live_ switches the shared per-item checks to their live mode.
 
 PatrolSliceResult
 HeapAuditor::patrolStep(PatrolCursor &cur, unsigned max_items,
                         unsigned max_retries)
 {
-    PatrolSliceResult res;
+    rep_ = AuditReport{};
+    slice_ = PatrolSliceResult{};
+    tallied_ = 0;
     if (a_.open_failed_)
-        return res; // degraded open: nothing below the root adopted
-    unsigned budget = max_items ? max_items : 1;
+        return slice_; // degraded open: nothing below the root adopted
+    live_ = true;
+    max_retries_ = max_retries;
+    const unsigned budget = max_items ? max_items : 1;
     // At most one visit per phase per slice; a slice never walks more
     // than one full pass even when the heap is smaller than the budget.
-    for (unsigned hops = 0; budget > 0 && hops < 5 && !res.wrapped;
-         ++hops) {
-        unsigned used = 0;
+    for (unsigned hops = 0;
+         slice_.items < budget && hops < 5 && !slice_.wrapped; ++hops) {
+        bool done = true; // the phase's last item was examined
         switch (cur.phase) {
         case 0:
-            used = patrolSuperblock(res);
-            cur.phase = 1;
-            cur.pos = 0;
+            checkSuperblock();
+            tally();
             break;
         case 1:
-            used = patrolRegionTable(cur, budget, res);
+            for (; cur.pos < a_.region_slots_ && slice_.items < budget;
+                 ++cur.pos) {
+                checkRegionSlot(unsigned(cur.pos));
+                tally();
+            }
+            done = cur.pos >= a_.region_slots_;
             break;
-        case 2:
-            used = patrolSlabs(cur, budget, max_retries, res);
+        case 2: {
+            uint64_t ord = 0;
+            for (auto &arena : a_.arenas_) {
+                arena->forEachSlab([&](VSlab *slab) {
+                    if (ord++ < cur.pos || slice_.items >= budget)
+                        return;
+                    cur.pos = ord;
+                    checkSlab(slab);
+                    tally();
+                });
+            }
+            done = cur.pos >= ord;
             break;
+        }
         default:
-            used = patrolLogChain(cur, budget, res);
+            if (a_.usesBookkeepingLog()) {
+                // The large allocator's lock keeps GC from rewriting the
+                // chain mid-walk; entry appends inside a chunk do not
+                // touch the chunk header line the crc covers.
+                VLockGuard g(a_.large_.lock());
+                walkLogChain(cur.pos, budget - slice_.items, nullptr);
+            } else {
+                cur.pos = 0;
+            }
+            done = slice_.wrapped = cur.pos == 0;
+            cur.passes += done;
             break;
         }
-        budget -= std::min(budget, used);
-    }
-    return res;
-}
-
-unsigned
-HeapAuditor::patrolSuperblock(PatrolSliceResult &res)
-{
-    const NvSuperblock *sb = a_.sb_;
-    PmDevice &dev = a_.dev_;
-    ++res.items;
-    // sb_crc covers only the immutable config fields, so a mismatch
-    // can never be a racing runtime update — no re-read needed.
-    if (dev.isPoisoned(sb, sizeof(NvSuperblock)) ||
-        sb->magic != kSuperMagic || sb->version != kSuperVersion ||
-        sb->sb_crc != superblockCrc(*sb)) {
-        ++res.findings;
-        if (res.notes.size() < kPatrolMaxNotes)
-            res.notes.push_back("patrol: superblock damaged");
-    }
-    return 1;
-}
-
-unsigned
-HeapAuditor::patrolRegionTable(PatrolCursor &cur, unsigned budget,
-                               PatrolSliceResult &res)
-{
-    PmDevice &dev = a_.dev_;
-    unsigned used = 0;
-    // Entries are published/retired with single-word updates, so each
-    // read observes either 0 or a complete entry — no re-read needed.
-    while (cur.pos < a_.region_slots_ && used < budget) {
-        uint64_t e = loadRegionWord(a_.region_table_[cur.pos]);
-        ++used;
-        ++res.items;
-        ++cur.pos;
-        if (e == 0)
-            continue;
-        uint64_t off = regionEntryOff(e);
-        uint64_t size = regionEntrySize(e);
-        if (off % PmDevice::kRegionAlign != 0 || size == 0 ||
-            off < PmDevice::kRegionAlign || off + size > dev.size()) {
-            ++res.findings;
-            if (res.notes.size() < kPatrolMaxNotes)
-                res.notes.push_back(
-                    fmt("patrol: region table entry 0x%llx+%llu out of "
-                        "bounds",
-                        off, size));
+        if (done) {
+            cur.phase = (cur.phase + 1) % 4;
+            cur.pos = 0;
         }
     }
-    if (cur.pos >= a_.region_slots_) {
-        cur.phase = 2;
-        cur.pos = 0;
-    }
-    return used;
-}
-
-unsigned
-HeapAuditor::patrolSlabs(PatrolCursor &cur, unsigned budget,
-                         unsigned max_retries, PatrolSliceResult &res)
-{
-    PmDevice &dev = a_.dev_;
-    uint64_t ord = 0;
-    unsigned used = 0;
-    for (auto &arena : a_.arenas_) {
-        arena->forEachSlab([&](VSlab *slab) {
-            uint64_t my = ord++;
-            if (my < cur.pos || used >= budget)
-                return;
-            ++used;
-            ++res.items;
-            cur.pos = my + 1;
-            uint64_t off = slab->slabOffset();
-
-            // Header line (magic + geometry crc). Morphing rewrites it
-            // under the arena lock we hold, so only media faults can
-            // race this read; re-read before declaring damage anyway.
-            bool bad = !VSlab::headerLooksValid(&dev, off, true);
-            for (unsigned r = 0; bad && r < max_retries; ++r) {
-                ++res.retries;
-                std::this_thread::yield();
-                bad = !VSlab::headerLooksValid(&dev, off, true);
-            }
-            if (bad) {
-                ++res.findings;
-                if (res.notes.size() < kPatrolMaxNotes)
-                    res.notes.push_back(
-                        fmt("patrol: slab 0x%llx header invalid", off));
-                if (slab->repairHeader()) {
-                    dev.clearPoison(off);
-                    ++res.repaired;
-                }
-                return; // bitmap math is noise under a smashed header
-            }
-
-            // Persistent-bitmap popcount vs the live counter. The
-            // lock-free fast path flips bits without any lock, so a
-            // capture is trusted only when the slab's fast-op epoch
-            // brackets it: no fast op in flight on either side and no
-            // epoch advance in between (DESIGN.md §14). Untrusted
-            // captures mean the counters are moving, not corrupt;
-            // beyond that, require the identical wrong observation
-            // across every re-read before declaring damage.
-            auto observe = [&](uint64_t *pop, uint64_t *live) {
-                uint64_t e0 = slab->fpEpoch();
-                if (slab->fpBusy())
-                    return false;
-                *pop = slab->persistentPopcount();
-                *live = slab->liveBlocks();
-                return !slab->fpBusy() && slab->fpEpoch() == e0;
-            };
-            uint64_t pop = 0, live = 0;
-            if (!observe(&pop, &live))
-                return; // in-flight fast op; the next pass looks again
-            if (pop == live)
-                return;
-            bool stable = true;
-            for (unsigned r = 0; r < max_retries; ++r) {
-                ++res.retries;
-                std::this_thread::yield();
-                uint64_t p2 = 0, l2 = 0;
-                if (!observe(&p2, &l2) || p2 == l2 || p2 != pop ||
-                    l2 != live) {
-                    stable = false;
-                    break;
-                }
-            }
-            if (stable) {
-                ++res.findings;
-                if (res.notes.size() < kPatrolMaxNotes)
-                    res.notes.push_back(
-                        fmt("patrol: slab 0x%llx bitmap popcount %llu "
-                            "!= live",
-                            off, pop));
-            }
-        });
-    }
-    if (cur.pos >= ord) {
-        cur.phase = 3;
-        cur.pos = 0;
-    }
-    return used;
-}
-
-unsigned
-HeapAuditor::patrolLogChain(PatrolCursor &cur, unsigned budget,
-                            PatrolSliceResult &res)
-{
-    auto wrap = [&] {
-        cur.phase = 0;
-        cur.pos = 0;
-        ++cur.passes;
-        res.wrapped = true;
-    };
-    if (!a_.usesBookkeepingLog()) {
-        wrap();
-        return 0;
-    }
-    PmDevice &dev = a_.dev_;
-    const NvSuperblock *sb = a_.sb_;
-    // The large allocator's lock keeps GC from rewriting the chain
-    // mid-walk; entry appends inside a chunk do not touch the chunk
-    // header line the crc covers.
-    VLockGuard g(a_.large_.lock());
-
-    const uint64_t log_off = sb->log_off;
-    const uint64_t log_bytes = sb->log_bytes;
-    const auto *lh = static_cast<const LogHeader *>(dev.at(log_off));
-    const size_t max_chunks =
-        (log_bytes - kLogHeaderArea) / kLogChunkStride;
-    unsigned used = 0;
-
-    if (cur.pos == 0) {
-        ++used;
-        ++res.items;
-        if (dev.isPoisoned(lh, sizeof(LogHeader)) ||
-            lh->magic != kLogMagic || lh->crc != logHeaderCrc(*lh) ||
-            lh->alt > 1 || lh->num_chunks > max_chunks) {
-            ++res.findings;
-            if (res.notes.size() < kPatrolMaxNotes)
-                res.notes.push_back("patrol: log header invalid");
-            wrap(); // the chain pointer would chase garbage
-            return used;
-        }
-        cur.pos = 1;
-    }
-
-    auto valid_chunk_off = [&](uint64_t o) {
-        return o >= log_off + kLogHeaderArea &&
-               o + kLogChunkStride <= log_off + log_bytes &&
-               (o - log_off - kLogHeaderArea) % kLogChunkStride == 0;
-    };
-
-    std::unordered_set<uint64_t> seen;
-    uint64_t off = lh->head[lh->alt];
-    uint64_t ord = 1; // ordinal of the chunk at `off`
-    bool done = true;
-    while (off) {
-        if (!valid_chunk_off(off) || !seen.insert(off).second) {
-            ++res.findings;
-            if (res.notes.size() < kPatrolMaxNotes)
-                res.notes.push_back(
-                    fmt("patrol: log chain broken at 0x%llx", off));
-            break;
-        }
-        const auto *pc = static_cast<const LogChunk *>(dev.at(off));
-        if (ord >= cur.pos) {
-            if (used >= budget) {
-                done = false;
-                break;
-            }
-            ++used;
-            ++res.items;
-            cur.pos = ord + 1;
-            if (dev.isPoisoned(pc, kLogHeaderArea) ||
-                pc->crc != logChunkCrc(*pc) || pc->active != 1) {
-                ++res.findings;
-                if (res.notes.size() < kPatrolMaxNotes)
-                    res.notes.push_back(
-                        fmt("patrol: log chunk 0x%llx bad header",
-                            off));
-                break; // the next pointer is untrustworthy
-            }
-        }
-        off = pc->next;
-        ++ord;
-    }
-    if (done)
-        wrap();
-    return used;
+    slice_.repaired = unsigned(rep_.repaired_headers);
+    slice_.notes = std::move(rep_.notes);
+    return slice_;
 }
 
 void
@@ -512,11 +332,30 @@ HeapAuditor::checkSuperblock()
     }
 }
 
+/** One region-table slot. Entries are published and retired with
+ *  single-word updates, so even a live read sees 0 or a whole entry,
+ *  which must decode to an aligned, in-device region. Returns it, or
+ *  size 0 for an empty or bad slot. */
+std::pair<uint64_t, uint64_t>
+HeapAuditor::checkRegionSlot(unsigned i)
+{
+    uint64_t e = loadRegionWord(a_.region_table_[i]);
+    if (e == 0)
+        return {0, 0};
+    uint64_t off = regionEntryOff(e);
+    uint64_t size = regionEntrySize(e);
+    if (off % PmDevice::kRegionAlign != 0 || size == 0 ||
+        off < PmDevice::kRegionAlign || off + size > a_.dev_.size()) {
+        ++rep_.region_table_bad;
+        note(fmt("region table: bad entry 0x%llx+%llu", off, size));
+        return {0, 0};
+    }
+    return {off, size};
+}
+
 void
 HeapAuditor::checkRegionsAndExtents()
 {
-    PmDevice &dev = a_.dev_;
-
     a_.large_.forEachRegion(
         [&](uint64_t off, uint64_t size) { regions_.push_back({off, size}); });
     std::sort(regions_.begin(), regions_.end());
@@ -533,18 +372,8 @@ HeapAuditor::checkRegionsAndExtents()
     // Region table (persistent) vs the volatile region map.
     std::unordered_map<uint64_t, uint64_t> table;
     for (unsigned i = 0; i < a_.region_slots_; ++i) {
-        uint64_t e = loadRegionWord(a_.region_table_[i]);
-        if (e == 0)
-            continue;
-        uint64_t off = regionEntryOff(e);
-        uint64_t size = regionEntrySize(e);
-        if (off % PmDevice::kRegionAlign != 0 || size == 0 ||
-            off < PmDevice::kRegionAlign || off + size > dev.size()) {
-            ++rep_.region_table_bad;
-            note(fmt("region table: bad entry 0x%llx+%llu", off, size));
-            continue;
-        }
-        if (!table.emplace(off, size).second) {
+        auto [off, size] = checkRegionSlot(i);
+        if (size && !table.emplace(off, size).second) {
             ++rep_.region_table_bad;
             note(fmt("region table: duplicate region 0x%llx", off));
         }
@@ -613,120 +442,130 @@ HeapAuditor::checkRegionsAndExtents()
     }
 }
 
+/** One slab: header, persistent-bitmap popcount vs live count, then
+ *  (audit only) volatile counters, morph index, canaries, extent. */
+void
+HeapAuditor::checkSlab(VSlab *slab)
+{
+    PmDevice &dev = a_.dev_;
+    uint64_t off = slab->slabOffset();
+
+    // Header line (magic + geometry crc). Morphing rewrites it under
+    // the arena lock the walk holds, so only media faults can race a
+    // live read; it is re-read before it counts anyway.
+    auto header_ok = [&] { return VSlab::headerLooksValid(&dev, off, true); };
+    if (!header_ok() && stable([&] { return !header_ok(); })) {
+        ++rep_.slab_header_bad;
+        note(fmt("slab 0x%llx: header invalid", off));
+        if (repair_ || live_) {
+            if (slab->repairHeader()) {
+                dev.clearPoison(off); // first line only
+                ++rep_.repaired_headers;
+            } else {
+                note(fmt("slab 0x%llx: header not repairable (morphing)",
+                         off));
+            }
+        }
+        if (live_)
+            return; // bitmap math is noise under a smashed header
+    }
+
+    // The whole 2 KB bitmap is popcounted, not just the active
+    // geometry's physical slots, so a stray bit outside the mapped
+    // range is a violation too. No lock orders the read against the
+    // lock-free fast path, so a capture is trusted only when the slab's
+    // fast-op epoch brackets it: no fast op in flight on either side
+    // and no epoch advance in between (DESIGN.md §14). An untrusted
+    // capture is moving, not corrupt: audit() retries it, and a live
+    // batch leaves it to the next pass.
+    auto capture = [slab](std::pair<uint64_t, uint64_t> &pop_live) {
+        uint64_t e0 = slab->fpEpoch();
+        if (slab->fpBusy())
+            return false;
+        pop_live = {slab->persistentPopcount(), slab->liveBlocks()};
+        return !slab->fpBusy() && slab->fpEpoch() == e0;
+    };
+    std::pair<uint64_t, uint64_t> c, again;
+    bool trusted = capture(c);
+    for (unsigned r = 1; r < (live_ ? 1u : 8u) && !trusted; ++r) {
+        std::this_thread::yield();
+        trusted = capture(c);
+    }
+    if (trusted && c.first != c.second &&
+        stable([&] { return capture(again) && again == c; })) {
+        ++rep_.bitmap_mismatch;
+        note(fmt("slab 0x%llx: bitmap popcount %llu != live", off,
+                 c.first));
+        if (repair_) {
+            if (slab->rebuildPersistentBitmap())
+                ++rep_.repaired_bitmaps;
+            else
+                note(fmt("slab 0x%llx: bitmap not repairable "
+                         "(lent blocks or morphing)",
+                         off));
+        }
+    }
+    if (live_)
+        return; // the checks below read state the fast path mutates
+
+    unsigned vset = 0;
+    for (unsigned idx = 0; idx < slab->capacity(); ++idx)
+        vset += slab->vbitTest(idx) ? 1 : 0;
+    if (vset != slab->capacity() - slab->available()) {
+        ++rep_.counter_mismatch;
+        note(fmt("slab 0x%llx: vbitmap %llu blocks vs counters", off,
+                 vset));
+    }
+
+    if (slab->morphing()) {
+        const SlabHeader *h = slab->header();
+        unsigned live_old = 0;
+        for (unsigned i = 0; i < h->index_count; ++i)
+            live_old += (h->index_table[i] & kIndexAllocated) ? 1 : 0;
+        if (live_old != slab->cntSlab()) {
+            ++rep_.counter_mismatch;
+            note(fmt("slab 0x%llx: index table %llu live old blocks vs "
+                     "cnt_slab",
+                     off, live_old));
+        }
+    }
+
+    // Canary sweep (informational): a dirtied canary word in a live
+    // block is application damage, not metadata damage — reported so
+    // operators see overflows before the free-time check would, but
+    // never counted as a heap violation. Morphing slabs are skipped:
+    // old-geometry blocks carry stamps from a different block size.
+    if (a_.cfg_.redzone_canaries && !slab->morphing()) {
+        unsigned bsize = slab->blockSize();
+        for (unsigned idx = 0; idx < slab->capacity(); ++idx) {
+            if (!slab->isAllocated(idx))
+                continue;
+            uint64_t boff = slab->blockOffset(idx);
+            uint64_t word = 0;
+            std::memcpy(&word,
+                        static_cast<const uint8_t *>(dev.at(boff)) +
+                            bsize - HardeningManager::kCanaryBytes,
+                        sizeof(word));
+            if (word != HardeningManager::canaryValue(boff)) {
+                ++rep_.canary_stomped;
+                note(fmt("block 0x%llx: canary stomped", boff));
+            }
+        }
+    }
+
+    Veh *veh = a_.large_.findVeh(off);
+    if (!veh || veh->off != off || veh->size != kSlabSize ||
+        veh->state != Veh::State::Activated || !veh->is_slab) {
+        ++rep_.slab_veh_mismatch;
+        note(fmt("slab 0x%llx: no activated slab extent", off));
+    }
+}
+
 void
 HeapAuditor::checkSlabs()
 {
-    PmDevice &dev = a_.dev_;
-
-    for (auto &arena : a_.arenas_) {
-        arena->forEachSlab([&](VSlab *slab) {
-            uint64_t off = slab->slabOffset();
-
-            if (!VSlab::headerLooksValid(&dev, off, true)) {
-                ++rep_.slab_header_bad;
-                note(fmt("slab 0x%llx: header invalid", off));
-                if (repair_) {
-                    if (slab->repairHeader()) {
-                        dev.clearPoison(off); // first line only
-                        ++rep_.repaired_headers;
-                    } else {
-                        note(fmt("slab 0x%llx: header not repairable "
-                                 "(morphing)",
-                                 off));
-                    }
-                }
-            }
-
-            // The whole 2 KB bitmap is popcounted, not just the active
-            // geometry's physical slots, so a stray bit outside the
-            // mapped range is a violation too. The walk holds no slab
-            // lock (there is none to hold since the lock-free fast
-            // path landed), so the capture is epoch-bracketed like the
-            // patrol's: an observation with a fast op in flight or an
-            // epoch advance across it is moving, not auditable, and
-            // is retried rather than reported.
-            uint64_t pop = 0, live = 0;
-            bool trusted = false;
-            for (unsigned r = 0; r < 8 && !trusted; ++r) {
-                uint64_t e0 = slab->fpEpoch();
-                if (slab->fpBusy()) {
-                    std::this_thread::yield();
-                    continue;
-                }
-                pop = slab->persistentPopcount();
-                live = slab->liveBlocks();
-                trusted = !slab->fpBusy() && slab->fpEpoch() == e0;
-            }
-            if (trusted && pop != live) {
-                ++rep_.bitmap_mismatch;
-                note(fmt("slab 0x%llx: bitmap popcount %llu != live",
-                         off, pop));
-                if (repair_) {
-                    if (slab->rebuildPersistentBitmap())
-                        ++rep_.repaired_bitmaps;
-                    else
-                        note(fmt("slab 0x%llx: bitmap not repairable "
-                                 "(lent blocks or morphing)",
-                                 off));
-                }
-            }
-
-            unsigned vset = 0;
-            for (unsigned idx = 0; idx < slab->capacity(); ++idx)
-                vset += slab->vbitTest(idx) ? 1 : 0;
-            if (vset != slab->capacity() - slab->available()) {
-                ++rep_.counter_mismatch;
-                note(fmt("slab 0x%llx: vbitmap %llu blocks vs counters",
-                         off, vset));
-            }
-
-            if (slab->morphing()) {
-                const SlabHeader *h = slab->header();
-                unsigned live_old = 0;
-                for (unsigned i = 0; i < h->index_count; ++i)
-                    live_old +=
-                        (h->index_table[i] & kIndexAllocated) ? 1 : 0;
-                if (live_old != slab->cntSlab()) {
-                    ++rep_.counter_mismatch;
-                    note(fmt("slab 0x%llx: index table %llu live old "
-                             "blocks vs cnt_slab",
-                             off, live_old));
-                }
-            }
-
-            // Canary sweep (informational): a dirtied canary word in a
-            // live block is application damage, not metadata damage —
-            // reported so operators see overflows before the free-time
-            // check would, but never counted as a heap violation.
-            // Morphing slabs are skipped: old-geometry blocks carry
-            // stamps from a different block size.
-            if (a_.cfg_.redzone_canaries && !slab->morphing()) {
-                unsigned bsize = slab->blockSize();
-                for (unsigned idx = 0; idx < slab->capacity(); ++idx) {
-                    if (!slab->isAllocated(idx))
-                        continue;
-                    uint64_t boff = slab->blockOffset(idx);
-                    uint64_t word = 0;
-                    std::memcpy(&word,
-                                static_cast<const uint8_t *>(
-                                    dev.at(boff)) +
-                                    bsize - HardeningManager::kCanaryBytes,
-                                sizeof(word));
-                    if (word != HardeningManager::canaryValue(boff)) {
-                        ++rep_.canary_stomped;
-                        note(fmt("block 0x%llx: canary stomped", boff));
-                    }
-                }
-            }
-
-            Veh *veh = a_.large_.findVeh(off);
-            if (!veh || veh->off != off || veh->size != kSlabSize ||
-                veh->state != Veh::State::Activated || !veh->is_slab) {
-                ++rep_.slab_veh_mismatch;
-                note(fmt("slab 0x%llx: no activated slab extent", off));
-            }
-        });
-    }
+    for (auto &arena : a_.arenas_)
+        arena->forEachSlab([&](VSlab *slab) { checkSlab(slab); });
 
     // Reverse direction: every activated slab extent must be backed by
     // a vslab — or be quarantined, which is exactly what repair does.
@@ -749,11 +588,80 @@ HeapAuditor::checkSlabs()
     }
 }
 
+/**
+ * Walk the log chain (ordinal 0 the header, k the k-th chunk): examine
+ * up to `budget` ordinals from `pos` on (header magic/crc/bounds, chunk
+ * offsets, cycles, chunk crcs, duplicate ids) and hand each sound chunk
+ * to `fn`. Leaves `pos` at the ordinal to resume at, 0 once the chain
+ * ends or breaks; false if the header itself is invalid.
+ */
+bool
+HeapAuditor::walkLogChain(
+    uint64_t &pos, uint64_t budget,
+    const std::function<void(uint64_t, const LogChunk &)> &fn)
+{
+    PmDevice &dev = a_.dev_;
+    const uint64_t log_off = a_.sb_->log_off;
+    const uint64_t log_bytes = a_.sb_->log_bytes;
+    const auto *lh = static_cast<const LogHeader *>(dev.at(log_off));
+    if (pos == 0) {
+        --budget;
+        bool bad = dev.isPoisoned(lh, sizeof(LogHeader)) ||
+                   lh->magic != kLogMagic || lh->crc != logHeaderCrc(*lh) ||
+                   lh->alt > 1 ||
+                   lh->num_chunks >
+                       (log_bytes - kLogHeaderArea) / kLogChunkStride;
+        if (bad) {
+            ++rep_.log_chain_bad;
+            note("log header: invalid");
+        }
+        tally();
+        if (bad)
+            return false; // the chain pointer would chase garbage
+    }
+
+    std::unordered_set<uint32_t> ids;
+    uint64_t ord = 1;
+    for (uint64_t off = lh->head[lh->alt]; off; ++ord) {
+        const bool examine = ord >= pos;
+        if (examine && budget-- == 0) {
+            pos = ord;
+            return true;
+        }
+        const auto *pc = static_cast<const LogChunk *>(dev.at(off));
+        const char *bad = nullptr;
+        if (!logChunkOffValid(log_off, log_bytes, off))
+            bad = "log chain: bad chunk offset 0x%llx";
+        else if (!log_chunks_.insert(off).second)
+            bad = "log chain: cycle at 0x%llx";
+        else if (examine && (dev.isPoisoned(pc, kLogHeaderArea) ||
+                             pc->crc != logChunkCrc(*pc) || pc->active != 1))
+            bad = "log chunk 0x%llx: bad header";
+        if (bad) {
+            ++rep_.log_chain_bad;
+            note(fmt(bad, off));
+            tally();
+            break; // the next pointer is untrustworthy
+        }
+        if (!ids.insert(pc->id).second && examine) {
+            ++rep_.log_chain_bad;
+            note(fmt("log chain: duplicate chunk id %llu", pc->id));
+        }
+        if (examine) {
+            if (fn)
+                fn(off, *pc);
+            tally();
+        }
+        off = pc->next;
+    }
+    pos = 0;
+    return true;
+}
+
 void
 HeapAuditor::checkExtentJournal()
 {
     PmDevice &dev = a_.dev_;
-    const NvSuperblock *sb = a_.sb_;
 
     if (!a_.usesBookkeepingLog()) {
         // In-place mode: every activated extent's descriptor slot must
@@ -781,28 +689,9 @@ HeapAuditor::checkExtentJournal()
     // Independent walk of the persistent chunk chain (same structural
     // rules as replay, but read-only and cross-checked against the
     // volatile extent state instead of rebuilding it).
-    const uint64_t log_off = sb->log_off;
-    const uint64_t log_bytes = sb->log_bytes;
-    const auto *lh = static_cast<const LogHeader *>(dev.at(log_off));
-    const size_t max_chunks = (log_bytes - kLogHeaderArea) / kLogChunkStride;
-
-    if (dev.isPoisoned(lh, sizeof(LogHeader)) || lh->magic != kLogMagic ||
-        lh->crc != logHeaderCrc(*lh) || lh->alt > 1 ||
-        lh->num_chunks > max_chunks) {
-        ++rep_.log_chain_bad;
-        note("log header: invalid");
-        return;
-    }
-
     InterleaveMap map = InterleaveMap::build(
         kLogEntriesPerChunk, 64,
         a_.cfg_.interleaved_log ? kLogChunkStripes : 1);
-
-    auto valid_chunk_off = [&](uint64_t o) {
-        return o >= log_off + kLogHeaderArea &&
-               o + kLogChunkStride <= log_off + log_bytes &&
-               (o - log_off - kLogHeaderArea) % kLogChunkStride == 0;
-    };
     auto key = [](uint32_t id, uint32_t slot) {
         return (uint64_t(id) << 32) | slot;
     };
@@ -815,54 +704,33 @@ HeapAuditor::checkExtentJournal()
     };
     std::unordered_map<uint64_t, LiveEnt> live;
     std::vector<std::pair<uint32_t, uint32_t>> tombs;
-    std::unordered_set<uint32_t> ids;
 
-    uint64_t off = lh->head[lh->alt];
-    while (off) {
-        if (!valid_chunk_off(off)) {
-            ++rep_.log_chain_bad;
-            note(fmt("log chain: bad chunk offset 0x%llx", off));
-            break;
-        }
-        if (!log_chunks_.insert(off).second) {
-            ++rep_.log_chain_bad;
-            note(fmt("log chain: cycle at 0x%llx", off));
-            break;
-        }
-        const auto *pc = static_cast<const LogChunk *>(dev.at(off));
-        if (dev.isPoisoned(pc, kLogHeaderArea) ||
-            pc->crc != logChunkCrc(*pc) || pc->active != 1) {
-            ++rep_.log_chain_bad;
-            note(fmt("log chunk 0x%llx: bad header", off));
-            break;
-        }
-        if (!ids.insert(pc->id).second) {
-            ++rep_.log_chain_bad;
-            note(fmt("log chain: duplicate chunk id %llu", pc->id));
-        }
-        for (unsigned slot = 0; slot < kLogEntriesPerChunk; ++slot) {
-            uint64_t w = pc->entries[map.physical(slot)];
-            if (w == 0)
-                continue; // never appended (appends are dense)
-            if (dev.isPoisoned(&pc->entries[map.physical(slot)], 8) ||
-                !logEntryChecksumOk(w)) {
-                ++rep_.log_entry_bad;
-                note(fmt("log chunk 0x%llx slot %llu: bad entry", off,
-                         slot));
-                continue;
+    uint64_t pos = 0;
+    bool header_ok = walkLogChain(
+        pos, ~uint64_t{0}, [&](uint64_t off, const LogChunk &pc) {
+            for (unsigned slot = 0; slot < kLogEntriesPerChunk; ++slot) {
+                const uint64_t &w = pc.entries[map.physical(slot)];
+                if (w == 0)
+                    continue; // never appended (appends are dense)
+                if (dev.isPoisoned(&w, 8) || !logEntryChecksumOk(w)) {
+                    ++rep_.log_entry_bad;
+                    note(fmt("log chunk 0x%llx slot %llu: bad entry", off,
+                             slot));
+                    continue;
+                }
+                LogType t = logEntryType(w);
+                if (t == kLogTombstone) {
+                    tombs.push_back({uint32_t(logEntryAddr(w)),
+                                     uint32_t(logEntrySize(w))});
+                } else if (t == kLogNormal || t == kLogSlab) {
+                    live[key(pc.id, slot)] = {logEntryAddr(w) << 12,
+                                              logEntrySize(w),
+                                              t == kLogSlab};
+                }
             }
-            LogType t = logEntryType(w);
-            if (t == kLogTombstone) {
-                tombs.push_back({uint32_t(logEntryAddr(w)),
-                                 uint32_t(logEntrySize(w))});
-            } else if (t == kLogNormal || t == kLogSlab) {
-                live[key(pc->id, slot)] = {logEntryAddr(w) << 12,
-                                           logEntrySize(w),
-                                           t == kLogSlab};
-            }
-        }
-        off = pc->next;
-    }
+        });
+    if (!header_ok)
+        return;
     for (const auto &[id, slot] : tombs)
         live.erase(key(id, slot));
 

@@ -45,13 +45,16 @@
  * Counter mismatches and log orphans are reported but never "fixed" by
  * mutating state whose ground truth is unknown.
  *
- * The auditor must run on a quiescent heap: no concurrent mutators.
+ * audit() and repair() must run on a quiescent heap: no concurrent
+ * mutators. patrolStep() is the exception: it runs the same per-item
+ * checks in bounded batches against a live heap.
  */
 
 #ifndef NVALLOC_NVALLOC_AUDITOR_H
 #define NVALLOC_NVALLOC_AUDITOR_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -60,6 +63,8 @@
 namespace nvalloc {
 
 class NvAlloc;
+class VSlab;
+struct LogChunk;
 
 /** Structured audit result: one counter per violation class. */
 struct AuditReport
@@ -131,11 +136,11 @@ struct PatrolCursor
 struct PatrolSliceResult
 {
     unsigned items = 0;    //!< metadata items examined
-    unsigned findings = 0; //!< stable damage declared
+    unsigned findings = 0; //!< items with stable damage
     unsigned repaired = 0; //!< findings fixed in place (slab headers)
     unsigned retries = 0;  //!< transient mismatches re-read
     bool wrapped = false;  //!< a full pass completed this slice
-    std::vector<std::string> notes; //!< one line per finding (capped)
+    std::vector<std::string> notes; //!< the checks' notes (capped)
 };
 
 class HeapAuditor
@@ -152,22 +157,16 @@ class HeapAuditor
     AuditReport repair();
 
     /**
-     * Online patrol scrub: examine up to `max_items` metadata items
-     * starting at `cur` — superblock magic/crc/poison, region-table
-     * entry bounds, slab headers + persistent-bitmap popcounts (under
-     * the owning arena's vlock), bookkeeping-log chunk headers (under
-     * the large allocator's lock) — against a LIVE mutator.
-     *
-     * Unlike audit()/repair() this neither pauses maintenance nor
-     * requires quiescence: it is designed to be called FROM a
-     * maintenance slice (stage 5), takes only the per-structure locks
-     * it needs for the current batch, and treats a mismatch observed
-     * once as potentially transient: the item is re-read up to
-     * `max_retries` times and declared damaged only when the
-     * observation is stable (identical and still wrong every time).
-     * Stable slab-header damage is repaired in place when derivable
-     * (VSlab::repairHeader); everything else is reported for the
-     * caller to escalate to the heap health machine.
+     * Online patrol scrub: audit()'s per-item checks on up to
+     * `max_items` items from `cur` (the superblock, a region-table
+     * slot, a slab under its arena's vlock, or a log-chain item under
+     * the large allocator's lock) against a LIVE mutator, called FROM
+     * a maintenance slice (stage 5). Nothing is paused: a slab
+     * mismatch counts only if `max_retries` re-reads see it unchanged,
+     * only slab headers are repaired in place (VSlab::repairHeader),
+     * and the checks of state the lock-free fast path mutates (vbitmap
+     * counters, morph index, canaries, slab<->extent) stay audit-only,
+     * like every whole-heap cross-check. The caller escalates findings.
      */
     PatrolSliceResult patrolStep(PatrolCursor &cur, unsigned max_items,
                                  unsigned max_retries);
@@ -184,7 +183,11 @@ class HeapAuditor
 
     NvAlloc &a_;
     bool repair_ = false;
+    bool live_ = false;        //!< a patrolStep batch (see there)
+    unsigned max_retries_ = 0; //!< live re-reads per slab mismatch
     AuditReport rep_;
+    PatrolSliceResult slice_; //!< patrolStep accounting
+    uint64_t tallied_ = 0;    //!< rep_.violations() at the last tally()
 
     std::vector<ExtSnap> extents_; //!< sorted by offset
     std::vector<std::pair<uint64_t, uint64_t>> regions_; //!< (off, size)
@@ -192,14 +195,18 @@ class HeapAuditor
 
     AuditReport run(bool repair);
     void note(const std::string &msg);
-    unsigned patrolSuperblock(PatrolSliceResult &res);
-    unsigned patrolRegionTable(PatrolCursor &cur, unsigned budget,
-                               PatrolSliceResult &res);
-    unsigned patrolSlabs(PatrolCursor &cur, unsigned budget,
-                         unsigned max_retries, PatrolSliceResult &res);
-    unsigned patrolLogChain(PatrolCursor &cur, unsigned budget,
-                            PatrolSliceResult &res);
+    void tally();
+    bool stable(const std::function<bool()> &unchanged);
+
+    // Per-item checks, shared by audit()/repair() and patrolStep().
     void checkSuperblock();
+    std::pair<uint64_t, uint64_t> checkRegionSlot(unsigned i);
+    void checkSlab(VSlab *slab);
+    bool walkLogChain(
+        uint64_t &pos, uint64_t budget,
+        const std::function<void(uint64_t, const LogChunk &)> &fn);
+
+    // Whole-heap walks and cross-checks (audit()/repair() only).
     void checkRegionsAndExtents();
     void checkSlabs();
     void checkExtentJournal();

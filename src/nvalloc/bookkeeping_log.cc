@@ -7,13 +7,6 @@
 
 namespace nvalloc {
 
-namespace {
-
-constexpr size_t kChunkStride = sizeof(LogChunk); // 1088 B
-constexpr size_t kHeaderArea = 64;
-
-} // namespace
-
 BookkeepingLog::~BookkeepingLog()
 {
     freeAllVChunks();
@@ -38,7 +31,7 @@ BookkeepingLog::freeAllVChunks()
 uint64_t
 BookkeepingLog::chunkOffset(size_t index) const
 {
-    return region_off_ + kHeaderArea + index * kChunkStride;
+    return region_off_ + kLogHeaderArea + index * kLogChunkStride;
 }
 
 bool
@@ -54,7 +47,7 @@ BookkeepingLog::attach(PmDevice *dev, uint64_t region_off,
     verify_ = verify;
     gc_threshold_ = gc_threshold;
     header_ = static_cast<LogHeader *>(dev->at(region_off));
-    max_chunks_ = (region_bytes - kHeaderArea) / kChunkStride;
+    max_chunks_ = (region_bytes - kLogHeaderArea) / kLogChunkStride;
     NV_ASSERT(max_chunks_ >= 4);
 
     unsigned stripes = interleaved ? kLogChunkStripes : 1;
@@ -457,17 +450,11 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
     // head[] lives outside the header crc (layout.h), so validate the
     // chain offsets structurally before dereferencing them: a torn or
     // corrupted link must end the chain, not walk wild memory.
-    auto valid_chunk_off = [&](uint64_t o) {
-        return o >= region_off_ + kHeaderArea &&
-               o + kChunkStride <= region_off_ + region_bytes_ &&
-               (o - region_off_ - kHeaderArea) % kChunkStride == 0;
-    };
-
     uint64_t off = header_->head[header_->alt];
     uint32_t max_id = 0;
     std::vector<VChunk *> chain;
     while (off) {
-        if (!valid_chunk_off(off)) {
+        if (!logChunkOffValid(region_off_, region_bytes_, off)) {
             ++stats_.replay_chunks_rejected;
             break;
         }
@@ -480,7 +467,7 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
             // header ends the chain: everything behind it is
             // unreachable anyway, and adopting a garbage next pointer
             // would walk wild offsets.
-            if (dev_->isPoisoned(pc, kHeaderArea) ||
+            if (dev_->isPoisoned(pc, kLogHeaderArea) ||
                 pc->crc != logChunkCrc(*pc)) {
                 ++stats_.replay_chunks_rejected;
                 break;
@@ -544,7 +531,7 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
     // can never hand out a chunk that is already linked.
     for (VChunk *vc : chain) {
         size_t idx =
-            (vc->chunk_off - region_off_ - kHeaderArea) / kChunkStride;
+            (vc->chunk_off - region_off_ - kLogHeaderArea) / kLogChunkStride;
         if (idx >= carved_chunks_)
             carved_chunks_ = idx + 1;
     }

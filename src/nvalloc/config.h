@@ -189,17 +189,9 @@ struct NvAllocConfig
      *  / abort). */
     HardeningPolicy hardening_policy = HardeningPolicy::Report;
 
-    // ---- pool containment & patrol scrub (pool.h, DESIGN.md §12) ----
-
-    /**
-     * Online patrol scrubber: a fifth maintenance stage that walks
-     * superblock / region-table / slab / log-chain checksums
-     * incrementally against the live mutator (auditor patrol mode),
-     * escalating stable damage to the heap health machine. Runs only
-     * when maintenance runs (Manual/Thread); off, the stage is skipped
-     * entirely.
-     */
-    bool patrol_scrub = true;
+    // ---- pool containment (pool.h, DESIGN.md §12) ------------------
+    // The patrol scrubber (maintenance stage 5) has no knob: it runs
+    // whenever maintenance runs.
 
     /**
      * Fault containment (HeapPool members): when corruption is

@@ -395,6 +395,20 @@ logHeaderCrc(const LogHeader &h)
     return crc32(&h, offsetof(LogHeader, crc));
 }
 
+/** Log-region geometry: a 64 B header line, then LogChunks back to
+ *  back. head[] and `next` sit outside every crc, so replay and the
+ *  auditor bound each link with logChunkOffValid before following. */
+constexpr size_t kLogHeaderArea = 64;
+constexpr size_t kLogChunkStride = sizeof(LogChunk); // 1088 B
+
+constexpr bool
+logChunkOffValid(uint64_t log_off, uint64_t log_bytes, uint64_t off)
+{
+    return off >= log_off + kLogHeaderArea &&
+           off + kLogChunkStride <= log_off + log_bytes &&
+           (off - log_off - kLogHeaderArea) % kLogChunkStride == 0;
+}
+
 /**
  * Region-table entry codec. The superblock is followed (at root offset
  * 512) by an array of packed entries, one per live region: offset in

@@ -280,7 +280,7 @@ MaintenanceService::runSlice(bool forced)
     //    is item-bounded (NvAlloc::patrolSlice), keeping the vlock hold
     //    times inside the slice budget; findings escalate to the heap
     //    health machine inside the callback.
-    if ((forced || budget_left()) && w_.patrol && cfg_.patrol_scrub) {
+    if ((forced || budget_left()) && w_.patrol) {
         if (w_.patrol()) {
             did = true;
             stats_.patrol_slices.fetch_add(1,

@@ -115,8 +115,7 @@ class MaintenanceService
         std::function<void()> request_trim;
         /** Stage 5: run one bounded patrol-scrub batch (the heap's
          *  incremental metadata walk, auditor.h); returns the number
-         *  of items examined. Unset or patrol_scrub off skips the
-         *  stage. */
+         *  of items examined. Unset skips the stage. */
         std::function<unsigned()> patrol;
         /** Device ranges the scrub pass must never touch (superblock
          *  root, WAL rings, the log region). */

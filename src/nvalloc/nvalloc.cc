@@ -125,8 +125,7 @@ NvAlloc::initMaintenance()
         return uint64_t(sb_->quarantine_count);
     };
     w.request_trim = [this] { requestTcacheTrim(); };
-    if (cfg_.patrol_scrub)
-        w.patrol = [this] { return patrolSlice(); };
+    w.patrol = [this] { return patrolSlice(); };
     // Ranges the scrub pass must never rewrite, live or not: the
     // superblock root area, the WAL rings, and the log region (all
     // mapped outside the large allocator's region table).
@@ -789,11 +788,12 @@ NvAlloc::patrolSlice()
         // the heap; damage it cannot derive a fix for (superblock,
         // region table, log chain, stable bitmap drift) quarantines it
         // until fsck repairs the image and restoreHealth() re-audits.
+        std::string why =
+            "patrol: " + (r.notes.empty() ? "finding" : r.notes.front());
         escalateHealth(r.repaired >= r.findings
                            ? HeapHealth::Degraded
                            : HeapHealth::Quarantined,
-                       r.notes.empty() ? "patrol finding"
-                                       : r.notes.front().c_str());
+                       why.c_str());
     }
     return r.items;
 }

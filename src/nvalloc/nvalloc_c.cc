@@ -119,7 +119,6 @@ optionsToConfig(const nvalloc_options *opts, NvAllocConfig &cfg)
     }
 
     if (opts->version >= 3) {
-        cfg.patrol_scrub = opts->patrol_scrub != 0;
         cfg.fault_containment = opts->fault_containment != 0;
         cfg.capacity_quota_bytes = opts->capacity_quota_bytes;
     }

@@ -94,7 +94,7 @@ struct nvalloc_options
     unsigned quarantine_depth;   //!< delayed-reuse FIFO depth; 0 = off
     int hardening_policy;        //!< an NvHardeningPolicy value
     /* -- version 3 fields (pool & patrol scrub, PR 7) -------------- */
-    int patrol_scrub;            //!< online metadata patrol (stage 5)
+    int patrol_scrub;            //!< ignored (the patrol always runs)
     unsigned patrol_items;       //!< ignored (fixed at 8)
     unsigned patrol_retries;     //!< ignored (fixed at 3)
     int fault_containment;       //!< Degraded/Quarantined refuses ops
@@ -165,8 +165,8 @@ NvInstance *nvalloc_init(PmDevice *dev,
  *    device was not modified. Callers compiled against v1/v2/v3
  *    headers are still accepted: fields their revision did not define
  *    are never read and take this library's defaults.
- *    maintenance_scrub_lines, patrol_items and patrol_retries are
- *    never validated or read.
+ *    maintenance_scrub_lines, patrol_scrub, patrol_items and
+ *    patrol_retries are never validated or read.
  *  - NVALLOC_ECORRUPT: the heap image failed validation. *out
  *    receives a *degraded* instance: allocation calls fail with
  *    NVALLOC_ECORRUPT, but nvalloc_ctl / nvalloc_stats_json /

@@ -36,7 +36,6 @@ HeapPool::sameConfig(const NvAllocConfig &a, const NvAllocConfig &b)
            a.redzone_canaries == b.redzone_canaries &&
            a.quarantine_depth == b.quarantine_depth &&
            a.hardening_policy == b.hardening_policy &&
-           a.patrol_scrub == b.patrol_scrub &&
            a.fault_containment == b.fault_containment &&
            a.capacity_quota_bytes == b.capacity_quota_bytes;
 }

@@ -59,7 +59,7 @@ FaultInjector::applyCrashImage(char *base, char *shadow,
             std::memset(shadow + line, kPoisonByte, kCacheLine);
     }
 
-    frozen_ = true;
+    markFrozen();
 }
 
 } // namespace nvalloc

@@ -35,6 +35,7 @@
 #ifndef NVALLOC_PM_FAULT_INJECTOR_H
 #define NVALLOC_PM_FAULT_INJECTOR_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_set>
@@ -102,8 +103,9 @@ class FaultInjector
     bool armed() const { return crash_at_flush_ || crash_at_fence_; }
 
     /** The scheduled crash point was reached; the device is frozen
-     *  (no store after this point can become durable). */
-    bool triggered() const { return frozen_; }
+     *  (no store after this point can become durable). Polled without
+     *  the device lock while another thread may hit the crash point. */
+    bool triggered() const { return frozen_.load(std::memory_order_acquire); }
 
     // ---- device-side hooks ------------------------------------------
 
@@ -123,14 +125,14 @@ class FaultInjector
         return crash_at_fence_ && stats_.fences >= crash_at_fence_;
     }
 
-    void markFrozen() { frozen_ = true; }
+    void markFrozen() { frozen_.store(true, std::memory_order_release); }
 
     /** The crash consumed the armed point; the injector stays
      *  installed for the next run (the policy persists). */
     void
     resetAfterCrash()
     {
-        frozen_ = false;
+        frozen_.store(false, std::memory_order_release);
         crash_at_flush_ = 0;
         crash_at_fence_ = 0;
     }
@@ -203,7 +205,7 @@ class FaultInjector
     FaultPolicy policy_;
     uint64_t crash_at_flush_ = 0; //!< absolute flush count, 0 = off
     uint64_t crash_at_fence_ = 0;
-    bool frozen_ = false;
+    std::atomic<bool> frozen_{false};
     std::unordered_set<uint64_t> poisoned_; //!< line offsets
     Stats stats_;
 };

@@ -46,6 +46,7 @@ PmDevice::PmDevice(PmDeviceConfig cfg)
 
 PmDevice::~PmDevice()
 {
+    delete fi();
     ::munmap(base_, cfg_.size);
     if (shadow_)
         ::munmap(shadow_, cfg_.size);
@@ -137,7 +138,7 @@ PmDevice::persist(const void *addr, size_t len, TimeKind kind)
         model_.onFlush(line, kind);
         if (!shadow_)
             continue;
-        if (fi_)
+        if (fi())
             stageLine(line);
         else
             std::memcpy(shadow_ + line, base_ + line, kCacheLine);
@@ -152,13 +153,13 @@ PmDevice::flushLine(const void *addr, TimeKind kind)
     if (!shadow_) {
         // No crash simulation: flushes are durable immediately, so a
         // persisted write heals media poison right here.
-        if (fi_) {
+        if (fi()) {
             std::lock_guard<std::mutex> g(stage_mutex_);
-            fi_->clearPoison(line);
+            fi()->clearPoison(line);
         }
         return;
     }
-    if (fi_)
+    if (fi())
         stageLine(line);
     else
         std::memcpy(shadow_ + line, base_ + line, kCacheLine);
@@ -168,12 +169,12 @@ void
 PmDevice::fence()
 {
     model_.onFence();
-    if (!fi_ || !shadow_)
+    if (!fi() || !shadow_)
         return;
     std::lock_guard<std::mutex> g(stage_mutex_);
-    if (fi_->triggered())
+    if (fi()->triggered())
         return; // post-crash-point fence: nothing can commit
-    if (fi_->noteFence()) {
+    if (fi()->noteFence()) {
         // The scheduled crash point is this fence: its epoch never
         // commits; the policy decides what survives of it.
         freezeAtCrashPoint();
@@ -188,10 +189,10 @@ void
 PmDevice::stageLine(uint64_t line)
 {
     std::lock_guard<std::mutex> g(stage_mutex_);
-    if (fi_->triggered())
+    if (fi()->triggered())
         return; // post-crash-point flush: lost
     staged_.insert(line);
-    if (fi_->noteFlush())
+    if (fi()->noteFlush())
         freezeAtCrashPoint();
 }
 
@@ -200,14 +201,14 @@ PmDevice::commitLine(uint64_t line)
 {
     std::memcpy(shadow_ + line, base_ + line, kCacheLine);
     // A persisted write to a poisoned line heals it.
-    if (fi_->isPoisoned(line))
-        fi_->clearPoison(line);
+    if (fi()->isPoisoned(line))
+        fi()->clearPoison(line);
 }
 
 void
 PmDevice::freezeAtCrashPoint()
 {
-    fi_->applyCrashImage(base_, shadow_, high_water_, staged_);
+    fi()->applyCrashImage(base_, shadow_, high_water_, staged_);
     staged_.clear();
 }
 
@@ -235,13 +236,13 @@ PmDevice::dropFaultState(uint64_t offset, size_t bytes)
 {
     // A released range holds no staged flushes, and remapping fresh
     // pages over a poisoned line clears its poison.
-    if (!fi_)
+    if (!fi())
         return;
     std::lock_guard<std::mutex> g(stage_mutex_);
     for (uint64_t line = offset; line < offset + bytes;
          line += kCacheLine) {
         staged_.erase(line);
-        fi_->clearPoison(line);
+        fi()->clearPoison(line);
     }
 }
 
@@ -257,13 +258,13 @@ void
 PmDevice::crash()
 {
     NV_ASSERT(shadow_ != nullptr);
-    if (fi_) {
+    if (fi()) {
         std::lock_guard<std::mutex> g(stage_mutex_);
         // Resolve the final unfenced epoch by policy unless a
         // scheduled crash point already froze the durable image.
-        if (!fi_->triggered())
+        if (!fi()->triggered())
             freezeAtCrashPoint();
-        fi_->resetAfterCrash();
+        fi()->resetAfterCrash();
     }
     // Roll the working image back to the last persisted state. Only
     // the range ever handed out can contain data.
@@ -273,9 +274,15 @@ PmDevice::crash()
 FaultInjector &
 PmDevice::faults()
 {
-    if (!fi_)
-        fi_ = std::make_unique<FaultInjector>();
-    return *fi_;
+    // Created lazily by whichever thread first arms a crash or poisons
+    // a line, possibly while a maintenance slice reads the device: the
+    // pointer is published once, under the lock, with release order.
+    if (FaultInjector *existing = fi())
+        return *existing;
+    std::lock_guard<std::mutex> g(stage_mutex_);
+    if (!fi())
+        fi_.store(new FaultInjector, std::memory_order_release);
+    return *fi();
 }
 
 FaultInjector &
@@ -283,7 +290,7 @@ PmDevice::enableFaultInjection(FaultPolicy policy)
 {
     NV_ASSERT(shadow_ != nullptr);
     faults().setPolicy(policy);
-    return *fi_;
+    return *fi();
 }
 
 void
@@ -291,7 +298,9 @@ PmDevice::poisonLine(uint64_t off)
 {
     uint64_t line = off & ~uint64_t{kCacheLine - 1};
     NV_ASSERT(line < cfg_.size);
-    faults().poison(line);
+    FaultInjector &inj = faults();
+    std::lock_guard<std::mutex> g(stage_mutex_);
+    inj.poison(line);
     std::memset(base_ + line, kPoisonByte, kCacheLine);
     if (shadow_)
         std::memset(shadow_ + line, kPoisonByte, kCacheLine);
@@ -300,16 +309,19 @@ PmDevice::poisonLine(uint64_t off)
 void
 PmDevice::clearPoison(uint64_t off)
 {
-    if (fi_)
-        fi_->clearPoison(off & ~uint64_t{kCacheLine - 1});
+    if (fi()) {
+        std::lock_guard<std::mutex> g(stage_mutex_);
+        fi()->clearPoison(off & ~uint64_t{kCacheLine - 1});
+    }
 }
 
 std::vector<uint64_t>
 PmDevice::poisonedLineOffsets() const
 {
     std::vector<uint64_t> lines;
-    if (fi_) {
-        const auto &set = fi_->poisonSet();
+    if (fi()) {
+        std::lock_guard<std::mutex> g(stage_mutex_);
+        const auto &set = fi()->poisonSet();
         lines.assign(set.begin(), set.end());
         std::sort(lines.begin(), lines.end());
     }
@@ -319,12 +331,15 @@ PmDevice::poisonedLineOffsets() const
 bool
 PmDevice::isPoisoned(const void *addr, size_t len) const
 {
-    if (!fi_ || fi_->poisonedLines() == 0 || len == 0)
+    if (!fi() || len == 0)
+        return false;
+    std::lock_guard<std::mutex> g(stage_mutex_);
+    if (fi()->poisonedLines() == 0)
         return false;
     uint64_t first = offsetOf(addr) & ~uint64_t{kCacheLine - 1};
     uint64_t last = (offsetOf(addr) + len - 1) & ~uint64_t{kCacheLine - 1};
     for (uint64_t line = first; line <= last; line += kCacheLine) {
-        if (fi_->isPoisoned(line))
+        if (fi()->isPoisoned(line))
             return true;
     }
     return false;

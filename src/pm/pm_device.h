@@ -33,10 +33,10 @@
 #ifndef NVALLOC_PM_PM_DEVICE_H
 #define NVALLOC_PM_PM_DEVICE_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
@@ -188,21 +188,25 @@ class PmDevice
      */
     FaultInjector &enableFaultInjection(FaultPolicy policy = {});
 
-    FaultInjector *faultInjector() { return fi_.get(); }
+    FaultInjector *faultInjector() { return fi(); }
 
     /** Schedule a crash at the Nth flush from now (requires an
      *  injector). Sweeps at flush granularity arm this per point. */
     void
     armCrashAtFlush(uint64_t nth)
     {
-        faults().armCrashAtFlush(nth);
+        FaultInjector &inj = faults();
+        std::lock_guard<std::mutex> g(stage_mutex_);
+        inj.armCrashAtFlush(nth);
     }
 
     /** Schedule a crash at the Nth fence from now. */
     void
     armCrashAtFence(uint64_t nth)
     {
-        faults().armCrashAtFence(nth);
+        FaultInjector &inj = faults();
+        std::lock_guard<std::mutex> g(stage_mutex_);
+        inj.armCrashAtFence(nth);
     }
 
     /** True once a scheduled crash point has been reached: every later
@@ -210,7 +214,8 @@ class PmDevice
     bool
     crashTriggered() const
     {
-        return fi_ && fi_->triggered();
+        FaultInjector *inj = fi();
+        return inj && inj->triggered();
     }
 
     // ---- media poison -----------------------------------------------
@@ -232,7 +237,10 @@ class PmDevice
     size_t
     poisonedLineCount() const
     {
-        return fi_ ? fi_->poisonedLines() : 0;
+        if (!fi())
+            return 0;
+        std::lock_guard<std::mutex> g(stage_mutex_);
+        return fi()->poisonedLines();
     }
 
     /** Sorted device offsets of every poisoned media line. Lets an
@@ -260,11 +268,14 @@ class PmDevice
     size_t committed_bytes_ = 0;
     size_t peak_committed_ = 0;
 
-    // Fault injection (null = idealized flush-is-durable shadow).
-    std::unique_ptr<FaultInjector> fi_;
-    std::mutex stage_mutex_;
+    // Fault injection (null = idealized flush-is-durable shadow). The
+    // injector is created once and then owned until destruction;
+    // stage_mutex_ guards its counters, crash arming and poison set.
+    std::atomic<FaultInjector *> fi_{nullptr};
+    mutable std::mutex stage_mutex_;
     std::unordered_set<uint64_t> staged_; //!< flushed, unfenced lines
 
+    FaultInjector *fi() const { return fi_.load(std::memory_order_acquire); }
     void addCommitted(size_t bytes);
     FaultInjector &faults();
     void stageLine(uint64_t line);

@@ -321,14 +321,15 @@ TEST(CApiOpenEx, FastPathOptionsV4Contract)
 
 TEST(CApiOpenEx, RetiredTuningFieldsAreIgnored)
 {
-    // maintenance_scrub_lines, patrol_items and patrol_retries stay in
-    // the layout but are fixed inside the library: values that once
-    // failed validation now open.
+    // maintenance_scrub_lines, patrol_scrub, patrol_items and
+    // patrol_retries stay in the layout but are fixed inside the
+    // library: values that once failed validation, or switched the
+    // patrol off, now open with the patrol running.
     PmDevice dev;
     nvalloc_options opts;
     nvalloc_options_init(&opts);
     opts.maintenance_mode = NVALLOC_MAINT_MANUAL;
-    opts.patrol_scrub = 1;
+    opts.patrol_scrub = 0;
     opts.patrol_items = 0;
     opts.patrol_retries = 0;
     opts.maintenance_scrub_lines = 0;

@@ -26,13 +26,12 @@ namespace nvalloc {
 namespace {
 
 /** Deterministic member config: manual maintenance (tests drive the
- *  patrol directly), patrol on. The pool forces fault_containment. */
+ *  patrol directly). The pool forces fault_containment. */
 NvAllocConfig
 memberConfig()
 {
     NvAllocConfig cfg;
     cfg.maintenance_mode = MaintenanceMode::Manual;
-    cfg.patrol_scrub = true;
     return cfg;
 }
 
@@ -423,12 +422,133 @@ TEST_P(PatrolCrashMatrix, RecoversAuditCleanFromPatrolSliceCrash)
         if (passes > passes_before)
             break;
     }
+    // Under NVALLOC_MAINTENANCE=thread a background slice publishes
+    // Scrubbing while it walks; pausing waits it out, so the read
+    // below sees the settled state.
+    ASSERT_EQ(again.maintenanceControl("pause"), NvStatus::Ok);
     EXPECT_EQ(again.health(), HeapHealth::Serving);
 }
 
 INSTANTIATE_TEST_SUITE_P(PatrolSliceCrashPoints, PatrolCrashMatrix,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u,
                                            21u, 34u));
+
+// ---------------------------------------------------------------------
+// The patrol runs audit()'s own per-item checks, so they must agree:
+// damage to each of the four patrolled structures of a live heap is
+// reported by audit() under its class, and one full patrol pass finds
+// it and lands the health it warrants — Degraded for a slab header it
+// repairs in place (audit() is clean of it afterwards), Quarantined for
+// everything it cannot repair (audit() still reports it).
+// ---------------------------------------------------------------------
+
+enum class Damage
+{
+    SuperblockConfig,
+    RegionEntry,
+    SlabHeader,
+    BitmapBit,
+    LogChunkId,
+};
+
+class PatrolAgreesWithAudit : public ::testing::TestWithParam<Damage>
+{
+};
+
+TEST_P(PatrolAgreesWithAudit, OnePassFindsWhatAuditReports)
+{
+    PmDevice dev;
+    auto heap_h = NvAlloc::openOrDie(dev, memberConfig());
+    NvAlloc &heap = *heap_h;
+    ThreadCtx *ctx = heap.attachThread();
+    for (unsigned i = 0; i < 64; ++i)
+        ASSERT_NE(heap.allocOffset(*ctx, 64 + 48 * i, nullptr), 0u);
+    HeapAuditor auditor(heap);
+    ASSERT_TRUE(auditor.audit().clean());
+
+    VSlab *slab = nullptr;
+    for (unsigned a = 0; a < heap.numArenas() && !slab; ++a)
+        heap.arena(a).forEachSlab([&](VSlab *sl) {
+            if (!slab && !sl->morphing())
+                slab = sl;
+        });
+    ASSERT_NE(slab, nullptr);
+
+    auto *sb = static_cast<NvSuperblock *>(dev.root());
+    uint64_t AuditReport::*counter = nullptr;
+    switch (GetParam()) {
+    case Damage::SuperblockConfig:
+        sb->stripes ^= 0x40; // inside the sb_crc span
+        counter = &AuditReport::superblock_bad;
+        break;
+    case Damage::RegionEntry: {
+        // The region table follows the superblock at root offset 512
+        // (layout.h); publish an entry that ends past the device.
+        auto *table = reinterpret_cast<uint64_t *>(
+            static_cast<char *>(dev.root()) + 512);
+        unsigned i = 0;
+        while (table[i] != 0)
+            ++i;
+        table[i] = packRegionEntry(dev.size(), kRegionSize);
+        counter = &AuditReport::region_table_bad;
+        break;
+    }
+    case Damage::SlabHeader:
+        slab->header()->size_class ^= 0x55;
+        counter = &AuditReport::slab_header_bad;
+        break;
+    case Damage::BitmapBit:
+        slab->header()->bitmap[kSlabBitmapBytes - 1] ^= 0x80;
+        counter = &AuditReport::bitmap_mismatch;
+        break;
+    case Damage::LogChunkId: {
+        const auto *lh = static_cast<const LogHeader *>(dev.at(sb->log_off));
+        ASSERT_NE(lh->head[lh->alt], 0u);
+        static_cast<LogChunk *>(dev.at(lh->head[lh->alt]))->id ^= 1u << 20;
+        counter = &AuditReport::log_chain_bad;
+        break;
+    }
+    }
+    AuditReport before = auditor.audit();
+    EXPECT_GE(before.*counter, 1u) << before.summary();
+
+    uint64_t passes = 0;
+    for (unsigned slice = 0; slice < 4096 && passes == 0; ++slice) {
+        heap.patrolSlice();
+        heap.ctlRead("stats.scrub.passes", &passes);
+    }
+    ASSERT_EQ(passes, 1u);
+    const bool repairable = GetParam() == Damage::SlabHeader;
+    EXPECT_EQ(heap.health(), repairable ? HeapHealth::Degraded
+                                        : HeapHealth::Quarantined);
+    uint64_t findings = 0;
+    heap.ctlRead("stats.scrub.findings", &findings);
+    EXPECT_GE(findings, 1u);
+
+    AuditReport after = auditor.audit();
+    if (repairable)
+        EXPECT_EQ(after.*counter, 0u) << after.summary();
+    else
+        EXPECT_GE(after.*counter, 1u) << after.summary();
+    heap.detachThread(ctx);
+}
+
+std::string
+damageName(const ::testing::TestParamInfo<Damage> &info)
+{
+    static const char *const kNames[] = {"SuperblockConfig", "RegionEntry",
+                                         "SlabHeader", "BitmapBit",
+                                         "LogChunkId"};
+    return kNames[unsigned(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(LiveHeapDamage, PatrolAgreesWithAudit,
+                         ::testing::Values(Damage::SuperblockConfig,
+                                           Damage::RegionEntry,
+                                           Damage::SlabHeader,
+                                           Damage::BitmapBit,
+                                           Damage::LogChunkId),
+                         damageName);
 
 } // namespace
 } // namespace nvalloc

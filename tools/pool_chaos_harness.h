@@ -63,7 +63,6 @@ class PoolChaosHarness : public ChaosHarness
     poolConfig() const
     {
         NvAllocConfig cfg = config();
-        cfg.patrol_scrub = true;
         // fault_containment is forced by HeapPool::open either way;
         // set it here too so the config the pool remembers is the one
         // we offered (same-config re-opens stay `existing`).
