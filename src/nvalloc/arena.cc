@@ -90,8 +90,6 @@ Arena::newSlab(unsigned cls)
     morph_lru_.pushBack(slab);
     enlist(slab);
     ++stats_.slabs_created;
-    if (tel_)
-        tel_->add(StatCounter::SlabCreated);
     return slab;
 }
 
@@ -122,11 +120,8 @@ Arena::morphOne(unsigned cls)
         }
         enlist(slab);
         ++stats_.morphs;
-        if (tel_) {
-            tel_->add(StatCounter::SlabMorph);
-            tel_->event(TraceOp::Morph, slab->slabOffset(),
-                        uint8_t(cls));
-        }
+        if (tel_)
+            tel_->event(TraceOp::Morph, slab->slabOffset(), uint8_t(cls));
         VClock::advance(kRefillCpuNs, TimeKind::Other);
         return slab;
     }
@@ -138,9 +133,6 @@ Arena::refill(TCache &tcache, unsigned cls)
 {
     VLockGuard g(lock);
     ++stats_.refills;
-    if (fp_stats_)
-        fp_stats_->refill_searches.fetch_add(1,
-                                             std::memory_order_relaxed);
     VClock::advance(kRefillCpuNs, TimeKind::Other);
 
     // Availability created by lock-free frees lives on the pending
@@ -193,10 +185,8 @@ Arena::refill(TCache &tcache, unsigned cls)
         if (slab->available() > 0)
             core_cache_.install(cls, slab);
     }
-    if (tel_) {
-        tel_->add(StatCounter::ArenaRefill);
+    if (tel_)
         tel_->event(TraceOp::Refill, added, uint8_t(cls));
-    }
     return added;
 }
 
@@ -284,8 +274,6 @@ Arena::maybeRelease(VSlab *slab)
     large_->free(slab->slabOffset());
     graveyard_.push_back(slab);
     ++stats_.slabs_released;
-    if (tel_)
-        tel_->add(StatCounter::SlabReleased);
 }
 
 void

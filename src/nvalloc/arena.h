@@ -40,6 +40,9 @@ namespace nvalloc {
 class Arena
 {
   public:
+    /** Slab lifecycle, counted here and nowhere else: nvbench and
+     *  the stats.arena.<i>.* leaves read it per arena, and the heap
+     *  totals (stats.slab.*) sum it at read time. */
     struct Stats
     {
         uint64_t slabs_created = 0;
@@ -96,7 +99,7 @@ class Arena
     fastReserve(TCache &tcache, unsigned cls)
     {
         return core_cache_.reserve(cls, tcache, cfg_->fastpath_batch,
-                                   fp_stats_);
+                                   tel_);
     }
 
     /**
@@ -125,9 +128,6 @@ class Arena
             VClock::advanceTo(start, TimeKind::LockWait);
     }
 
-    /** Point fast-path telemetry at the heap-wide counters. */
-    void setFastPathStats(FastPathStats *s) { fp_stats_ = s; }
-
     /** Unpin and empty every CoreCache region slot (reclaimMemory),
      *  then release any now-releasable fully-free slabs. */
     void dropRegions();
@@ -150,8 +150,8 @@ class Arena
 
     const Stats &stats() const { return stats_; }
 
-    /** Mirror slab-lifecycle events into the heap's telemetry (the
-     *  local Stats struct keeps counting either way). */
+    /** Record fast-path counters and trace events into the heap's
+     *  telemetry. */
     void setTelemetry(Telemetry *tel) { tel_ = tel; }
 
   private:
@@ -174,7 +174,6 @@ class Arena
     std::unordered_set<VSlab *> slabs_;
 
     CoreCache core_cache_;
-    FastPathStats *fp_stats_ = nullptr;
     /** Virtual-time capacity server for lock-free fast ops. */
     VServer fp_server_;
     /** Treiber stack of slabs with un-enlisted availability. */

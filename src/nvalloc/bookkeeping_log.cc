@@ -236,7 +236,6 @@ BookkeepingLog::append(LogType type, uint64_t ext_off, uint64_t size,
     vc.owners[slot] = owner;
     if (type != kLogTombstone)
         ++live_entries_;
-    ++stats_.appends;
     if (tel_)
         tel_->add(StatCounter::LogAppend);
     return LogEntryRef{vc.id, slot};
@@ -255,7 +254,6 @@ BookkeepingLog::tombstone(LogEntryRef target)
     --vc->live;
     vc->owners[target.slot] = nullptr;
     --live_entries_;
-    ++stats_.tombstones;
     if (tel_)
         tel_->add(StatCounter::LogTombstone);
 
@@ -281,7 +279,6 @@ void
 BookkeepingLog::fastGc()
 {
     const uint64_t t0 = VClock::now();
-    stats_.fast_gcs.fetch_add(1, std::memory_order_relaxed);
     if (tel_) {
         tel_->add(StatCounter::LogFastGc);
         tel_->event(TraceOp::LogGc, 0);
@@ -301,8 +298,8 @@ BookkeepingLog::fastGc()
         }
         vc = next;
     }
-    stats_.gc_ns.fetch_add(VClock::now() - t0,
-                           std::memory_order_relaxed);
+    if (tel_)
+        tel_->add(StatCounter::LogGcNs, VClock::now() - t0);
 }
 
 void
@@ -354,7 +351,6 @@ BookkeepingLog::slowGc()
         return false;
 
     const uint64_t t0 = VClock::now();
-    stats_.slow_gcs.fetch_add(1, std::memory_order_relaxed);
     if (tel_) {
         tel_->add(StatCounter::LogSlowGc);
         tel_->event(TraceOp::LogGc, 1);
@@ -409,7 +405,8 @@ BookkeepingLog::slowGc()
         if (e.owner && relocate_)
             relocate_(e.owner, LogEntryRef{new_tail->id, slot});
     }
-    stats_.entries_copied.fetch_add(copied, std::memory_order_relaxed);
+    if (tel_)
+        tel_->add(StatCounter::LogEntriesCopied, copied);
 
     // Publish: one persistent word flip moves recovery to list_new.
     // All of list_new is durable (each activation and entry write was
@@ -434,15 +431,16 @@ BookkeepingLog::slowGc()
     if (flush_)
         dev_->fence();
     tail_ = new_tail;
-    stats_.gc_ns.fetch_add(VClock::now() - t0,
-                           std::memory_order_relaxed);
+    if (tel_)
+        tel_->add(StatCounter::LogGcNs, VClock::now() - t0);
     return true;
 }
 
-void
+BookkeepingLog::ReplayRejects
 BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
                                                 uint64_t, LogEntryRef)> &fn)
 {
+    ReplayRejects rejects;
     NV_ASSERT(active_.empty());
 
     // Pass 1: adopt the published chain, rebuild bitmaps, apply
@@ -455,7 +453,7 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
     std::vector<VChunk *> chain;
     while (off) {
         if (!logChunkOffValid(region_off_, region_bytes_, off)) {
-            ++stats_.replay_chunks_rejected;
+            ++rejects.chunks;
             break;
         }
         // Reading one chunk (17 lines) is a short sequential burst.
@@ -469,7 +467,7 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
             // would walk wild offsets.
             if (dev_->isPoisoned(pc, kLogHeaderArea) ||
                 pc->crc != logChunkCrc(*pc)) {
-                ++stats_.replay_chunks_rejected;
+                ++rejects.chunks;
                 break;
             }
         }
@@ -495,7 +493,7 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
                 if (dev_->isPoisoned(&pc->entries[phys], 8) ||
                     !logEntryChecksumOk(packed)) {
                     if (packed != 0)
-                        ++stats_.replay_entries_rejected;
+                        ++rejects.entries;
                     break;
                 }
             } else if (packed == 0) {
@@ -577,6 +575,7 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
                LogEntryRef{vc->id, slot});
         }
     }
+    return rejects;
 }
 
 } // namespace nvalloc

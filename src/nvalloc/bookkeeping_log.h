@@ -53,25 +53,12 @@ class BookkeepingLog
      *  update its stored LogEntryRef. */
     using RelocateFn = std::function<void(void *owner, LogEntryRef ref)>;
 
-    struct Stats
+    /** What replay() refused to trust; recovery copies these into
+     *  RecoveryInfo (stats.log.replay.*). */
+    struct ReplayRejects
     {
-        uint64_t appends = 0;
-        uint64_t tombstones = 0;
-        /** The GC counters are written under the large-allocator lock
-         *  (by the maintenance worker in Thread mode as well as by
-         *  mutator inline GC) but read lock-free by the ctl tree and
-         *  by tests, hence atomic; relaxed ordering suffices for
-         *  monotonic counters. The replay counters stay plain: they
-         *  are written only during single-threaded open/replay. */
-        std::atomic<uint64_t> fast_gcs{0};
-        std::atomic<uint64_t> slow_gcs{0};
-        std::atomic<uint64_t> entries_copied{0};
-        /** Virtual ns spent inside fast/slow GC passes, accrued on
-         *  whichever thread ran them (mutator inline vs. maintenance
-         *  service — the fig17 foreground/background split). */
-        std::atomic<uint64_t> gc_ns{0};
-        uint64_t replay_entries_rejected = 0; //!< bad fold csum/poison
-        uint64_t replay_chunks_rejected = 0;  //!< bad header crc/poison
+        uint64_t entries = 0; //!< bad fold csum / poisoned entries
+        uint64_t chunks = 0;  //!< bad header crc / poisoned chunks
     };
 
     BookkeepingLog() = default;
@@ -110,15 +97,15 @@ class BookkeepingLog
     /**
      * Recovery: walk every live entry of the published chunk list in
      * append order, invoking fn(type, ext_off, size, ref). Rebuilds
-     * all volatile state (vchunks, free list) as a side effect.
+     * all volatile state (vchunks, free list) as a side effect, and
+     * returns what it rejected on the way.
      */
-    void replay(const std::function<void(LogType, uint64_t, uint64_t,
-                                         LogEntryRef)> &fn);
+    ReplayRejects replay(const std::function<void(LogType, uint64_t,
+                                                  uint64_t, LogEntryRef)>
+                             &fn);
 
     /** Let the owner of a replayed entry be registered for GC. */
     void setOwner(LogEntryRef ref, void *owner);
-
-    const Stats &stats() const { return stats_; }
 
     /** Lock-free occupancy snapshots: the maintenance service polls
      *  these from mutator threads (pollLogPressure), hence atomic. */
@@ -144,8 +131,8 @@ class BookkeepingLog
      *  reaches it through LargeAllocator::maintainLog. */
     void collectFast() { fastGc(); }
 
-    /** Mirror append/tombstone/GC events into the heap's telemetry
-     *  (the local Stats struct keeps counting either way). */
+    /** Count append/tombstone/GC events (stats.log.*) into the heap's
+     *  telemetry; unset, they go uncounted. */
     void setTelemetry(Telemetry *tel) { tel_ = tel; }
 
   private:
@@ -182,7 +169,6 @@ class BookkeepingLog
     size_t max_chunks_ = 0;
 
     RelocateFn relocate_;
-    Stats stats_;
     Telemetry *tel_ = nullptr;
 
     LogChunk *chunkAt(const VChunk &vc) const

@@ -114,13 +114,9 @@ struct NvAllocConfig
      *  device's latency model should be set to eADR mode as well. */
     bool flush_enabled = true;
 
-    /**
-     * Runtime statistics (the src/telemetry sharded counters and the
-     * ctlRead/statsJson introspection tree). Off, the heap still
-     * answers ctl queries — every counter just stays zero; the Arena
-     * and log-level Stats structs keep counting regardless.
-     */
-    bool telemetry = true;
+    // Runtime statistics have no knob: every heap counts each event
+    // once, in its telemetry shards (DESIGN.md §7), and maintenance
+    // pacing and the pool read those counters.
 
     /**
      * When non-zero, event tracing is armed from birth with a
@@ -207,6 +203,10 @@ struct NvAllocConfig
     /** Per-tenant capacity quota in bytes, enforced on the extent path
      *  (activated extent bytes, slabs included). 0 = unlimited. */
     uint64_t capacity_quota_bytes = 0;
+
+    /** Field-wise identity: the pool refuses to share a member
+     *  between opens whose configs differ in any knob. */
+    bool operator==(const NvAllocConfig &) const = default;
 
     /**
      * Validate the knobs an NvAlloc::open() caller can get wrong

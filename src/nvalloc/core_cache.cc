@@ -4,7 +4,7 @@ namespace nvalloc {
 
 unsigned
 CoreCache::reserve(unsigned cls, TCache &tcache, unsigned batch,
-                   FastPathStats *stats)
+                   Telemetry *tel)
 {
     unsigned reserved = 0;
     uint64_t retries = 0;
@@ -31,14 +31,10 @@ CoreCache::reserve(unsigned cls, TCache &tcache, unsigned batch,
         }
         slab->exitFast();
     }
-    if (stats) {
-        stats->cas_retries.fetch_add(retries,
-                                     std::memory_order_relaxed);
-        if (reserved > 0)
-            stats->reserve_hits.fetch_add(1, std::memory_order_relaxed);
-        else
-            stats->reserve_misses.fetch_add(1,
-                                            std::memory_order_relaxed);
+    if (tel) {
+        tel->add(StatCounter::CasRetries, retries);
+        tel->add(reserved > 0 ? StatCounter::ReserveHits
+                              : StatCounter::ReserveMisses);
     }
     return reserved;
 }

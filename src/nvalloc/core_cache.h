@@ -27,23 +27,9 @@
 #include "common/size_classes.h"
 #include "nvalloc/slab.h"
 #include "nvalloc/tcache.h"
+#include "telemetry/telemetry.h"
 
 namespace nvalloc {
-
-/**
- * Heap-wide fast-path telemetry, surfaced as the stats.fastpath.* ctl
- * subtree (`nvalloc_stat --ctl stats.fastpath`). Relaxed increments:
- * these are diagnostic counters, not synchronization.
- */
-struct FastPathStats
-{
-    std::atomic<uint64_t> reserve_hits{0};   //!< region reservations
-    std::atomic<uint64_t> reserve_misses{0}; //!< regions dry / skipped
-    std::atomic<uint64_t> cas_retries{0};    //!< bitfield CAS losses
-    std::atomic<uint64_t> region_steals{0};  //!< sibling-arena refills
-    std::atomic<uint64_t> refill_searches{0}; //!< locked tree searches
-    std::atomic<uint64_t> locked_fallbacks{0}; //!< frees/allocs via VLock
-};
 
 class CoreCache
 {
@@ -62,10 +48,10 @@ class CoreCache
     /**
      * Lock-free: claim up to `batch` blocks of `cls` from the region
      * slabs into `tcache`. Returns the number reserved; counts a hit
-     * or a miss (and any CAS retries) into `stats`.
+     * or a miss (and any CAS retries) into `tel`.
      */
     unsigned reserve(unsigned cls, TCache &tcache, unsigned batch,
-                     FastPathStats *stats);
+                     Telemetry *tel);
 
     /**
      * Publish `slab` as a region for `cls`, displacing the slot the

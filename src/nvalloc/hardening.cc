@@ -43,6 +43,26 @@ fillIntact(const uint8_t *p, size_t n, uint8_t expect)
     return true;
 }
 
+/** The stats.hardening.* counter a detection of `kind` bumps. */
+StatCounter
+kindCounter(CorruptionKind kind)
+{
+    switch (kind) {
+    case CorruptionKind::GuardOverflow: return StatCounter::GuardOverflow;
+    case CorruptionKind::GuardUseAfterFree: return StatCounter::GuardUaf;
+    case CorruptionKind::DoubleFree: return StatCounter::DoubleFree;
+    case CorruptionKind::MisalignedFree:
+        return StatCounter::MisalignedFree;
+    case CorruptionKind::WildFree: return StatCounter::WildFree;
+    case CorruptionKind::CrossHeapFree: return StatCounter::CrossHeapFree;
+    case CorruptionKind::CanaryStomp: return StatCounter::CanaryStomp;
+    case CorruptionKind::QuarantineStomp:
+        return StatCounter::QuarantineUaf;
+    case CorruptionKind::TxStagedFree: return StatCounter::TxStagedFree;
+    }
+    return StatCounter::CorruptionReport;
+}
+
 } // namespace
 
 HardeningManager::~HardeningManager()
@@ -68,6 +88,13 @@ HardeningManager::init(NvAlloc *owner, PmDevice *dev, Telemetry *tel,
         registry().heaps.push_back(owner_);
         registered_ = true;
     }
+}
+
+void
+HardeningManager::count(StatCounter c)
+{
+    if (tel_)
+        tel_->add(c);
 }
 
 void
@@ -105,22 +132,8 @@ void
 HardeningManager::report(CorruptionKind kind, uint64_t off,
                          uint32_t size_class, std::string detail)
 {
-    switch (kind) {
-    case CorruptionKind::GuardOverflow: bump(stats_.guard_overflows); break;
-    case CorruptionKind::GuardUseAfterFree: bump(stats_.guard_uaf); break;
-    case CorruptionKind::DoubleFree: bump(stats_.double_frees); break;
-    case CorruptionKind::MisalignedFree:
-        bump(stats_.misaligned_frees);
-        break;
-    case CorruptionKind::WildFree: bump(stats_.wild_frees); break;
-    case CorruptionKind::CrossHeapFree:
-        bump(stats_.cross_heap_frees);
-        break;
-    case CorruptionKind::CanaryStomp: bump(stats_.canary_stomps); break;
-    case CorruptionKind::QuarantineStomp: bump(stats_.quarantine_uaf); break;
-    case CorruptionKind::TxStagedFree: bump(stats_.tx_staged_frees); break;
-    }
-    bump(stats_.reports);
+    count(kindCounter(kind));
+    count(StatCounter::CorruptionReport);
 
     CorruptionReport rep;
     rep.kind = kind;
@@ -214,7 +227,7 @@ HardeningManager::armGuard(uint64_t off, uint64_t user_size,
                 ++it;
         }
     }
-    bump(stats_.guard_allocs);
+    count(StatCounter::GuardAlloc);
 }
 
 bool
@@ -308,7 +321,7 @@ HardeningManager::quarantinePush(VSlab *slab, unsigned idx,
     // The block is lent: its slab cannot be released and nobody else
     // can be handed the block, so this fill cannot race a new owner.
     std::memset(dev_->at(off), kQuarantineByte, block_size);
-    bump(stats_.quarantine_pushes);
+    count(StatCounter::QuarantinePush);
 
     QuarantinedBlock evicted;
     bool have_evicted = false;
@@ -335,7 +348,7 @@ HardeningManager::evictOne(QuarantinedBlock b)
                "quarantined block was written after free");
     }
     b.slab->arena->returnLent(b.slab, b.idx);
-    bump(stats_.quarantine_evictions);
+    count(StatCounter::QuarantineEviction);
 }
 
 void

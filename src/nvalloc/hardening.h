@@ -43,7 +43,6 @@
 #ifndef NVALLOC_NVALLOC_HARDENING_H
 #define NVALLOC_NVALLOC_HARDENING_H
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -52,6 +51,7 @@
 #include <vector>
 
 #include "nvalloc/config.h"
+#include "telemetry/counters.h"
 #include "telemetry/event_ring.h"
 
 namespace nvalloc {
@@ -108,29 +108,6 @@ struct CorruptionReport
     std::vector<TraceEvent> trace; //!< events touching off (≤ 8)
 };
 
-/** stats.hardening.* counters. All relaxed atomics: bumped on the
- *  (cold) detection paths and on guard/quarantine traffic, read
- *  lock-free by the ctl tree. */
-struct HardeningStats
-{
-    std::atomic<uint64_t> validated_frees{0}; //!< frees passing checks
-    std::atomic<uint64_t> double_frees{0};
-    std::atomic<uint64_t> misaligned_frees{0};
-    std::atomic<uint64_t> wild_frees{0};
-    std::atomic<uint64_t> cross_heap_frees{0};
-    std::atomic<uint64_t> canary_stomps{0};
-    std::atomic<uint64_t> tx_staged_frees{0}; //!< frees racing an open tx
-    std::atomic<uint64_t> guard_allocs{0};
-    std::atomic<uint64_t> guard_frees{0};
-    std::atomic<uint64_t> guard_overflows{0};
-    std::atomic<uint64_t> guard_uaf{0};
-    std::atomic<uint64_t> quarantine_pushes{0};
-    std::atomic<uint64_t> quarantine_evictions{0};
-    std::atomic<uint64_t> quarantine_uaf{0};
-    std::atomic<uint64_t> leaked_blocks{0}; //!< report-and-leak leaks
-    std::atomic<uint64_t> reports{0};       //!< CorruptionReports made
-};
-
 class HardeningManager
 {
   public:
@@ -168,7 +145,6 @@ class HardeningManager
      *  the quarantine (it is volatile and there are no mutators to
      *  defend against yet). */
     bool ready() const { return dev_ != nullptr; }
-    const HardeningStats &stats() const { return stats_; }
 
     /** Per-block canary word: a fixed seed whitened by the block
      *  offset, so a canary copied verbatim to another block still
@@ -193,10 +169,6 @@ class HardeningManager
 
     /** Snapshot of the retained reports, newest last. */
     std::vector<CorruptionReport> reportsSnapshot() const;
-
-    void noteValidatedFree() { bump(stats_.validated_frees); }
-    void noteLeakedBlock() { bump(stats_.leaked_blocks); }
-    void noteGuardFree() { bump(stats_.guard_frees); }
 
     // ---- cross-heap registry ----------------------------------------
 
@@ -299,11 +271,9 @@ class HardeningManager
         uint64_t epoch = 0; //!< extent reuse epoch at free time
     };
 
-    static void
-    bump(std::atomic<uint64_t> &a, uint64_t n = 1)
-    {
-        a.fetch_add(n, std::memory_order_relaxed);
-    }
+    /** stats.hardening.* go to the heap's telemetry; before init()
+     *  (recovery) nothing here is counted. */
+    void count(StatCounter c);
 
     void evictOne(QuarantinedBlock b);
     void verifyWatchedGuard(const WatchedGuard &w);
@@ -324,8 +294,6 @@ class HardeningManager
     std::deque<WatchedGuard> watch_;
     std::deque<QuarantinedBlock> quarantine_;
     std::deque<CorruptionReport> reports_;
-
-    HardeningStats stats_;
 };
 
 } // namespace nvalloc

@@ -121,7 +121,7 @@ LargeAllocator::newRegion()
                             std::memory_order_relaxed);
         return nullptr;
     }
-    ++stats_.regions_mapped;
+    count(StatCounter::LargeRegionsMapped);
 
     auto &slots = desc_free_[off];
     slots.clear();
@@ -182,7 +182,7 @@ Veh *
 LargeAllocator::splitFront(Veh *veh, uint64_t size)
 {
     NV_ASSERT(veh->size > size);
-    ++stats_.splits;
+    count(StatCounter::LargeSplits);
     chargeSearch(2);
 
     Veh *front = new Veh;
@@ -278,7 +278,7 @@ LargeAllocator::allocateDirect(uint64_t size,
                             std::memory_order_relaxed);
         return 0;
     }
-    ++stats_.regions_mapped;
+    count(StatCounter::LargeRegionsMapped);
     auto &slots = desc_free_[off];
     for (unsigned i = kDescsPerRegion; i-- > 0;)
         slots.push_back(i);
@@ -293,7 +293,7 @@ LargeAllocator::allocateDirect(uint64_t size,
         regionTableRemove(off);
         desc_free_.erase(off);
         dev_->unmapRegion(off, total);
-        ++stats_.regions_unmapped;
+        count(StatCounter::LargeRegionsUnmapped);
         delete veh;
         return 0;
     }
@@ -306,7 +306,7 @@ LargeAllocator::allocate(uint64_t size, bool is_slab,
 {
     VLockGuard guard(lock_);
     decayTick();
-    ++stats_.allocations;
+    count(StatCounter::LargeAllocations);
     size = alignUp(size, kExtentAlign);
 
     // Per-tenant capacity quota (pool containment, DESIGN.md §12):
@@ -368,7 +368,7 @@ LargeAllocator::coalesce(Veh *veh)
     Veh *left = findVeh(veh->off - 1);
     if (left && left->state == Veh::State::Reclaimed &&
         left->off + left->size == veh->off) {
-        ++stats_.coalesces;
+        count(StatCounter::LargeCoalesces);
         chargeSearch(2);
         removeFree(left);
         left->size += veh->size;
@@ -383,7 +383,7 @@ LargeAllocator::coalesce(Veh *veh)
     Veh *right = findVeh(veh->off + veh->size);
     if (right && right->state == Veh::State::Reclaimed &&
         veh->off + veh->size == right->off) {
-        ++stats_.coalesces;
+        count(StatCounter::LargeCoalesces);
         chargeSearch(2);
         removeFree(right);
         veh->size += right->size;
@@ -399,7 +399,7 @@ void
 LargeAllocator::free(uint64_t off)
 {
     VLockGuard guard(lock_);
-    ++stats_.frees;
+    count(StatCounter::LargeFrees);
 
     Veh *veh = findVeh(off);
     NV_ASSERT(veh && veh->off == off &&
@@ -415,7 +415,7 @@ LargeAllocator::free(uint64_t off)
         regionTableRemove(region);
         desc_free_.erase(region);
         dev_->unmapRegion(region, total);
-        ++stats_.regions_unmapped;
+        count(StatCounter::LargeRegionsUnmapped);
         delete veh;
         return;
     }
@@ -450,8 +450,7 @@ LargeAllocator::maintainLog(bool want_slow, bool *ran_slow,
         return false;
     VLockGuard guard(lock_);
     size_t before = log_->activeChunks();
-    uint64_t gc_ns_before =
-        log_->stats().gc_ns.load(std::memory_order_relaxed);
+    const uint64_t t0 = VClock::now();
     log_->collectFast();
     bool did = log_->activeChunks() != before;
     if (want_slow && log_->slowGc()) {
@@ -460,8 +459,7 @@ LargeAllocator::maintainLog(bool want_slow, bool *ran_slow,
             *ran_slow = true;
     }
     if (gc_ns)
-        *gc_ns = log_->stats().gc_ns.load(std::memory_order_relaxed) -
-                 gc_ns_before;
+        *gc_ns = VClock::now() - t0;
     return did;
 }
 
@@ -550,7 +548,7 @@ void
 LargeAllocator::demote(Veh *veh)
 {
     NV_ASSERT(veh->state == Veh::State::Reclaimed);
-    ++stats_.demotions;
+    count(StatCounter::LargeDemotions);
     removeFree(veh);
     dev_->decommit(veh->off, veh->size);
     insertFree(veh, Veh::State::Retained);
@@ -565,8 +563,8 @@ LargeAllocator::evict(Veh *veh)
     uint64_t total = regions_.at(region);
     NV_ASSERT(veh->off == region + kRegionHeaderSize &&
               veh->size == total - kRegionHeaderSize);
-    ++stats_.evictions;
-    ++stats_.regions_unmapped;
+    count(StatCounter::LargeEvictions);
+    count(StatCounter::LargeRegionsUnmapped);
 
     removeFree(veh);
     rtree_.setRange(veh->off, veh->size, nullptr);
@@ -743,7 +741,7 @@ LargeAllocator::rebuildFreeSpace()
         regionTableRemove(region);
         desc_free_.erase(region);
         dev_->unmapRegion(region, total);
-        ++stats_.regions_unmapped;
+        count(StatCounter::LargeRegionsUnmapped);
     }
 }
 

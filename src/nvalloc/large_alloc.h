@@ -78,18 +78,6 @@ struct Veh
 class LargeAllocator
 {
   public:
-    struct Stats
-    {
-        uint64_t allocations = 0;
-        uint64_t frees = 0;
-        uint64_t splits = 0;
-        uint64_t coalesces = 0;
-        uint64_t regions_mapped = 0;
-        uint64_t regions_unmapped = 0;
-        uint64_t demotions = 0; //!< reclaimed -> retained
-        uint64_t evictions = 0; //!< retained -> OS
-    };
-
     LargeAllocator() = default;
     ~LargeAllocator();
 
@@ -153,9 +141,8 @@ class LargeAllocator
      * slow GC when `want_slow`. Returns true if anything was freed or
      * compacted; *ran_slow reports whether the slow GC actually ran
      * (it declines when the region cannot hold a survivor copy), and
-     * *gc_ns the log's Stats.gc_ns growth — the virtual time this call
-     * put on the calling (maintenance) thread's clock, read under the
-     * lock so concurrent inline GCs cannot tear it.
+     * *gc_ns the virtual time the GC passes put on the calling
+     * (maintenance) thread's clock — its share of stats.log.gc_ns.
      */
     bool maintainLog(bool want_slow, bool *ran_slow,
                      uint64_t *gc_ns = nullptr);
@@ -256,7 +243,10 @@ class LargeAllocator
      *  mid-check; everything else locks through the member functions. */
     VLock &lock() { return lock_; }
 
-    const Stats &stats() const { return stats_; }
+    /** Count extent-lifecycle events (stats.large.*) into the heap's
+     *  telemetry; unset, they go uncounted. */
+    void setTelemetry(Telemetry *tel) { tel_ = tel; }
+
     uint64_t activatedBytes() const { return activated_bytes_; }
     uint64_t reclaimedBytes() const { return reclaimed_bytes_; }
     uint64_t retainedBytes() const { return retained_bytes_; }
@@ -294,8 +284,15 @@ class LargeAllocator
     VLock lock_;
     std::atomic<uint64_t> global_vnow_{0};
 
-    Stats stats_;
+    Telemetry *tel_ = nullptr;
     std::atomic<NvStatus> last_failure_{NvStatus::Ok};
+
+    void
+    count(StatCounter c)
+    {
+        if (tel_)
+            tel_->add(c);
+    }
 
     Veh *bestFit(SizeTree &tree, uint64_t size);
     Veh *newRegion();

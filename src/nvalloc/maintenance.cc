@@ -80,9 +80,16 @@ MaintenanceService::resume()
 }
 
 void
+MaintenanceService::count(StatCounter c, uint64_t n)
+{
+    if (w_.tel)
+        w_.tel->add(c, n);
+}
+
+void
 MaintenanceService::wake(MaintWakeReason reason)
 {
-    stats_.wakes.fetch_add(1, std::memory_order_relaxed);
+    count(StatCounter::MaintWake);
     if (w_.tel)
         w_.tel->event(TraceOp::MaintWake, uint64_t(reason));
     if (mode_ != MaintenanceMode::Thread)
@@ -97,7 +104,7 @@ MaintenanceService::wake(MaintWakeReason reason)
 void
 MaintenanceService::reclaimSync()
 {
-    stats_.wakes.fetch_add(1, std::memory_order_relaxed);
+    count(StatCounter::MaintWake);
     if (w_.tel)
         w_.tel->event(TraceOp::MaintWake,
                       uint64_t(MaintWakeReason::Reclaim));
@@ -166,7 +173,7 @@ MaintenanceService::pollLogPressure()
     if (wake_armed_.exchange(true, std::memory_order_relaxed))
         return;
 
-    stats_.wakes.fetch_add(1, std::memory_order_relaxed);
+    count(StatCounter::MaintWake);
     if (w_.tel)
         w_.tel->event(TraceOp::MaintWake,
                       uint64_t(MaintWakeReason::LogPressure));
@@ -205,7 +212,7 @@ MaintenanceService::runSlice(bool forced)
     // auditor relies on.
     if (!forced && paused())
         return false;
-    stats_.slices.fetch_add(1, std::memory_order_relaxed);
+    count(StatCounter::MaintSlice);
 
     const uint64_t t0 = VClock::now();
     const uint64_t budget = cfg_.maintenance_slice_ns;
@@ -222,26 +229,25 @@ MaintenanceService::runSlice(bool forced)
             forced ||
             (logOccupancy() >= wakeLevel() && logHasGarbage());
         if (want_slow && pins_.load(std::memory_order_acquire) != 0) {
-            stats_.deferred.fetch_add(1, std::memory_order_relaxed);
+            count(StatCounter::MaintDeferred);
             want_slow = false;
         }
         bool ran_slow = false;
         uint64_t gc_ns = 0;
         if (w_.large->maintainLog(want_slow, &ran_slow, &gc_ns))
             did = true;
-        stats_.log_fast_gc.fetch_add(1, std::memory_order_relaxed);
+        count(StatCounter::MaintLogFastGc);
         if (ran_slow)
-            stats_.log_slow_gc.fetch_add(1, std::memory_order_relaxed);
+            count(StatCounter::MaintLogSlowGc);
         if (gc_ns)
-            stats_.gc_virtual_ns.fetch_add(gc_ns,
-                                           std::memory_order_relaxed);
+            count(StatCounter::MaintGcVirtualNs, gc_ns);
     }
 
     // 2. Extent decay: demote cooled reclaimed extents, evict
     //    whole-region retained ones (one tick per slice).
     if (forced || budget_left()) {
         w_.large->decayPass();
-        stats_.decay_ticks.fetch_add(1, std::memory_order_relaxed);
+        count(StatCounter::MaintDecayTick);
     }
 
     // 3. Poison scrubbing, bounded per slice. Only clearly-dead lines
@@ -259,8 +265,7 @@ MaintenanceService::runSlice(bool forced)
                                                    w_.protected_ranges);
         if (n) {
             did = true;
-            stats_.scrubbed_lines.fetch_add(n,
-                                            std::memory_order_relaxed);
+            count(StatCounter::MaintScrubbedLine, n);
         }
     }
 
@@ -270,7 +275,7 @@ MaintenanceService::runSlice(bool forced)
     uint64_t failed = w_.failed_allocs ? w_.failed_allocs() : 0;
     if ((forced || failed > last_failed_allocs_) && w_.request_trim) {
         w_.request_trim();
-        stats_.trim_requests.fetch_add(1, std::memory_order_relaxed);
+        count(StatCounter::MaintTrimRequest);
     }
     last_failed_allocs_ = failed;
 
@@ -283,14 +288,13 @@ MaintenanceService::runSlice(bool forced)
     if ((forced || budget_left()) && w_.patrol) {
         if (w_.patrol()) {
             did = true;
-            stats_.patrol_slices.fetch_add(1,
-                                           std::memory_order_relaxed);
+            count(StatCounter::MaintPatrolSlice);
         }
     }
 
     wake_armed_.store(false, std::memory_order_relaxed);
     uint64_t spent = VClock::now() - t0;
-    stats_.virtual_ns.fetch_add(spent, std::memory_order_relaxed);
+    count(StatCounter::MaintVirtualNs, spent);
     if (w_.tel)
         w_.tel->event(TraceOp::MaintSlice, spent);
     return did;

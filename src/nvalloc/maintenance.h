@@ -26,15 +26,15 @@
  *            (reclaimSync, which hands the caller back only after a
  *            forced slice completed).
  *
- * Pacing inputs are the PR 3 telemetry/degradation counters: log
- * occupancy vs. gc_threshold, the device's poisoned-line count plus
- * the persistent quarantine depth, and DegradedStats.failed_allocs
- * (a rise between slices triggers cooperative tcache trimming).
+ * Pacing inputs: log occupancy vs. gc_threshold, the device's
+ * poisoned-line count plus the persistent quarantine depth, and the
+ * heap's stats.alloc.failed (a rise between slices triggers
+ * cooperative tcache trimming).
  *
  * Epoch-based deferral: slow GC relocates live log entries, so a
  * caller that holds a LogEntryRef across operations (tests, external
  * steppers) pins the epoch with pin()/unpin() (or PinGuard); a slice
- * that wants slow GC while pins are held defers it (stats.deferred)
+ * that wants slow GC while pins are held defers it (MaintDeferred)
  * and retries on a later slice. Internal mutators only touch refs
  * under the large allocator's lock, which every GC entry point also
  * takes, so they never need to pin.
@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "nvalloc/config.h"
+#include "telemetry/counters.h"
 
 namespace nvalloc {
 
@@ -75,30 +76,6 @@ enum class MaintWakeReason : uint8_t
     Explicit = 3,    //!< ctl "maintenance.wake" / API call
 };
 
-/** Service counters, exported as the stats.maintenance.* ctl family.
- *  All relaxed atomics: written by whichever thread runs a slice,
- *  read lock-free by the ctl tree. */
-struct MaintenanceStats
-{
-    std::atomic<uint64_t> slices{0};      //!< slices that ran
-    std::atomic<uint64_t> wakes{0};       //!< explicit wake-ups
-    std::atomic<uint64_t> log_fast_gc{0}; //!< fast-GC passes run
-    std::atomic<uint64_t> log_slow_gc{0}; //!< slow GCs that compacted
-    std::atomic<uint64_t> decay_ticks{0}; //!< decay passes run
-    std::atomic<uint64_t> scrubbed_lines{0}; //!< poison lines healed
-    std::atomic<uint64_t> trim_requests{0};  //!< tcache trims asked
-    std::atomic<uint64_t> deferred{0};   //!< slow GCs blocked by pins
-    std::atomic<uint64_t> virtual_ns{0}; //!< modeled time in slices
-    /** Share of BookkeepingLog::Stats.gc_ns that accrued inside
-     *  maintenance slices. stats.log.gc_ns minus this is what the
-     *  allocating threads still paid inline (fig17 fg/bg split). */
-    std::atomic<uint64_t> gc_virtual_ns{0};
-    /** Stage-5 patrol scrub (stats.scrub.*): slices that ran a patrol
-     *  batch. The item/finding/retry/pass counters live on the heap
-     *  (NvAlloc::scrubStats) next to the cursor they describe. */
-    std::atomic<uint64_t> patrol_slices{0};
-};
-
 class MaintenanceService
 {
   public:
@@ -109,7 +86,7 @@ class MaintenanceService
         PmDevice *dev = nullptr;
         LargeAllocator *large = nullptr;
         BookkeepingLog *log = nullptr; //!< null in in-place/Base mode
-        Telemetry *tel = nullptr;
+        Telemetry *tel = nullptr; //!< stats.maintenance.* land here
         std::function<uint64_t()> failed_allocs;
         std::function<uint64_t()> quarantine_depth;
         std::function<void()> request_trim;
@@ -162,7 +139,7 @@ class MaintenanceService
     }
 
     /** Nudge the Thread-mode worker to run a slice now (asynchronous;
-     *  counted in stats().wakes in every mode). */
+     *  counted in stats.maintenance.wakes in every mode). */
     void wake(MaintWakeReason reason);
 
     /**
@@ -217,7 +194,6 @@ class MaintenanceService
         std::lock_guard<std::mutex> l(mu_);
         return running_;
     }
-    const MaintenanceStats &stats() const { return stats_; }
 
   private:
     bool runSlice(bool forced);
@@ -258,7 +234,7 @@ class MaintenanceService
     std::mutex slice_mu_;
     uint64_t last_failed_allocs_ = 0;
 
-    MaintenanceStats stats_;
+    void count(StatCounter c, uint64_t n = 1);
 };
 
 } // namespace nvalloc

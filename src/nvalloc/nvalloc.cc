@@ -74,15 +74,17 @@ NvAlloc::NvAlloc(PmDevice &dev, NvAllocConfig cfg)
 
     static_assert(kMaxArenas <= kTelemetryMaxArenas,
                   "telemetry per-arena flush array too small");
+    static_assert(kNumNvStatuses <= kTelemetryMaxStatuses,
+                  "telemetry failed-allocation family too small");
 
     // Telemetry observes everything from here on, including heap
     // creation and recovery flushes (attributed to arena 0 until the
     // thread binds one).
-    tel_.setEnabled(cfg_.telemetry);
     if (cfg_.trace_ring_capacity)
         tel_.startTracing(cfg_.trace_ring_capacity);
     tel_.attachSink(&dev_.model());
     log_.setTelemetry(&tel_);
+    large_.setTelemetry(&tel_);
 
     if (sb_->magic == kSuperMagic)
         recoverHeap();
@@ -118,9 +120,7 @@ NvAlloc::initMaintenance()
     w.large = &large_;
     w.log = usesBookkeepingLog() ? &log_ : nullptr;
     w.tel = &tel_;
-    w.failed_allocs = [this] {
-        return deg_stats_.failed_allocs.load(std::memory_order_relaxed);
-    };
+    w.failed_allocs = [this] { return tel_.failedAllocs(); };
     w.quarantine_depth = [this] {
         return uint64_t(sb_->quarantine_count);
     };
@@ -274,7 +274,6 @@ NvAlloc::createHeap()
             i, &dev_, &cfg_, &large_, &slab_radix_,
             &attached_threads_));
         arenas_.back()->setTelemetry(&tel_);
-        arenas_.back()->setFastPathStats(&fp_stats_);
     }
 
     // Publish the superblock last: the config crc goes durable with
@@ -333,7 +332,7 @@ NvAlloc::attachThread()
 
     if (open_failed_) {
         failOp(open_status_);
-        ++deg_stats_.failed_attaches;
+        tel_.add(StatCounter::FailedAttaches);
         return nullptr;
     }
 
@@ -349,7 +348,7 @@ NvAlloc::attachThread()
     }
     if (slot == kMaxThreads) {
         failOp(NvStatus::TooManyThreads);
-        ++deg_stats_.failed_attaches;
+        tel_.add(StatCounter::FailedAttaches);
         return nullptr;
     }
 
@@ -491,7 +490,6 @@ NvAlloc::failAlloc()
         why = NvStatus::OutOfMemory;
     failOp(why);
     setMode(HeapMode::Exhausted);
-    ++deg_stats_.failed_allocs;
     tel_.noteAllocFailed(uint16_t(why));
     return 0;
 }
@@ -504,7 +502,7 @@ NvAlloc::reclaimMemory(ThreadCtx &ctx)
     // the large allocator's log GC and decay pass so tombstoned log
     // entries and demoted extents stop holding space.
     setMode(HeapMode::Reclaiming);
-    ++deg_stats_.reclaim_attempts;
+    tel_.add(StatCounter::ReclaimAttempts);
     tel_.event(TraceOp::Reclaim, 0);
     drainTcache(&ctx);
     // Region pins hold otherwise-free slabs against release; drop
@@ -564,8 +562,7 @@ NvAlloc::refillSmall(ThreadCtx &ctx, unsigned cls)
         Arena &peer = *arenas_[(ctx.arena->id() + i) % arenas_.size()];
         got = peer.fastReserve(ctx.tcache, cls);
         if (got > 0) {
-            fp_stats_.region_steals.fetch_add(1,
-                                              std::memory_order_relaxed);
+            tel_.add(StatCounter::RegionSteals);
             peer.bookFastOp(kFastReserveNs);
             VClock::advance(kFastReserveNs, TimeKind::Other);
             return got;
@@ -575,8 +572,7 @@ NvAlloc::refillSmall(ThreadCtx &ctx, unsigned cls)
         Arena &peer = *arenas_[(ctx.arena->id() + i) % arenas_.size()];
         got = peer.refill(ctx.tcache, cls);
         if (got > 0) {
-            fp_stats_.region_steals.fetch_add(1,
-                                              std::memory_order_relaxed);
+            tel_.add(StatCounter::RegionSteals);
             return got;
         }
     }
@@ -607,7 +603,7 @@ NvAlloc::allocSmall(ThreadCtx &ctx, size_t size, uint64_t where_off)
             refillSmall(ctx, cls);
             if (!ctx.tcache.pop(cls, blk))
                 return failAlloc();
-            ++deg_stats_.reclaim_successes;
+            tel_.add(StatCounter::ReclaimSuccesses);
         }
     }
     setMode(HeapMode::Normal);
@@ -639,8 +635,7 @@ NvAlloc::allocSmall(ThreadCtx &ctx, size_t size, uint64_t where_off)
         }
         blk.slab->arena->bookFastOp(kFastOpNs);
     } else {
-        fp_stats_.locked_fallbacks.fetch_add(1,
-                                             std::memory_order_relaxed);
+        tel_.add(StatCounter::LockedFallbacks);
         VLockGuard g(blk.slab->arena->lock);
         blk.slab->markAllocated(blk.idx);
     }
@@ -679,7 +674,7 @@ NvAlloc::allocLarge(ThreadCtx &ctx, size_t size, uint64_t where_off)
                 ctx.wal.retireNewest();
             return failAlloc();
         }
-        ++deg_stats_.reclaim_successes;
+        tel_.add(StatCounter::ReclaimSuccesses);
     }
     setMode(HeapMode::Normal);
     VClock::advance(kMallocCpuNs, TimeKind::Other);
@@ -704,7 +699,7 @@ NvAlloc::refuseUnhealthy()
     HeapHealth h = health_.load(std::memory_order_relaxed);
     if (unsigned(h) < unsigned(HeapHealth::Degraded))
         return false;
-    health_stats_.rejected_ops.fetch_add(1, std::memory_order_relaxed);
+    tel_.add(StatCounter::HealthRejectedOp);
     failOp(NvStatus::HeapUnhealthy);
     return true;
 }
@@ -720,7 +715,7 @@ NvAlloc::escalateHealth(HeapHealth to, const char *reason)
             return; // upward-only: Quarantined sticks over Degraded
     } while (!health_.compare_exchange_weak(cur, to,
                                             std::memory_order_relaxed));
-    health_stats_.escalations.fetch_add(1, std::memory_order_relaxed);
+    tel_.add(StatCounter::HealthEscalation);
     NV_WARN((std::string("heap health escalated to ") +
              heapHealthName(to) + ": " + (reason ? reason : "?"))
                 .c_str());
@@ -740,7 +735,7 @@ NvAlloc::restoreHealth()
     HeapHealth prev =
         health_.exchange(HeapHealth::Serving, std::memory_order_relaxed);
     if (unsigned(prev) >= unsigned(HeapHealth::Degraded))
-        health_stats_.restores.fetch_add(1, std::memory_order_relaxed);
+        tel_.add(StatCounter::HealthRestore);
     return NvStatus::Ok;
 }
 
@@ -773,15 +768,13 @@ NvAlloc::patrolSlice()
                                         std::memory_order_relaxed);
     }
 
-    scrub_stats_.slices.fetch_add(1, std::memory_order_relaxed);
-    scrub_stats_.items.fetch_add(r.items, std::memory_order_relaxed);
-    scrub_stats_.findings.fetch_add(r.findings,
-                                    std::memory_order_relaxed);
-    scrub_stats_.repaired.fetch_add(r.repaired,
-                                    std::memory_order_relaxed);
-    scrub_stats_.retries.fetch_add(r.retries, std::memory_order_relaxed);
+    tel_.add(StatCounter::ScrubSlice);
+    tel_.add(StatCounter::ScrubItem, r.items);
+    tel_.add(StatCounter::ScrubFinding, r.findings);
+    tel_.add(StatCounter::ScrubRepaired, r.repaired);
+    tel_.add(StatCounter::ScrubRetry, r.retries);
     if (r.wrapped)
-        scrub_stats_.passes.fetch_add(1, std::memory_order_relaxed);
+        tel_.add(StatCounter::ScrubPass);
 
     if (r.findings) {
         // Damage the patrol repaired in place (slab headers) degrades
@@ -863,7 +856,6 @@ NvAlloc::guardAlloc(ThreadCtx &ctx, size_t size, uint64_t where_off)
 NvStatus
 NvAlloc::rejectFree(uint64_t off, CorruptionKind kind)
 {
-    ++deg_stats_.invalid_frees;
     tel_.noteInvalidFree(off, uint16_t(NvStatus::InvalidFree));
     // A locally-unowned offset that another live heap owns is the
     // classic cross-heap free; only probed on the cold reject path,
@@ -930,19 +922,16 @@ NvAlloc::allocOffset(ThreadCtx &ctx, size_t size, uint64_t *where)
     // See freeOffset: plain ops would shadow the open tx run's WAL
     // resolution; the tx surface (txAlloc) is the way to allocate here.
     if (ctx.tx.open()) {
-        tx_mgr_.stats().plain_ops_rejected.fetch_add(
-            1, std::memory_order_relaxed);
+        tel_.add(StatCounter::TxPlainOpRejected);
         failOp(NvStatus::InvalidArgument);
         return 0;
     }
     if (refuseUnhealthy()) {
-        ++deg_stats_.failed_allocs;
         tel_.noteAllocFailed(uint16_t(NvStatus::HeapUnhealthy));
         return 0;
     }
     if (size == 0) {
         failOp(NvStatus::InvalidArgument);
-        ++deg_stats_.failed_allocs;
         tel_.noteAllocFailed(uint16_t(NvStatus::InvalidArgument));
         return 0;
     }
@@ -1000,8 +989,7 @@ NvStatus
 NvAlloc::freeOffset(ThreadCtx &ctx, uint64_t off, uint64_t *where)
 {
     if (ctx.tx.open()) {
-        tx_mgr_.stats().plain_ops_rejected.fetch_add(
-            1, std::memory_order_relaxed);
+        tel_.add(StatCounter::TxPlainOpRejected);
         return failOp(NvStatus::InvalidArgument);
     }
     if (refuseUnhealthy())
@@ -1112,9 +1100,7 @@ NvAlloc::retireExtent(const FreeCall &c, bool guard)
     large_.free(c.off);
     if (guard) {
         hardening_.watchFreedGuard(c.off, info);
-        hardening_.noteGuardFree();
-    } else {
-        hardening_.noteValidatedFree();
+        tel_.add(StatCounter::GuardFree);
     }
     if (c.mode == FreeMode::Strict)
         VClock::advance(kFreeCpuNs, TimeKind::Other);
@@ -1136,8 +1122,7 @@ NvAlloc::retireSmall(const FreeCall &c, VSlab *slab)
 {
     SmallFree f;
     if (!slab->enterFast() || !gateRetire(c, slab, false, f)) {
-        fp_stats_.locked_fallbacks.fetch_add(1,
-                                             std::memory_order_relaxed);
+        tel_.add(StatCounter::LockedFallbacks);
         VLockGuard g(slab->arena->lock);
         unsigned old_idx = 0;
         // Freezers hold this lock, so a slab still frozen now was
@@ -1284,7 +1269,7 @@ NvAlloc::finishSmall(const FreeCall &c, VSlab *slab, const SmallFree &f)
                                 "the canary word");
     }
     if (f.kind == SmallFree::Kind::Leaked) {
-        hardening_.noteLeakedBlock();
+        tel_.add(StatCounter::LeakedBlock);
         if (c.mode == FreeMode::Strict)
             publish(c.where, 0);
         return FreeResult::Leaked;
@@ -1309,7 +1294,6 @@ NvAlloc::finishSmall(const FreeCall &c, VSlab *slab, const SmallFree &f)
     case SmallFree::Route::Old:
         break; // freeOld already re-enlisted it under the lock
     }
-    hardening_.noteValidatedFree();
     if (c.mode == FreeMode::Strict)
         VClock::advance(kFreeCpuNs, TimeKind::Other);
     tel_.noteSmallFree(f.cls, c.off);
@@ -1320,7 +1304,6 @@ NvStatus
 NvAlloc::freeFrom(ThreadCtx &ctx, uint64_t *where)
 {
     if (!where || *where == 0) {
-        ++deg_stats_.invalid_frees;
         tel_.noteInvalidFree(0, uint16_t(NvStatus::InvalidFree));
         return failOp(NvStatus::InvalidFree);
     }

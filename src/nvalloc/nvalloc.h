@@ -125,27 +125,6 @@ struct RecoveryInfo
 /** Public name for the structured recovery report. */
 using RecoveryReport = RecoveryInfo;
 
-/** stats.scrub.* counters (online patrol scrubber, maintenance stage
- *  5). All relaxed atomics: bumped by whichever thread runs the patrol
- *  batch, read lock-free by the ctl tree. */
-struct ScrubStats
-{
-    std::atomic<uint64_t> slices{0};   //!< patrol batches run
-    std::atomic<uint64_t> items{0};    //!< metadata items examined
-    std::atomic<uint64_t> findings{0}; //!< stable damage declared
-    std::atomic<uint64_t> repaired{0}; //!< findings fixed in place
-    std::atomic<uint64_t> retries{0};  //!< transient mismatches re-read
-    std::atomic<uint64_t> passes{0};   //!< completed full walks
-};
-
-/** stats.health.* counters (heap health machine, DESIGN.md §12). */
-struct HealthStats
-{
-    std::atomic<uint64_t> escalations{0}; //!< upward transitions
-    std::atomic<uint64_t> restores{0};    //!< clean audits -> Serving
-    std::atomic<uint64_t> rejected_ops{0}; //!< allocs refused unhealthy
-};
-
 /**
  * Status-or-heap result of NvAlloc::open(). Exactly one of three
  * shapes:
@@ -351,8 +330,6 @@ class NvAlloc
         return mode_.load(std::memory_order_relaxed);
     }
 
-    const DegradedStats &degradedStats() const { return deg_stats_; }
-
     // ---- health & containment (pool.h, DESIGN.md §12) ---------------
 
     /** Current health state. Serving unless the patrol scrubber is
@@ -400,9 +377,6 @@ class NvAlloc
      */
     unsigned patrolSlice();
 
-    const ScrubStats &scrubStats() const { return scrub_stats_; }
-    const HealthStats &healthStats() const { return health_stats_; }
-
     /** True if recovery quarantined the slab at device offset `off`
      *  (this run or any earlier one — the list is persistent). */
     bool isQuarantined(uint64_t off) const;
@@ -437,8 +411,8 @@ class NvAlloc
     // ---- hardening --------------------------------------------------
 
     /** The heap-hardening subsystem (hardening.h, DESIGN.md §9):
-     *  guard-sampling state, the delayed-reuse quarantine, detection
-     *  counters and retained CorruptionReports. */
+     *  guard-sampling state, the delayed-reuse quarantine and retained
+     *  CorruptionReports (its counters are stats.hardening.*). */
     HardeningManager &hardening() { return hardening_; }
     const HardeningManager &hardening() const { return hardening_; }
 
@@ -498,9 +472,6 @@ class NvAlloc
      *  subtree under `prefix` (CtlRegistry::json). */
     std::string statsJson(std::string_view prefix = {});
 
-    /** Heap-wide lock-free fast-path counters (stats.fastpath.*). */
-    const FastPathStats &fastPathStats() const { return fp_stats_; }
-
     /** WAL commits since open: the sum of every thread ring's append
      *  sequence, plus the rings of threads that have since detached
      *  (the slot's sequence restarts on reattach). Exposed by ctl as
@@ -544,8 +515,6 @@ class NvAlloc
     BookkeepingLog log_;
     LargeAllocator large_;
     RadixTree slab_radix_;
-    // Declared before the arenas, which hold a pointer into it.
-    FastPathStats fp_stats_;
     std::vector<std::unique_ptr<Arena>> arenas_;
 
     std::mutex attach_mutex_;
@@ -563,26 +532,23 @@ class NvAlloc
     std::atomic<HeapMode> mode_{HeapMode::Normal};
     NvStatus open_status_ = NvStatus::Ok;
     bool open_failed_ = false;
-    DegradedStats deg_stats_;
 
     // Health machine + patrol scrub state (DESIGN.md §12). The cursor
     // is guarded by patrol_mu_: stage 5 runs under the maintenance
     // slice lock, but tests/tools may call patrolSlice() directly.
     std::atomic<HeapHealth> health_{HeapHealth::Serving};
-    HealthStats health_stats_;
     HealthHook health_hook_;
     std::mutex patrol_mu_;
     PatrolCursor patrol_cursor_;
-    ScrubStats scrub_stats_;
 
-    // Hardening state (guard map, quarantine FIFO, detection
-    // counters). Declared after the arenas/large allocator it
-    // references; its destructor only frees DRAM — the quarantine is
-    // drained explicitly in ~NvAlloc while the arenas still exist.
+    // Hardening state (guard map, quarantine FIFO, retained reports).
+    // Declared after the arenas/large allocator it references; its
+    // destructor only frees DRAM — the quarantine is drained
+    // explicitly in ~NvAlloc while the arenas still exist.
     HardeningManager hardening_;
 
-    // Transaction bookkeeping (tx.h): open ids, the staged-offset
-    // registry the free validator probes, stats.tx.* counters.
+    // Transaction bookkeeping (tx.h): open ids and the staged-offset
+    // registry the free validator probes.
     TxManager tx_mgr_;
 
     // The attached KV store's counter block (kv_stats.h); null while
@@ -590,7 +556,7 @@ class NvAlloc
     std::atomic<const KvStats *> kv_stats_{nullptr};
 
     // Dotted-name registry, built on first ctl use (stats.cc); the
-    // ~330 readers are not worth constructing for heaps that are
+    // ~450 readers are not worth constructing for heaps that are
     // never introspected.
     std::once_flag ctl_once_;
     CtlRegistry ctl_;

@@ -7,39 +7,6 @@
 
 namespace nvalloc {
 
-bool
-HeapPool::sameConfig(const NvAllocConfig &a, const NvAllocConfig &b)
-{
-    return a.consistency == b.consistency &&
-           a.interleaved_bitmap == b.interleaved_bitmap &&
-           a.interleaved_tcache == b.interleaved_tcache &&
-           a.interleaved_wal == b.interleaved_wal &&
-           a.interleaved_log == b.interleaved_log &&
-           a.bit_stripes == b.bit_stripes &&
-           a.dynamic_stripes == b.dynamic_stripes &&
-           a.slab_morphing == b.slab_morphing &&
-           a.morph_threshold == b.morph_threshold &&
-           a.log_bookkeeping == b.log_bookkeeping &&
-           a.num_arenas == b.num_arenas &&
-           a.log_file_bytes == b.log_file_bytes &&
-           a.log_gc_threshold == b.log_gc_threshold &&
-           a.decay_window_ns == b.decay_window_ns &&
-           a.flush_enabled == b.flush_enabled &&
-           a.telemetry == b.telemetry &&
-           a.trace_ring_capacity == b.trace_ring_capacity &&
-           a.verify_recovery_checksums == b.verify_recovery_checksums &&
-           a.maintenance_mode == b.maintenance_mode &&
-           a.maintenance_slice_ns == b.maintenance_slice_ns &&
-           a.maintenance_wake_fraction == b.maintenance_wake_fraction &&
-           a.maintenance_interval_ms == b.maintenance_interval_ms &&
-           a.guard_sample_rate == b.guard_sample_rate &&
-           a.redzone_canaries == b.redzone_canaries &&
-           a.quarantine_depth == b.quarantine_depth &&
-           a.hardening_policy == b.hardening_policy &&
-           a.fault_containment == b.fault_containment &&
-           a.capacity_quota_bytes == b.capacity_quota_bytes;
-}
-
 void
 HeapPool::installHook(const std::string &name, NvAlloc *heap)
 {
@@ -92,7 +59,7 @@ HeapPool::open(const std::string &name, PmDevice &dev, NvAllocConfig cfg)
     auto it = members_.find(name);
     if (it != members_.end()) {
         MemberResult res;
-        if (!sameConfig(it->second.cfg, cfg)) {
+        if (it->second.cfg != cfg) {
             // Not silent first-wins: refuse, and record the refusal on
             // the existing member's sticky status so errno-style
             // probes (nvalloc_errno) observe the mismatch.
@@ -207,10 +174,9 @@ HeapPool::snapshot() const
         MemberHealth h;
         h.name = name;
         h.health = m.heap->health();
-        h.escalations = m.heap->healthStats().escalations.load(
-            std::memory_order_relaxed);
-        h.rejected_ops = m.heap->healthStats().rejected_ops.load(
-            std::memory_order_relaxed);
+        const Telemetry &tel = m.heap->telemetry();
+        h.escalations = tel.total(StatCounter::HealthEscalation);
+        h.rejected_ops = tel.total(StatCounter::HealthRejectedOp);
         {
             std::lock_guard<std::mutex> r(reason_mu_);
             auto it = last_reasons_.find(name);

@@ -149,10 +149,6 @@ class HeapPool
         std::unique_ptr<NvAlloc> heap;
     };
 
-    /** Field-wise config identity (no operator== on the aggregate:
-     *  padding makes memcmp a lie). */
-    static bool sameConfig(const NvAllocConfig &a, const NvAllocConfig &b);
-
     void installHook(const std::string &name, NvAlloc *heap);
 
     MemberResult openLocked(const std::string &name, PmDevice &dev,

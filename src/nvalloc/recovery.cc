@@ -92,7 +92,6 @@ NvAlloc::recoverHeap()
             i, &dev_, &cfg_, &large_, &slab_radix_,
             &attached_threads_));
         arenas_.back()->setTelemetry(&tel_);
-        arenas_.back()->setFastPathStats(&fp_stats_);
     }
 
     auto adopt_slab = [&](uint64_t off) {
@@ -146,19 +145,18 @@ NvAlloc::recoverHeap()
         // Paper: "perform a slow GC on the persistent bookkeeping log
         // to clean up its tombstone entries. Then scan and process
         // every log entry."
-        log_.replay([&](LogType type, uint64_t off, uint64_t size,
-                        LogEntryRef ref) {
-            large_.adoptActivated(off, size, type == kLogSlab, ref);
-            ++recovery_.extents_rebuilt;
-            if (type == kLogSlab)
-                adopt_slab(off);
-        });
+        BookkeepingLog::ReplayRejects rejects =
+            log_.replay([&](LogType type, uint64_t off, uint64_t size,
+                            LogEntryRef ref) {
+                large_.adoptActivated(off, size, type == kLogSlab, ref);
+                ++recovery_.extents_rebuilt;
+                if (type == kLogSlab)
+                    adopt_slab(off);
+            });
         log_.slowGc();
         large_.rebuildFreeSpace();
-        recovery_.log_entries_rejected =
-            log_.stats().replay_entries_rejected;
-        recovery_.log_chunks_rejected =
-            log_.stats().replay_chunks_rejected;
+        recovery_.log_entries_rejected = rejects.entries;
+        recovery_.log_chunks_rejected = rejects.chunks;
     } else {
         large_.recoverFromDescriptors([&](uint64_t off, uint64_t size) {
             NV_ASSERT(size == kSlabSize);

@@ -4,10 +4,13 @@
  * registered here under its dotted ctl name (see telemetry/ctl.h).
  *
  * Three kinds of sources feed the tree:
- *  - the sharded telemetry counters (hot-path traffic, flush classes),
- *  - subsystem Stats structs read on demand (Arena, BookkeepingLog,
- *    RecoveryInfo, DegradedStats, PmDevice),
- *  - tiny computed values (per-class bytes, live counts, mode).
+ *  - the sharded telemetry counters, the only place a heap counts an
+ *    event (telemetry/counters.h), registered in one loop;
+ *  - read-time sums and second names over counts kept elsewhere
+ *    (per-class and per-reason families, the arenas' own Stats,
+ *    RecoveryInfo);
+ *  - gauges read from the object that owns them (live depths, modes,
+ *    PmDevice space).
  *
  * The registry is built lazily on the first ctl use and is immutable
  * afterwards; readers are called with no heap lock held and only load
@@ -17,6 +20,7 @@
 
 #include "nvalloc/nvalloc.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -37,8 +41,9 @@ NvAlloc::buildCtlRegistry()
     }
 
     // Derived hot-path totals: the recording path maintains only the
-    // per-class / per-arena families plus tcache.miss (one counter
-    // store per allocation); these names sum them at read time.
+    // per-class / per-arena / per-reason families plus tcache.miss
+    // (one counter store per allocation); these names sum them at
+    // read time.
     ctl_.registerName("stats.alloc.small",
                       [tel] { return tel->smallAllocs(); });
     ctl_.registerName("stats.free.small",
@@ -49,6 +54,32 @@ NvAlloc::buildCtlRegistry()
                       [tel] { return tel->smallAllocBytes(); });
     ctl_.registerName("stats.free.small_bytes",
                       [tel] { return tel->smallFreeBytes(); });
+
+    // Failed allocations by NvStatus reason ("region-table-full" reads
+    // as stats.alloc.failed_by.region_table_full); the total and its
+    // degradation-machine alias sum the family.
+    for (unsigned r = 1; r < kNumNvStatuses; ++r) {
+        std::string reason = nvStatusName(NvStatus(r));
+        std::replace(reason.begin(), reason.end(), '-', '_');
+        ctl_.registerName("stats.alloc.failed_by." + reason,
+                          [tel, r] { return tel->failedBy(r); });
+    }
+    for (const char *name :
+         {"stats.alloc.failed", "stats.degraded.failed_allocs"})
+        ctl_.registerName(name, [tel] { return tel->failedAllocs(); });
+
+    // Second names for events counted once under another name.
+    ctl_.registerName("stats.degraded.invalid_frees", [tel] {
+        return tel->total(StatCounter::InvalidFree);
+    });
+    // Every retired free passes the validator; guard frees are counted
+    // apart from it.
+    ctl_.registerName("stats.hardening.validated_frees", [tel] {
+        uint64_t guard = tel->total(StatCounter::GuardFree);
+        uint64_t frees =
+            tel->smallFrees() + tel->total(StatCounter::FreeLarge);
+        return frees > guard ? frees - guard : 0;
+    });
 
     // Flush classification: per-class totals sum the sink-fed
     // per-arena attribution matrix; fences come straight from the
@@ -116,54 +147,49 @@ NvAlloc::buildCtlRegistry()
         }
     }
 
-    // Bookkeeping log: authoritative Stats struct (includes replay
-    // rejection counts the shards never see).
+    // Heap-wide slab lifecycle: the arenas count it (per arena, for
+    // nvbench), these names sum them. A locked refill is the fast
+    // path's refill search.
+    auto arenaSum = [this](uint64_t Arena::Stats::*field) {
+        return [this, field] {
+            uint64_t sum = 0;
+            for (const auto &a : arenas_)
+                sum += a->stats().*field;
+            return sum;
+        };
+    };
+    ctl_.registerName("stats.slab.created",
+                      arenaSum(&Arena::Stats::slabs_created));
+    ctl_.registerName("stats.slab.released",
+                      arenaSum(&Arena::Stats::slabs_released));
+    ctl_.registerName("stats.slab.morphs", arenaSum(&Arena::Stats::morphs));
+    for (const char *name :
+         {"stats.slab.refills", "stats.fastpath.refill_searches"})
+        ctl_.registerName(name, arenaSum(&Arena::Stats::refills));
+
+    // Bookkeeping log gauges, and what replay rejected (recorded in
+    // RecoveryInfo).
+    const RecoveryInfo *rec = &recovery_;
     if (usesBookkeepingLog()) {
         BookkeepingLog *log = &log_;
-        ctl_.registerName("stats.log.entries_copied", [log] {
-            return log->stats().entries_copied.load(
-                std::memory_order_relaxed);
-        });
         ctl_.registerName("stats.log.live_entries", [log] {
             return uint64_t(log->liveEntries());
         });
         ctl_.registerName("stats.log.active_chunks", [log] {
             return uint64_t(log->activeChunks());
         });
-        ctl_.registerName("stats.log.gc_ns", [log] {
-            return log->stats().gc_ns.load(std::memory_order_relaxed);
-        });
-        ctl_.registerName("stats.log.replay.entries_rejected", [log] {
-            return log->stats().replay_entries_rejected;
-        });
-        ctl_.registerName("stats.log.replay.chunks_rejected", [log] {
-            return log->stats().replay_chunks_rejected;
-        });
+        ctl_.registerName("stats.log.replay.entries_rejected",
+                          [rec] { return rec->log_entries_rejected; });
+        ctl_.registerName("stats.log.replay.chunks_rejected",
+                          [rec] { return rec->log_chunks_rejected; });
     }
 
     // Degradation machine.
     ctl_.registerName("stats.mode.current", [this] {
         return uint64_t(mode_.load(std::memory_order_relaxed));
     });
-    const DegradedStats *deg = &deg_stats_;
-    ctl_.registerName("stats.degraded.reclaim_attempts", [deg] {
-        return deg->reclaim_attempts.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.degraded.reclaim_successes", [deg] {
-        return deg->reclaim_successes.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.degraded.failed_allocs", [deg] {
-        return deg->failed_allocs.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.degraded.invalid_frees", [deg] {
-        return deg->invalid_frees.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.degraded.failed_attaches", [deg] {
-        return deg->failed_attaches.load(std::memory_order_relaxed);
-    });
 
     // What the last recovery did (static after open).
-    const RecoveryInfo *rec = &recovery_;
     ctl_.registerName("stats.recovery.performed",
                       [rec] { return uint64_t(rec->performed); });
     ctl_.registerName("stats.recovery.after_failure",
@@ -186,131 +212,22 @@ NvAlloc::buildCtlRegistry()
                       [rec] { return rec->gc_reclaimed_blocks; });
     ctl_.registerName("stats.recovery.virtual_ns",
                       [rec] { return rec->virtual_ns; });
+    ctl_.registerName("stats.tx.recovered_committed",
+                      [rec] { return rec->tx_committed; });
+    ctl_.registerName("stats.tx.recovered_rolled_back",
+                      [rec] { return rec->tx_rolled_back; });
 
-    // Maintenance service (PR 4). All monotonic except mode/paused.
-    const MaintenanceStats *ms = &maint_.stats();
-    ctl_.registerName("stats.maintenance.slices", [ms] {
-        return ms->slices.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.wakes", [ms] {
-        return ms->wakes.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.log_fast_gc", [ms] {
-        return ms->log_fast_gc.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.log_slow_gc", [ms] {
-        return ms->log_slow_gc.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.decay_ticks", [ms] {
-        return ms->decay_ticks.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.scrubbed_lines", [ms] {
-        return ms->scrubbed_lines.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.trim_requests", [ms] {
-        return ms->trim_requests.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.deferred", [ms] {
-        return ms->deferred.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.virtual_ns", [ms] {
-        return ms->virtual_ns.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.maintenance.gc_virtual_ns", [ms] {
-        return ms->gc_virtual_ns.load(std::memory_order_relaxed);
-    });
+    // Live state of the maintenance service, the health machine, the
+    // hardening containers (those three take the hardening mutex
+    // briefly) and the transaction layer.
     ctl_.registerName("stats.maintenance.mode", [this] {
         return uint64_t(maint_.mode());
     });
     ctl_.registerName("stats.maintenance.paused", [this] {
         return uint64_t(maint_.paused());
     });
-    ctl_.registerName("stats.maintenance.patrol_slices", [ms] {
-        return ms->patrol_slices.load(std::memory_order_relaxed);
-    });
-
-    // Health machine + online patrol scrubber (PR 7, DESIGN.md §12).
-    const ScrubStats *ss = &scrub_stats_;
-    const HealthStats *hls = &health_stats_;
     ctl_.registerName("stats.health.state", [this] {
         return uint64_t(health_.load(std::memory_order_relaxed));
-    });
-    ctl_.registerName("stats.health.escalations", [hls] {
-        return hls->escalations.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.health.restores", [hls] {
-        return hls->restores.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.health.rejected_ops", [hls] {
-        return hls->rejected_ops.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.scrub.slices", [ss] {
-        return ss->slices.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.scrub.items", [ss] {
-        return ss->items.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.scrub.findings", [ss] {
-        return ss->findings.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.scrub.repaired", [ss] {
-        return ss->repaired.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.scrub.retries", [ss] {
-        return ss->retries.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.scrub.passes", [ss] {
-        return ss->passes.load(std::memory_order_relaxed);
-    });
-
-    // Hardening (PR 5): detection and containment counters, plus the
-    // live depths of the guard map, the guard watch and the quarantine
-    // FIFO (those three take the hardening mutex briefly).
-    const HardeningStats *hs = &hardening_.stats();
-    ctl_.registerName("stats.hardening.validated_frees", [hs] {
-        return hs->validated_frees.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.double_frees", [hs] {
-        return hs->double_frees.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.misaligned_frees", [hs] {
-        return hs->misaligned_frees.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.wild_frees", [hs] {
-        return hs->wild_frees.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.cross_heap_frees", [hs] {
-        return hs->cross_heap_frees.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.canary_stomps", [hs] {
-        return hs->canary_stomps.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.guard_allocs", [hs] {
-        return hs->guard_allocs.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.guard_frees", [hs] {
-        return hs->guard_frees.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.guard_overflows", [hs] {
-        return hs->guard_overflows.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.guard_uaf", [hs] {
-        return hs->guard_uaf.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.quarantine_pushes", [hs] {
-        return hs->quarantine_pushes.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.quarantine_evictions", [hs] {
-        return hs->quarantine_evictions.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.quarantine_uaf", [hs] {
-        return hs->quarantine_uaf.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.leaked_blocks", [hs] {
-        return hs->leaked_blocks.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.hardening.reports", [hs] {
-        return hs->reports.load(std::memory_order_relaxed);
     });
     ctl_.registerName("stats.hardening.quarantine_depth", [this] {
         return uint64_t(hardening_.quarantineDepth());
@@ -321,69 +238,10 @@ NvAlloc::buildCtlRegistry()
     ctl_.registerName("stats.hardening.guard_watched", [this] {
         return uint64_t(hardening_.guardWatched());
     });
-    ctl_.registerName("stats.hardening.tx_staged_frees", [hs] {
-        return hs->tx_staged_frees.load(std::memory_order_relaxed);
-    });
-
-    // Transaction layer (PR 6): lifecycle counters, rejections, and
-    // the live open/staged depths.
-    const TxStats *txs = &tx_mgr_.stats();
-    ctl_.registerName("stats.tx.begins", [txs] {
-        return txs->begins.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.commits", [txs] {
-        return txs->commits.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.aborts", [txs] {
-        return txs->aborts.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.ops_alloc", [txs] {
-        return txs->ops_alloc.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.ops_free", [txs] {
-        return txs->ops_free.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.ops_write", [txs] {
-        return txs->ops_write.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.rejected", [txs] {
-        return txs->rejected.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.oversize", [txs] {
-        return txs->oversize.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.plain_ops_rejected", [txs] {
-        return txs->plain_ops_rejected.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.recovered_committed",
-                      [txs] { return txs->recovered_committed; });
-    ctl_.registerName("stats.tx.recovered_rolled_back",
-                      [txs] { return txs->recovered_rolled_back; });
     ctl_.registerName("stats.tx.open",
                       [this] { return tx_mgr_.openCount(); });
     ctl_.registerName("stats.tx.staged_blocks",
                       [this] { return tx_mgr_.stagedCount(); });
-
-    // Lock-free small-allocation fast path (PR 9, DESIGN.md §14).
-    const FastPathStats *fps = &fp_stats_;
-    ctl_.registerName("stats.fastpath.reserve_hits", [fps] {
-        return fps->reserve_hits.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.fastpath.reserve_misses", [fps] {
-        return fps->reserve_misses.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.fastpath.cas_retries", [fps] {
-        return fps->cas_retries.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.fastpath.region_steals", [fps] {
-        return fps->region_steals.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.fastpath.refill_searches", [fps] {
-        return fps->refill_searches.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.fastpath.locked_fallbacks", [fps] {
-        return fps->locked_fallbacks.load(std::memory_order_relaxed);
-    });
 
     // KV service (kv_stats.h, DESIGN.md §13). Readers dereference the
     // attach pointer at *read* time, so the subtree works no matter
@@ -468,7 +326,7 @@ NvAlloc::ctlRead(const char *name, uint64_t *out)
         NvStatus s =
             maintenanceControl(name + sizeof(kMaintPrefix) - 1);
         if (s == NvStatus::Ok && out)
-            *out = maint_.stats().slices.load(std::memory_order_relaxed);
+            *out = tel_.total(StatCounter::MaintSlice);
         return s == NvStatus::Ok ? NvStatus::Ok : NvStatus::UnknownCtl;
     }
     // "health.restore" is the ctl spelling of restoreHealth(): audit,

@@ -13,7 +13,6 @@
 #ifndef NVALLOC_NVALLOC_STATUS_H
 #define NVALLOC_NVALLOC_STATUS_H
 
-#include <atomic>
 #include <cstdint>
 
 namespace nvalloc {
@@ -32,6 +31,11 @@ enum class NvStatus : int {
     QuotaExceeded,   //!< per-tenant capacity quota hit on the extent path
     HeapUnhealthy,   //!< heap is Degraded/Quarantined; repair it first
 };
+
+/** Number of NvStatus codes (keep in step with the last enumerator);
+ *  sizes the stats.alloc.failed_by.<reason> family. */
+constexpr unsigned kNumNvStatuses =
+    static_cast<unsigned>(NvStatus::HeapUnhealthy) + 1;
 
 inline const char *
 nvStatusName(NvStatus s)
@@ -109,16 +113,6 @@ heapModeName(HeapMode m)
     }
     return "unknown";
 }
-
-/** Counters for the graceful-degradation paths; all monotonic. */
-struct DegradedStats
-{
-    std::atomic<uint64_t> reclaim_attempts{0};
-    std::atomic<uint64_t> reclaim_successes{0};
-    std::atomic<uint64_t> failed_allocs{0};
-    std::atomic<uint64_t> invalid_frees{0};
-    std::atomic<uint64_t> failed_attaches{0};
-};
 
 } // namespace nvalloc
 

@@ -18,18 +18,12 @@ namespace {
 
 constexpr uint64_t kTxCpuNs = 20; //!< modeled per-tx-call CPU cost
 
-void
-bumpRejected(TxStats &s)
-{
-    s.rejected.fetch_add(1, std::memory_order_relaxed);
-}
-
 } // namespace
 
 NvStatus
 NvAlloc::txRejected()
 {
-    bumpRejected(tx_mgr_.stats());
+    tel_.add(StatCounter::TxRejected);
     return failOp(NvStatus::InvalidArgument);
 }
 
@@ -59,7 +53,7 @@ NvAlloc::txBegin(ThreadCtx &ctx)
     // tx's large allocations must keep their log refs stable until
     // commit or abort resolves them.
     maint_.pin();
-    tx_mgr_.stats().begins.fetch_add(1, std::memory_order_relaxed);
+    tel_.add(StatCounter::TxBegin);
     tel_.event(TraceOp::TxBegin, ctx.tx.id);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
@@ -73,7 +67,7 @@ NvAlloc::txAlloc(ThreadCtx &ctx, size_t size, uint64_t *where)
         return 0;
     }
     if (ctx.tx.ops.size() >= kTxMaxOps) {
-        tx_mgr_.stats().oversize.fetch_add(1, std::memory_order_relaxed);
+        tel_.add(StatCounter::TxOversize);
         failOp(NvStatus::InvalidArgument);
         return 0;
     }
@@ -105,7 +99,7 @@ NvAlloc::txAlloc(ThreadCtx &ctx, size_t size, uint64_t *where)
     op.where = where;
     op.size = size;
     ctx.tx.ops.push_back(op);
-    tx_mgr_.stats().ops_alloc.fetch_add(1, std::memory_order_relaxed);
+    tel_.add(StatCounter::TxOpAlloc);
     return off;
 }
 
@@ -115,7 +109,7 @@ NvAlloc::txFree(ThreadCtx &ctx, uint64_t off)
     if (!ctx.tx.open())
         return txRejected();
     if (ctx.tx.ops.size() >= kTxMaxOps) {
-        tx_mgr_.stats().oversize.fetch_add(1, std::memory_order_relaxed);
+        tel_.add(StatCounter::TxOversize);
         return failOp(NvStatus::InvalidArgument);
     }
     // Stage before validating so no other thread can pass its own
@@ -145,7 +139,7 @@ NvAlloc::txFree(ThreadCtx &ctx, uint64_t off)
     op.kind = TxOp::Kind::Free;
     op.off = off;
     ctx.tx.ops.push_back(op);
-    tx_mgr_.stats().ops_free.fetch_add(1, std::memory_order_relaxed);
+    tel_.add(StatCounter::TxOpFree);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
 }
@@ -156,7 +150,7 @@ NvAlloc::txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value)
     if (!ctx.tx.open())
         return txRejected();
     if (ctx.tx.ops.size() >= kTxMaxOps) {
-        tx_mgr_.stats().oversize.fetch_add(1, std::memory_order_relaxed);
+        tel_.add(StatCounter::TxOversize);
         return failOp(NvStatus::InvalidArgument);
     }
     // The undo value must be recoverable from the entry alone, so the
@@ -181,7 +175,7 @@ NvAlloc::txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value)
     op.old_value = old;
     op.new_value = value;
     ctx.tx.ops.push_back(op);
-    tx_mgr_.stats().ops_write.fetch_add(1, std::memory_order_relaxed);
+    tel_.add(StatCounter::TxOpWrite);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
 }
@@ -281,10 +275,7 @@ NvAlloc::finishTx(ThreadCtx &ctx, bool committed)
             tx_mgr_.unstage(op.off);
     }
     tx_mgr_.endTx(ctx.tx.id);
-    if (committed)
-        tx_mgr_.stats().commits.fetch_add(1, std::memory_order_relaxed);
-    else
-        tx_mgr_.stats().aborts.fetch_add(1, std::memory_order_relaxed);
+    tel_.add(committed ? StatCounter::TxCommit : StatCounter::TxAbort);
     ctx.tx.reset();
     maint_.unpin();
 }
@@ -334,11 +325,9 @@ NvAlloc::resolveTxRun(uint64_t ring_off, uint32_t tx_id)
     if (committed) {
         txRedoRun(run);
         ++recovery_.tx_committed;
-        ++tx_mgr_.stats().recovered_committed;
     } else {
         txUndoRun(run);
         ++recovery_.tx_rolled_back;
-        ++tx_mgr_.stats().recovered_rolled_back;
     }
 }
 

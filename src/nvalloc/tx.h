@@ -95,29 +95,6 @@ struct TxContext
     }
 };
 
-/** stats.tx.* counters. The atomics are bumped on tx operations and
- *  read lock-free by the ctl tree; the recovered_* pair is plain
- *  because recovery runs single-threaded before any tx can open. */
-struct TxStats
-{
-    std::atomic<uint64_t> begins{0};
-    std::atomic<uint64_t> commits{0};
-    std::atomic<uint64_t> aborts{0};
-    std::atomic<uint64_t> ops_alloc{0};
-    std::atomic<uint64_t> ops_free{0};
-    std::atomic<uint64_t> ops_write{0};
-    /** Rejected tx calls: nested begin, op/commit/abort outside an
-     *  open tx, degraded-open begin, bad txWrite target. */
-    std::atomic<uint64_t> rejected{0};
-    /** Ops refused because the tx already holds kTxMaxOps. */
-    std::atomic<uint64_t> oversize{0};
-    /** Plain alloc/free rejected because this thread has an open tx. */
-    std::atomic<uint64_t> plain_ops_rejected{0};
-    /** What the last recovery resolved (also in RecoveryInfo). */
-    uint64_t recovered_committed = 0;
-    uint64_t recovered_rolled_back = 0;
-};
-
 /**
  * Heap-wide transaction bookkeeping: id allocation, the set of open
  * ids, and the staged-offset registry consulted by the ordered free
@@ -225,16 +202,12 @@ class TxManager
         return staged_count_.load(std::memory_order_relaxed);
     }
 
-    TxStats &stats() { return stats_; }
-    const TxStats &stats() const { return stats_; }
-
   private:
     mutable std::mutex mu_;
     std::unordered_set<uint32_t> open_;
     std::unordered_set<uint64_t> staged_;
     std::atomic<uint64_t> staged_count_{0};
     std::atomic<uint32_t> next_id_{0};
-    TxStats stats_;
 };
 
 } // namespace nvalloc

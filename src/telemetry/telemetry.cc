@@ -27,7 +27,6 @@ std::atomic<uint64_t> g_generation{1};
 Telemetry::Telemetry()
     : generation_(g_generation.fetch_add(1, std::memory_order_relaxed))
 {
-    epoch_.store(generation_, std::memory_order_relaxed); // enabled
 }
 
 Telemetry::~Telemetry()
@@ -58,8 +57,6 @@ constinit thread_local Telemetry::FastRef Telemetry::tl_fast_{
 Telemetry::Shard *
 Telemetry::shardSlow()
 {
-    if (epoch_.load(std::memory_order_relaxed) == 0)
-        return nullptr; // disabled
     for (auto &ref : tl_refs) {
         if (ref.owner == this && ref.generation == generation_) {
             tl_fast_ = FastRef{this, generation_, ref.shard};
@@ -117,12 +114,8 @@ Telemetry::traceInto(Shard *s, TraceOp op, uint64_t arg,
 std::atomic<uint64_t> *
 Telemetry::flushCells()
 {
-#if NVALLOC_TELEMETRY
     Shard *s = hot();
-    return s ? s->arena_flush[s->bound_arena] : nullptr;
-#else
-    return nullptr;
-#endif
+    return s->arena_flush[s->bound_arena];
 }
 
 uint64_t
@@ -169,6 +162,29 @@ Telemetry::arenaFlush(unsigned arena, FlushClass cls) const
     for (const auto &s : shards_)
         sum += s->arena_flush[arena][static_cast<unsigned>(cls)].load(
             std::memory_order_relaxed);
+    return sum;
+}
+
+uint64_t
+Telemetry::failedBy(unsigned status) const
+{
+    if (status >= kTelemetryMaxStatuses)
+        return 0;
+    uint64_t sum = 0;
+    std::lock_guard<std::mutex> g(mutex_);
+    for (const auto &s : shards_)
+        sum += s->failed_by[status].load(std::memory_order_relaxed);
+    return sum;
+}
+
+uint64_t
+Telemetry::failedAllocs() const
+{
+    uint64_t sum = 0;
+    std::lock_guard<std::mutex> g(mutex_);
+    for (const auto &s : shards_)
+        for (unsigned r = 0; r < kTelemetryMaxStatuses; ++r)
+            sum += s->failed_by[r].load(std::memory_order_relaxed);
     return sum;
 }
 

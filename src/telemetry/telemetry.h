@@ -11,17 +11,13 @@
  * shards and never blocks recording threads (a thread takes the
  * registry lock once, on its first touch of the heap).
  *
- * Overhead control is layered:
- *  - compile time: build with -DNVALLOC_TELEMETRY=0 and every note*
- *    helper collapses to an empty inline;
- *  - run time: setEnabled(false) short-circuits each helper on one
- *    relaxed bool load;
+ * Overhead control:
  *  - tracing: the per-thread event rings cost nothing until
  *    startTracing() arms them;
  *  - derived totals: the hot path maintains only the per-class,
- *    per-arena, and rare-event counters; every total that can be
- *    summed out of those (alloc.small, tcache.hit, flush.*) is
- *    computed at read time instead of bumped per event.
+ *    per-arena, per-reason and event counters; every total that can be
+ *    summed out of those (alloc.small, tcache.hit, alloc.failed,
+ *    flush.*) is computed at read time instead of bumped per event.
  *
  * Telemetry implements FlushSink so a LatencyModel can feed it the
  * flush classification stream; flushes are attributed to the arena the
@@ -30,8 +26,8 @@
  * pull-based: the model asks flushCells() for the calling thread's
  * attribution row once per sink epoch and bumps it directly, so a
  * classified flush costs one relaxed increment, not a virtual call
- * (attachSink() remembers the model so setEnabled/bindArena can
- * invalidate the rows it cached).
+ * (attachSink() remembers the model so bindArena can invalidate the
+ * rows it cached).
  */
 
 #ifndef NVALLOC_TELEMETRY_TELEMETRY_H
@@ -50,10 +46,6 @@
 #include "telemetry/counters.h"
 #include "telemetry/event_ring.h"
 
-#ifndef NVALLOC_TELEMETRY
-#define NVALLOC_TELEMETRY 1
-#endif
-
 namespace nvalloc {
 
 class Telemetry final : public FlushSink
@@ -65,31 +57,10 @@ class Telemetry final : public FlushSink
     Telemetry(const Telemetry &) = delete;
     Telemetry &operator=(const Telemetry &) = delete;
 
-    /** Runtime kill switch; counters freeze but keep their values.
-     *  Implemented by parking epoch_ at 0 (which never matches a
-     *  cached shard's generation), so the hot path pays no separate
-     *  enabled check. Also drops the flush-attribution rows a wired
-     *  model caches, so the sink stream freezes/resumes with the
-     *  rest. */
-    void
-    setEnabled(bool on)
-    {
-        epoch_.store(on ? generation_ : 0, std::memory_order_relaxed);
-        if (sink_model_)
-            sink_model_->invalidateSinkCells();
-    }
-
-    bool
-    enabled() const
-    {
-        return epoch_.load(std::memory_order_relaxed) != 0;
-    }
-
     // ------------------------------------------------------------------
     // Hot-path recording (one shard lookup per call, relaxed stores).
     // ------------------------------------------------------------------
 
-#if NVALLOC_TELEMETRY
     /** Small allocation served: one shard lookup for the whole record
      *  — class count plus the (rare) tcache miss. The small-alloc
      *  total and the tcache hit count are derived at read time, so
@@ -98,8 +69,6 @@ class Telemetry final : public FlushSink
     noteSmallAlloc(unsigned cls, bool tcache_hit, uint64_t off)
     {
         Shard *s = hot();
-        if (!s)
-            return;
         bump(s->cls_alloc[cls]);
         if (!tcache_hit)
             bump(s->c[idx(StatCounter::TcacheMiss)]);
@@ -112,8 +81,6 @@ class Telemetry final : public FlushSink
     noteSmallFree(unsigned cls, uint64_t off)
     {
         Shard *s = hot();
-        if (!s)
-            return;
         bump(s->cls_free[cls]);
         if (tracing_.load(std::memory_order_relaxed)) [[unlikely]]
             traceInto(s, TraceOp::Free, off,
@@ -124,8 +91,6 @@ class Telemetry final : public FlushSink
     noteLargeAlloc(uint64_t bytes, uint64_t off)
     {
         Shard *s = hot();
-        if (!s)
-            return;
         bump(s->c[idx(StatCounter::AllocLarge)]);
         bump(s->c[idx(StatCounter::LargeAllocBytes)], bytes);
         if (tracing_.load(std::memory_order_relaxed)) [[unlikely]]
@@ -136,21 +101,21 @@ class Telemetry final : public FlushSink
     noteLargeFree(uint64_t bytes, uint64_t off)
     {
         Shard *s = hot();
-        if (!s)
-            return;
         bump(s->c[idx(StatCounter::FreeLarge)]);
         bump(s->c[idx(StatCounter::LargeFreeBytes)], bytes);
         if (tracing_.load(std::memory_order_relaxed)) [[unlikely]]
             traceInto(s, TraceOp::Free, off, 0xff, 0);
     }
 
+    /** Failed allocation, counted under its NvStatus code (codes past
+     *  the family's end share its last cell). */
     void
     noteAllocFailed(uint16_t status)
     {
         Shard *s = hot();
-        if (!s)
-            return;
-        bump(s->c[idx(StatCounter::AllocFailed)]);
+        bump(s->failed_by[status < kTelemetryMaxStatuses
+                              ? status
+                              : kTelemetryMaxStatuses - 1]);
         if (tracing_.load(std::memory_order_relaxed)) [[unlikely]]
             traceInto(s, TraceOp::AllocFail, 0, 0xff, status);
     }
@@ -159,8 +124,6 @@ class Telemetry final : public FlushSink
     noteInvalidFree(uint64_t off, uint16_t status)
     {
         Shard *s = hot();
-        if (!s)
-            return;
         bump(s->c[idx(StatCounter::InvalidFree)]);
         if (tracing_.load(std::memory_order_relaxed)) [[unlikely]]
             traceInto(s, TraceOp::InvalidFree, off, 0xff, status);
@@ -170,8 +133,7 @@ class Telemetry final : public FlushSink
     void
     add(StatCounter ctr, uint64_t n = 1)
     {
-        if (Shard *s = hot())
-            bump(s->c[idx(ctr)], n);
+        bump(hot()->c[idx(ctr)], n);
     }
 
     /** Record a trace event with no counter attached (refills, GC,
@@ -182,8 +144,7 @@ class Telemetry final : public FlushSink
     {
         if (!tracing_.load(std::memory_order_relaxed))
             return;
-        if (Shard *s = hot())
-            traceInto(s, op, arg, size_class, outcome);
+        traceInto(hot(), op, arg, size_class, outcome);
     }
 
     /**
@@ -196,36 +157,22 @@ class Telemetry final : public FlushSink
     void
     bindArena(unsigned arena)
     {
-        if (Shard *s = hot())
-            s->bound_arena = arena < kTelemetryMaxArenas
-                                 ? arena
-                                 : kTelemetryMaxArenas - 1;
+        hot()->bound_arena =
+            arena < kTelemetryMaxArenas ? arena : kTelemetryMaxArenas - 1;
         if (sink_model_)
             sink_model_->invalidateSinkCells();
     }
-#else  // !NVALLOC_TELEMETRY
-    void noteSmallAlloc(unsigned, bool, uint64_t) {}
-    void noteSmallFree(unsigned, uint64_t) {}
-    void noteLargeAlloc(uint64_t, uint64_t) {}
-    void noteLargeFree(uint64_t, uint64_t) {}
-    void noteAllocFailed(uint16_t) {}
-    void noteInvalidFree(uint64_t, uint16_t) {}
-    void add(StatCounter, uint64_t = 1) {}
-    void event(TraceOp, uint64_t, uint8_t = 0xff, uint16_t = 0) {}
-    void bindArena(unsigned) {}
-#endif // NVALLOC_TELEMETRY
 
     /**
      * Install this instance as `model`'s flush sink, replacing any
      * model wired earlier; nullptr uninstalls. Remembering the model
-     * lets setEnabled/bindArena drop the per-thread attribution rows
-     * it caches (see FlushSink in pm/latency_model.h).
+     * lets bindArena drop the per-thread attribution rows it caches
+     * (see FlushSink in pm/latency_model.h).
      */
     void attachSink(LatencyModel *model);
 
     /** FlushSink: the calling thread's arena-attributed flush-class
-     *  cell row (&shard->arena_flush[bound_arena][0]), or nullptr when
-     *  telemetry is disabled or compiled out. */
+     *  cell row (&shard->arena_flush[bound_arena][0]). */
     std::atomic<uint64_t> *flushCells() override;
 
     // ------------------------------------------------------------------
@@ -236,14 +183,18 @@ class Telemetry final : public FlushSink
     uint64_t classAllocs(unsigned cls) const;
     uint64_t classFrees(unsigned cls) const;
     uint64_t arenaFlush(unsigned arena, FlushClass cls) const;
+    /** Failed allocations recorded under NvStatus code `status`. */
+    uint64_t failedBy(unsigned status) const;
 
     /** Derived totals the hot path does not maintain as scalars:
      *  small allocs/frees sum the per-class family, tcache hits are
-     *  small allocs minus recorded misses, and the flush totals sum
-     *  the per-arena attribution matrix. */
+     *  small allocs minus recorded misses, failed allocs sum the
+     *  by-reason family, and the flush totals sum the per-arena
+     *  attribution matrix. */
     uint64_t smallAllocs() const;
     uint64_t smallFrees() const;
     uint64_t tcacheHits() const;
+    uint64_t failedAllocs() const;
     uint64_t flushClassTotal(FlushClass cls) const;
     uint64_t flushTotal() const;
 
@@ -303,6 +254,7 @@ class Telemetry final : public FlushSink
         std::atomic<uint64_t> cls_free[kNumSizeClasses] = {};
         std::atomic<uint64_t>
             arena_flush[kTelemetryMaxArenas][kNumFlushClasses] = {};
+        std::atomic<uint64_t> failed_by[kTelemetryMaxStatuses] = {};
 
         uint32_t id = 0;            //!< registration index
         unsigned bound_arena = 0;   //!< flush attribution target
@@ -342,17 +294,12 @@ class Telemetry final : public FlushSink
     };
     static thread_local FastRef tl_fast_;
 
-    /** Enabled check + this thread's shard, or nullptr when off. The
-     *  two are one comparison: epoch_ equals generation_ while
-     *  enabled and 0 while disabled, and a cached entry always holds
-     *  generation_ (nonzero), so a single match proves both "right
-     *  instance" and "enabled". */
+    /** This thread's shard: the cached one when this instance is the
+     *  one it belongs to (same address and generation). */
     Shard *
     hot()
     {
-        if (tl_fast_.owner == this &&
-            tl_fast_.generation ==
-                epoch_.load(std::memory_order_relaxed))
+        if (tl_fast_.owner == this && tl_fast_.generation == generation_)
             return tl_fast_.shard;
         return shardSlow();
     }
@@ -362,8 +309,6 @@ class Telemetry final : public FlushSink
     void traceInto(Shard *s, TraceOp op, uint64_t arg,
                    uint8_t size_class, uint16_t outcome);
 
-    //! generation_ while enabled, 0 while disabled (see setEnabled).
-    std::atomic<uint64_t> epoch_{0};
     std::atomic<bool> tracing_{false};
 
     //! The model this instance is installed on as flush sink (via

@@ -12,6 +12,7 @@
 
 #include "nvalloc/auditor.h"
 #include "nvalloc/nvalloc.h"
+#include "test_util.h"
 
 namespace nvalloc {
 namespace {
@@ -215,10 +216,10 @@ TEST(Auditor, DoubleFreeLeavesHeapCleanAndAccounted)
     ASSERT_NE(off, 0u);
     ASSERT_EQ(h.alloc.freeOffset(*h.ctx, off, nullptr), NvStatus::Ok);
 
-    uint64_t before = h.alloc.degradedStats().invalid_frees.load();
+    uint64_t before = readCtl(h.alloc, "stats.degraded.invalid_frees");
     EXPECT_EQ(h.alloc.freeOffset(*h.ctx, off, nullptr),
               NvStatus::InvalidFree);
-    EXPECT_EQ(h.alloc.degradedStats().invalid_frees.load(), before + 1);
+    EXPECT_EQ(readCtl(h.alloc, "stats.degraded.invalid_frees"), before + 1);
 
     // Foreign pointers (never allocated / outside any slab) likewise.
     EXPECT_EQ(h.alloc.freeOffset(*h.ctx, h.dev.size() - 4096, nullptr),

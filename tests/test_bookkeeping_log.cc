@@ -40,6 +40,7 @@ class LogFixture : public ::testing::Test
         log_->setRelocateFn([](void *owner, LogEntryRef ref) {
             static_cast<Owner *>(owner)->ref = ref;
         });
+        log_->setTelemetry(&tel_);
     }
 
     /** Reattach + replay into a map off->(type,size). */
@@ -54,6 +55,7 @@ class LogFixture : public ::testing::Test
         return out;
     }
 
+    Telemetry tel_; //!< where log_ counts its GC passes
     std::unique_ptr<PmDevice> dev_;
     uint64_t region_ = 0;
     std::unique_ptr<BookkeepingLog> log_;
@@ -116,10 +118,10 @@ TEST_F(LogFixture, FastGcRecyclesEmptyChunks)
         log_->tombstone(refs[i]);
 
     // Appends eventually trigger fast GC (free list empty).
-    uint64_t fast_before = log_->stats().fast_gcs;
+    uint64_t fast_before = tel_.total(StatCounter::LogFastGc);
     for (uint64_t i = 0; i < 8 * kLogEntriesPerChunk; ++i)
         log_->append(kLogNormal, (1000 + i) << 12, 4096, nullptr);
-    EXPECT_GT(log_->stats().fast_gcs, fast_before);
+    EXPECT_GT(tel_.total(StatCounter::LogFastGc), fast_before);
     // Chunk count grows far less than the appended volume because
     // empties were recycled.
     EXPECT_LT(log_->activeChunks(), chunks_before + 9);

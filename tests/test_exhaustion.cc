@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "nvalloc/nvalloc.h"
+#include "test_util.h"
 
 namespace nvalloc {
 namespace {
@@ -60,8 +61,8 @@ TEST(Exhaustion, LargeAllocExhaustsGracefullyAndRecovers)
                 why == NvStatus::RegionTableFull)
         << nvStatusName(why);
     EXPECT_EQ(alloc.mode(), HeapMode::Exhausted);
-    EXPECT_GE(alloc.degradedStats().failed_allocs.load(), 1u);
-    EXPECT_GE(alloc.degradedStats().reclaim_attempts.load(), 1u);
+    EXPECT_GE(readCtl(alloc, "stats.degraded.failed_allocs"), 1u);
+    EXPECT_GE(readCtl(alloc, "stats.degraded.reclaim_attempts"), 1u);
 
     // The heap stays usable for frees...
     for (uint64_t off : offs)
@@ -72,6 +73,33 @@ TEST(Exhaustion, LargeAllocExhaustsGracefullyAndRecovers)
     EXPECT_NE(again, 0u);
     EXPECT_EQ(alloc.mode(), HeapMode::Normal);
     alloc.freeOffset(*ctx, again, nullptr);
+    alloc.detachThread(ctx);
+}
+
+TEST(Exhaustion, RegionTableFullIsCountedByReason)
+{
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{2} << 30;
+    PmDevice dev(dcfg);
+    auto alloc_h = NvAlloc::openOrDie(dev, logConfig());
+    NvAlloc &alloc = *alloc_h;
+    ThreadCtx *ctx = alloc.attachThread();
+    ASSERT_NE(ctx, nullptr);
+
+    // Every request just over 2 MiB maps a direct region of its own,
+    // so the persistent region table runs out of slots long before
+    // the device runs out of space.
+    const size_t kDirect = (size_t{2} << 20) + 4096;
+    uint64_t served = 0;
+    while (alloc.allocOffset(*ctx, kDirect, nullptr) != 0)
+        ASSERT_LT(++served, 4096u) << "region table never filled";
+    EXPECT_EQ(alloc.lastStatus(), NvStatus::RegionTableFull);
+
+    // The failure is counted once, under its reason.
+    EXPECT_EQ(readCtl(alloc, "stats.alloc.failed_by.region_table_full"),
+              1u);
+    EXPECT_EQ(readCtl(alloc, "stats.alloc.failed"), 1u);
+    EXPECT_EQ(readCtl(alloc, "stats.large.regions_mapped"), served);
     alloc.detachThread(ctx);
 }
 
@@ -95,7 +123,7 @@ TEST(Exhaustion, SmallAllocExhaustsGracefullyAndRecovers)
     ASSERT_FALSE(offs.empty());
     ASSERT_LT(offs.size(), 100000u) << "device never exhausted";
     EXPECT_EQ(alloc.mode(), HeapMode::Exhausted);
-    EXPECT_GE(alloc.degradedStats().failed_allocs.load(), 1u);
+    EXPECT_GE(readCtl(alloc, "stats.degraded.failed_allocs"), 1u);
 
     for (uint64_t off : offs)
         ASSERT_EQ(alloc.freeOffset(*ctx, off, nullptr), NvStatus::Ok);
@@ -120,10 +148,10 @@ TEST(Exhaustion, UnserviceableSizesAreInvalidArgument)
 
     // Beyond the log entry's representable size: refused up front,
     // without a reclamation attempt (retry is moot).
-    uint64_t before = alloc.degradedStats().reclaim_attempts.load();
+    uint64_t before = readCtl(alloc, "stats.degraded.reclaim_attempts");
     EXPECT_EQ(alloc.allocOffset(*ctx, uint64_t{1} << 26, nullptr), 0u);
     EXPECT_EQ(alloc.lastStatus(), NvStatus::InvalidArgument);
-    EXPECT_EQ(alloc.degradedStats().reclaim_attempts.load(), before);
+    EXPECT_EQ(readCtl(alloc, "stats.degraded.reclaim_attempts"), before);
 
     // The refusals left the heap fully usable.
     uint64_t off = alloc.allocOffset(*ctx, 256, nullptr);
@@ -176,10 +204,10 @@ TEST(Exhaustion, ReclaimThenRetrySucceedsViaTcacheDrain)
     // the emptied slabs back to the large allocator. The allocation
     // must succeed on the internal retry — exercising
     // Normal -> Reclaiming -> Normal, not -> Exhausted.
-    uint64_t succ0 = alloc.degradedStats().reclaim_successes.load();
+    uint64_t succ0 = readCtl(alloc, "stats.degraded.reclaim_successes");
     uint64_t off = alloc.allocOffset(*ctx, 64, nullptr);
     EXPECT_NE(off, 0u) << nvStatusName(alloc.lastStatus());
-    EXPECT_GE(alloc.degradedStats().reclaim_successes.load(), succ0 + 1);
+    EXPECT_GE(readCtl(alloc, "stats.degraded.reclaim_successes"), succ0 + 1);
     EXPECT_EQ(alloc.mode(), HeapMode::Normal);
 
     alloc.freeOffset(*ctx, off, nullptr);
@@ -211,7 +239,7 @@ TEST(Exhaustion, LogPressureChurnNeverFailsAllocations)
                            << nvStatusName(alloc.lastStatus());
         ASSERT_EQ(alloc.freeOffset(*ctx, off, nullptr), NvStatus::Ok);
     }
-    EXPECT_EQ(alloc.degradedStats().failed_allocs.load(), 0u);
+    EXPECT_EQ(readCtl(alloc, "stats.degraded.failed_allocs"), 0u);
     EXPECT_EQ(alloc.mode(), HeapMode::Normal);
     alloc.detachThread(ctx);
 }
@@ -285,7 +313,6 @@ TEST(Exhaustion, HostileFreesWhileExhaustedAreRejectedAndHeapRecovers)
 
     // Bad frees while exhausted: rejected, classified, no abort, and
     // the heap does not leave Exhausted on their account.
-    const HardeningStats &hs = alloc.hardening().stats();
     EXPECT_EQ(alloc.freeOffset(*ctx, offs.front() + 8, nullptr),
               NvStatus::InvalidFree);
     ASSERT_EQ(alloc.freeOffset(*ctx, offs.back(), nullptr), NvStatus::Ok);
@@ -293,8 +320,8 @@ TEST(Exhaustion, HostileFreesWhileExhaustedAreRejectedAndHeapRecovers)
     offs.pop_back();
     EXPECT_EQ(alloc.freeOffset(*ctx, stale, nullptr),
               NvStatus::InvalidFree);
-    EXPECT_GE(hs.misaligned_frees.load(), 1u);
-    EXPECT_GE(hs.double_frees.load(), 1u);
+    EXPECT_GE(readCtl(alloc, "stats.hardening.misaligned_frees"), 1u);
+    EXPECT_GE(readCtl(alloc, "stats.hardening.double_frees"), 1u);
     EXPECT_EQ(alloc.mode(), HeapMode::Exhausted);
 
     // Valid frees still drain the heap and allocation resumes.
@@ -329,7 +356,7 @@ TEST(Exhaustion, AttachSlotExhaustionReturnsNull)
     // Slot 129: refused with a status, heap untouched.
     EXPECT_EQ(alloc.attachThread(), nullptr);
     EXPECT_EQ(alloc.lastStatus(), NvStatus::TooManyThreads);
-    EXPECT_GE(alloc.degradedStats().failed_attaches.load(), 1u);
+    EXPECT_GE(readCtl(alloc, "stats.degraded.failed_attaches"), 1u);
 
     // Detaching one frees a slot for a fresh attach.
     alloc.detachThread(ctxs.back());

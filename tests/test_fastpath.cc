@@ -44,14 +44,6 @@ fastpathConfig()
     return cfg;
 }
 
-uint64_t
-readCtl(NvAlloc &alloc, const char *name)
-{
-    uint64_t v = 0;
-    EXPECT_EQ(alloc.ctlRead(name, &v), NvStatus::Ok) << name;
-    return v;
-}
-
 // ---------------------------------------------------------------------
 // The acceptance gate: zero VLock acquisitions on the alloc/free hit
 // path, plain and transactional. The thread-local acquisition counter
@@ -425,6 +417,7 @@ TEST(FastPath, Larson128ThreadChurnAuditsClean)
     std::atomic<unsigned> attached{0};
     std::atomic<unsigned> op_failures{0};
     std::atomic<uint64_t> ops_done{0};
+    std::atomic<uint64_t> allocs_done{0}, frees_done{0};
 
     std::vector<std::thread> workers;
     for (unsigned t = 0; t < kThreads; ++t) {
@@ -441,18 +434,23 @@ TEST(FastPath, Larson128ThreadChurnAuditsClean)
                     if (alloc.freeOffset(*ctx, held[h], nullptr) !=
                         NvStatus::Ok)
                         op_failures.fetch_add(1);
+                    else
+                        frees_done.fetch_add(1);
                     held[h] = 0;
                 } else {
                     held[h] = alloc.allocOffset(
                         *ctx, kSizes[rng.nextBounded(5)], nullptr);
                     if (!held[h])
                         op_failures.fetch_add(1);
+                    else
+                        allocs_done.fetch_add(1);
                 }
                 ops_done.fetch_add(1);
             }
             for (unsigned h = 0; h < kHeld; ++h) {
-                if (held[h])
-                    alloc.freeOffset(*ctx, held[h], nullptr);
+                if (held[h] && alloc.freeOffset(*ctx, held[h], nullptr) ==
+                                   NvStatus::Ok)
+                    frees_done.fetch_add(1);
             }
             alloc.detachThread(ctx);
         });
@@ -463,6 +461,15 @@ TEST(FastPath, Larson128ThreadChurnAuditsClean)
     EXPECT_GE(attached.load(), kThreads - 1); // one slot for maint
     EXPECT_EQ(op_failures.load(), 0u);
     EXPECT_GE(ops_done.load(), uint64_t(attached.load()) * kOps);
+
+    // Counted exactly once per completed operation, in the workers'
+    // own shards: no increment is lost to the 128-way concurrency.
+    EXPECT_EQ(readCtl(alloc, "stats.alloc.small"), allocs_done.load());
+    EXPECT_EQ(readCtl(alloc, "stats.free.small"), frees_done.load());
+    EXPECT_EQ(readCtl(alloc, "stats.hardening.validated_frees"),
+              readCtl(alloc, "stats.free.small") +
+                  readCtl(alloc, "stats.free.large") -
+                  readCtl(alloc, "stats.hardening.guard_frees"));
 
     AuditReport rep = HeapAuditor(alloc).audit();
     EXPECT_EQ(rep.violations(), 0u) << rep.summary();

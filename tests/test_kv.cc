@@ -411,13 +411,13 @@ TEST(KvHardening, EraseRoutesThroughQuarantineWithoutUaf)
     ASSERT_NE(store, nullptr);
 
     uint64_t pushes0 =
-        alloc.hardening().stats().quarantine_pushes.load();
+        ctlValue(alloc, "stats.hardening.quarantine_pushes");
     for (int i = 0; i < 8; ++i)
         ASSERT_EQ(store->put(*ctx, ycsbKey(i), ycsbValue(i, 0, 64)),
                   KvStatus::Ok);
     for (int i = 0; i < 8; ++i)
         ASSERT_EQ(store->erase(*ctx, ycsbKey(i)), KvStatus::Ok);
-    EXPECT_GE(alloc.hardening().stats().quarantine_pushes.load(),
+    EXPECT_GE(ctlValue(alloc, "stats.hardening.quarantine_pushes"),
               pushes0 + 8);
 
     // Erase-then-read: the freed (possibly poison-filled) records
@@ -426,7 +426,7 @@ TEST(KvHardening, EraseRoutesThroughQuarantineWithoutUaf)
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(store->get(ycsbKey(i), &v), KvStatus::NotFound);
     alloc.hardening().drainQuarantine();
-    EXPECT_EQ(alloc.hardening().stats().quarantine_uaf.load(), 0u);
+    EXPECT_EQ(ctlValue(alloc, "stats.hardening.quarantine_uaf"), 0u);
     EXPECT_EQ(alloc.health(), HeapHealth::Serving);
     store.reset();
     alloc.detachThread(ctx);

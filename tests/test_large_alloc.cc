@@ -37,9 +37,11 @@ class LargeFixture : public ::testing::Test
         }
         large_ = std::make_unique<LargeAllocator>();
         large_->init(dev_.get(), cfg_, log_.get(), table_, 256);
+        large_->setTelemetry(&tel_);
         VClock::reset();
     }
 
+    Telemetry tel_; //!< where large_ counts extent-lifecycle events
     NvAllocConfig cfg_;
     std::unique_ptr<PmDevice> dev_;
     std::unique_ptr<BookkeepingLog> log_;
@@ -116,7 +118,7 @@ TEST_F(LargeFixture, CoalesceMergesNeighbors)
     EXPECT_GE(merged->size, 3u * 64u * 1024u);
     EXPECT_EQ(large_->findVeh(b), merged);
     EXPECT_EQ(large_->findVeh(c), merged);
-    EXPECT_GE(large_->stats().coalesces, 2u);
+    EXPECT_GE(tel_.total(StatCounter::LargeCoalesces), 2u);
 }
 
 TEST_F(LargeFixture, DirectRegionForHugeAllocations)
@@ -150,7 +152,7 @@ TEST_F(LargeFixture, DecayDemotesAndEvicts)
     large_->decayTick();
     // The whole region became one retained extent and went to the OS.
     EXPECT_EQ(large_->retainedBytes(), 0u) << "evicted";
-    EXPECT_GE(large_->stats().evictions, 1u);
+    EXPECT_GE(tel_.total(StatCounter::LargeEvictions), 1u);
 }
 
 TEST_F(LargeFixture, RetainedExtentIsRecommittedOnReuse)

@@ -21,12 +21,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/allocator_iface.h"
 #include "baselines/nvalloc_adapter.h"
 #include "nvalloc/nvalloc.h"
+#include "test_util.h"
 
 namespace nvalloc {
 namespace {
@@ -90,12 +92,14 @@ struct CounterSnapshot
 };
 
 CounterSnapshot
-snapshot(const MaintenanceService &m)
+snapshot(NvAlloc &alloc)
 {
-    const MaintenanceStats &s = m.stats();
-    return {s.slices.load(),      s.log_fast_gc.load(),
-            s.log_slow_gc.load(), s.decay_ticks.load(),
-            s.virtual_ns.load(),  s.gc_virtual_ns.load()};
+    auto m = [&](const char *leaf) {
+        return readCtl(alloc, (std::string("stats.maintenance.") + leaf)
+                                  .c_str());
+    };
+    return {m("slices"),      m("log_fast_gc"), m("log_slow_gc"),
+            m("decay_ticks"), m("virtual_ns"),  m("gc_virtual_ns")};
 }
 
 CounterSnapshot
@@ -124,7 +128,7 @@ manualRun()
     churn.drain();
     alloc.maintenance().step();
 
-    CounterSnapshot snap = snapshot(alloc.maintenance());
+    CounterSnapshot snap = snapshot(alloc);
     alloc.detachThread(ctx);
     return snap;
 }
@@ -155,7 +159,7 @@ TEST(Maintenance, ManualWithoutStepRunsNothing)
         churn.step(i);
     churn.drain();
 
-    EXPECT_EQ(r.heap->maintenance().stats().slices.load(), 0u)
+    EXPECT_EQ(readCtl(*r.heap, "stats.maintenance.slices"), 0u)
         << "Manual mode must not run slices on its own";
     EXPECT_FALSE(r.heap->maintenance().threadRunning());
     r.heap->detachThread(ctx);
@@ -196,17 +200,17 @@ TEST(Maintenance, PinsDeferSlowGcUntilUnpin)
     {
         MaintenanceService::PinGuard pin(m);
         m.step(); // reports no work: the one wanted stage was deferred
-        EXPECT_GE(m.stats().deferred.load(), 1u)
+        EXPECT_GE(readCtl(alloc, "stats.maintenance.deferred"), 1u)
             << "slow GC must be deferred while a pin is held";
-        EXPECT_EQ(m.stats().log_slow_gc.load(), 0u);
+        EXPECT_EQ(readCtl(alloc, "stats.maintenance.log_slow_gc"), 0u);
     }
     size_t chunks_before = log.activeChunks();
     m.step();
-    EXPECT_GE(m.stats().log_slow_gc.load(), 1u)
+    EXPECT_GE(readCtl(alloc, "stats.maintenance.log_slow_gc"), 1u)
         << "unpinning releases the deferred slow GC";
     EXPECT_LT(log.activeChunks(), chunks_before)
         << "slow GC dropped tombstoned chunks";
-    EXPECT_GT(m.stats().gc_virtual_ns.load(), 0u)
+    EXPECT_GT(readCtl(alloc, "stats.maintenance.gc_virtual_ns"), 0u)
         << "the compaction's virtual time is attributed to maintenance";
 
     churn.drain();
@@ -225,10 +229,10 @@ TEST(Maintenance, ForcedSliceIgnoresPause)
     m.pause();
     EXPECT_TRUE(m.paused());
     EXPECT_FALSE(m.step()) << "ordinary slices respect pause";
-    EXPECT_EQ(m.stats().slices.load(), 0u);
+    EXPECT_EQ(readCtl(*r.heap, "stats.maintenance.slices"), 0u);
 
     m.reclaimSync(); // the out-of-memory path cannot wait for resume
-    EXPECT_EQ(m.stats().slices.load(), 1u);
+    EXPECT_EQ(readCtl(*r.heap, "stats.maintenance.slices"), 1u);
     m.resume();
     EXPECT_FALSE(m.paused());
 }
@@ -258,10 +262,9 @@ TEST(Maintenance, ThreadModeWakesOnLogPressure)
         churn.step(i);
     churn.drain();
 
-    const MaintenanceStats &s = alloc.maintenance().stats();
-    EXPECT_GE(s.wakes.load(), 1u)
+    EXPECT_GE(readCtl(alloc, "stats.maintenance.wakes"), 1u)
         << "large-path pressure polls never woke the worker";
-    EXPECT_GE(s.slices.load(), 1u);
+    EXPECT_GE(readCtl(alloc, "stats.maintenance.slices"), 1u);
 
     // Attribution invariant: what maintenance absorbed is a subset of
     // the log's total GC time.

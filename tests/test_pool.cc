@@ -73,6 +73,18 @@ TEST(PoolOpen, SameConfigSharesMemberDifferentConfigRefused)
     EXPECT_EQ(a.heap->lastStatus(), NvStatus::InvalidArgument);
     EXPECT_EQ(pool.stats().option_mismatches.load(), 1u);
 
+    // Every knob takes part in the identity, the fast-path ones too.
+    NvAllocConfig batch = memberConfig();
+    batch.fastpath_batch = 7;
+    EXPECT_EQ(pool.open("alpha", d0, batch).status,
+              NvStatus::InvalidArgument);
+    NvAllocConfig regions = memberConfig();
+    regions.fastpath_regions = 5;
+    EXPECT_EQ(pool.open("alpha", d0, regions).status,
+              NvStatus::InvalidArgument);
+    EXPECT_EQ(pool.stats().option_mismatches.load(), 3u);
+    EXPECT_EQ(pool.stats().reopen_hits.load(), 1u);
+
     // The refusal did not disturb the member.
     ThreadCtx *ctx = a.heap->attachThread();
     uint64_t off = a.heap->allocOffset(*ctx, 128, nullptr);

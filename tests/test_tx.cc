@@ -18,9 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nvalloc/auditor.h"
@@ -328,6 +330,65 @@ TEST_F(TxFixture, FastPathJournalCostUnchanged)
     ASSERT_EQ(alloc_->txCommit(*ctx_), NvStatus::Ok);
     EXPECT_EQ(ctx_->wal.sequence(), s0 + 6)
         << "commit = commit mark + applied seal, apply journals nothing";
+}
+
+TEST(TxConcurrent, EightThreadRoundTripsCountExactly)
+{
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    PmDevice dev(dcfg);
+    auto alloc = NvAlloc::openOrDie(dev, sweepConfig());
+
+    // Each thread owns one persistent word; every round replaces the
+    // block it names in one transaction: allocate the new block,
+    // point the word at it, free the old one, commit.
+    constexpr unsigned kThreads = 8;
+    constexpr unsigned kRounds = 64;
+    std::atomic<unsigned> failures{0};
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&] {
+            ThreadCtx *ctx = alloc->attachThread();
+            if (!ctx) {
+                failures.fetch_add(1);
+                return;
+            }
+            uint64_t anchor = alloc->allocOffset(*ctx, 64, nullptr);
+            uint64_t first = alloc->allocOffset(*ctx, 128, nullptr);
+            if (!anchor || !first) {
+                failures.fetch_add(1);
+                alloc->detachThread(ctx);
+                return;
+            }
+            auto *word = static_cast<uint64_t *>(alloc->at(anchor));
+            *word = first;
+            for (unsigned r = 0; r < kRounds; ++r) {
+                uint64_t old = *word;
+                bool ok = alloc->txBegin(*ctx) == NvStatus::Ok;
+                uint64_t blk = ok ? alloc->txAlloc(*ctx, 128, nullptr) : 0;
+                ok = blk && alloc->txWrite(*ctx, word, blk) == NvStatus::Ok &&
+                     alloc->txFree(*ctx, old) == NvStatus::Ok &&
+                     alloc->txCommit(*ctx) == NvStatus::Ok;
+                if (!ok)
+                    failures.fetch_add(1);
+            }
+            alloc->freeOffset(*ctx, *word, nullptr);
+            alloc->freeOffset(*ctx, anchor, nullptr);
+            alloc->detachThread(ctx);
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+
+    ASSERT_EQ(failures.load(), 0u);
+    const uint64_t n = kThreads * kRounds;
+    EXPECT_EQ(ctlValue(*alloc, "stats.tx.begins"), n);
+    EXPECT_EQ(ctlValue(*alloc, "stats.tx.commits"), n);
+    EXPECT_EQ(ctlValue(*alloc, "stats.tx.ops_alloc"), n);
+    EXPECT_EQ(ctlValue(*alloc, "stats.tx.ops_write"), n);
+    EXPECT_EQ(ctlValue(*alloc, "stats.tx.ops_free"), n);
+    EXPECT_EQ(ctlValue(*alloc, "stats.tx.aborts"), 0u);
+    EXPECT_EQ(ctlValue(*alloc, "stats.tx.open"), 0u);
 }
 
 TEST_F(TxFixture, DegradedHeapRejectsTx)

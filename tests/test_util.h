@@ -6,9 +6,20 @@
 #ifndef NVALLOC_TESTS_TEST_UTIL_H
 #define NVALLOC_TESTS_TEST_UTIL_H
 
+#include <gtest/gtest.h>
+
 #include "nvalloc/nvalloc.h"
 
 namespace nvalloc {
+
+/** Read one ctl leaf, failing the test if the name is unknown. */
+inline uint64_t
+readCtl(NvAlloc &alloc, const char *name)
+{
+    uint64_t v = 0;
+    EXPECT_EQ(alloc.ctlRead(name, &v), NvStatus::Ok) << name;
+    return v;
+}
 
 /** Count live blocks across all slabs, including blocks_before of
  *  morphing slabs (which live in index tables, not bitmaps). */

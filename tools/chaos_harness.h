@@ -264,9 +264,8 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
                      PmDevice &dev, uint64_t *slots, unsigned round,
                      const std::vector<uint64_t> &donor_offs)
 {
-    const HardeningStats &hs = heap.hardening().stats();
-    auto count = [](const std::atomic<uint64_t> &a) {
-        return a.load(std::memory_order_relaxed);
+    auto count = [&heap](StatCounter c) {
+        return heap.telemetry().total(c);
     };
     auto skip = [&](const char *why) {
         ++skipped_[unsigned(ev)];
@@ -282,7 +281,7 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
         if (s == kSlots)
             return skip("no small block live");
         uint64_t off = slots[s];
-        uint64_t before = count(hs.double_frees);
+        uint64_t before = count(StatCounter::DoubleFree);
         if (heap.freeFrom(ctx, &slots[s]) != NvStatus::Ok)
             return fail(round, ev, "priming free rejected");
         sizes_[s] = 0;
@@ -299,7 +298,7 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
             return skip("priming free morphed the slab geometry");
         if (heap.freeOffset(ctx, off, nullptr) != NvStatus::InvalidFree)
             return fail(round, ev, "double free not rejected");
-        if (count(hs.double_frees) != before + 1)
+        if (count(StatCounter::DoubleFree) != before + 1)
             return fail(round, ev, "double_frees did not move");
         ++detected_[unsigned(ev)];
         return true;
@@ -307,12 +306,12 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
     case ChaosEvent::WildFree: {
         // The device tail is never mapped by the workload's footprint.
         uint64_t off = dev.size() - kCacheLine;
-        uint64_t before = count(hs.wild_frees);
+        uint64_t before = count(StatCounter::WildFree);
         if (heap.ownsOffset(off))
             return skip("device tail mapped");
         if (heap.freeOffset(ctx, off, nullptr) != NvStatus::InvalidFree)
             return fail(round, ev, "wild free not rejected");
-        if (count(hs.wild_frees) != before + 1)
+        if (count(StatCounter::WildFree) != before + 1)
             return fail(round, ev, "wild_frees did not move");
         ++detected_[unsigned(ev)];
         return true;
@@ -321,11 +320,11 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
         unsigned s = pickSmallSlot(heap, slots, /*min_size=*/16);
         if (s == kSlots)
             return skip("no block >= 16B live");
-        uint64_t before = count(hs.misaligned_frees);
+        uint64_t before = count(StatCounter::MisalignedFree);
         if (heap.freeOffset(ctx, slots[s] + 8, nullptr) !=
             NvStatus::InvalidFree)
             return fail(round, ev, "interior free not rejected");
-        if (count(hs.misaligned_frees) != before + 1)
+        if (count(StatCounter::MisalignedFree) != before + 1)
             return fail(round, ev, "misaligned_frees did not move");
         ++detected_[unsigned(ev)];
         return true;
@@ -342,13 +341,13 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
             static_cast<char *>(heap.at(off)) + bsize -
             HardeningManager::kCanaryBytes);
         *w ^= 0xdeadbeefcafef00dULL;
-        uint64_t before = count(hs.canary_stomps);
+        uint64_t before = count(StatCounter::CanaryStomp);
         NvStatus st = heap.freeFrom(ctx, &slots[s]);
         sizes_[s] = 0;
         if (st != NvStatus::Ok)
             return fail(round, ev,
                         "stomped free should contain, not error");
-        if (count(hs.canary_stomps) != before + 1)
+        if (count(StatCounter::CanaryStomp) != before + 1)
             return fail(round, ev, "canary_stomps did not move");
         if (slots[s] != 0)
             return fail(round, ev, "attach word not cleared");
@@ -365,11 +364,11 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
         }
         if (victim == 0)
             return skip("all donor offsets collide with this heap");
-        uint64_t before = count(hs.cross_heap_frees);
+        uint64_t before = count(StatCounter::CrossHeapFree);
         if (heap.freeOffset(ctx, victim, nullptr) !=
             NvStatus::InvalidFree)
             return fail(round, ev, "cross-heap free not rejected");
-        if (count(hs.cross_heap_frees) != before + 1)
+        if (count(StatCounter::CrossHeapFree) != before + 1)
             return fail(round, ev, "cross_heap_frees did not move");
         ++detected_[unsigned(ev)];
         return true;
@@ -394,10 +393,10 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
         // Linear overflow: one byte past the allocation, into the
         // redzone fill.
         static_cast<uint8_t *>(heap.at(goff))[48] = 0xaa;
-        uint64_t before = count(hs.guard_overflows);
+        uint64_t before = count(StatCounter::GuardOverflow);
         if (heap.freeOffset(ctx, goff, nullptr) != NvStatus::Ok)
             return fail(round, ev, "guard free should contain");
-        if (count(hs.guard_overflows) != before + 1)
+        if (count(StatCounter::GuardOverflow) != before + 1)
             return fail(round, ev, "guard_overflows did not move");
         ++detected_[unsigned(ev)];
         return true;
@@ -423,9 +422,9 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
             return skip("every victim bypassed the quarantine");
         // The use-after-free write, into the poison fill.
         std::memset(heap.at(off), 0x5a, 8);
-        uint64_t before = count(hs.quarantine_uaf);
+        uint64_t before = count(StatCounter::QuarantineUaf);
         heap.hardening().drainQuarantine();
-        if (count(hs.quarantine_uaf) != before + 1)
+        if (count(StatCounter::QuarantineUaf) != before + 1)
             return fail(round, ev, "quarantine_uaf did not move");
         ++detected_[unsigned(ev)];
         return true;
@@ -501,14 +500,14 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
         // delayed-reuse quarantine at commit; the read (stripe-locked
         // out of the erase) must miss without dirtying the poison
         // fill, so draining must not report a quarantine UAF.
-        uint64_t uaf_before = count(hs.quarantine_uaf);
+        uint64_t uaf_before = count(StatCounter::QuarantineUaf);
         std::string out;
         if (kv->erase(ctx, keys[0]) != KvStatus::Ok)
             return fail(round, ev, "kv erase failed");
         if (kv->get(keys[0], &out) != KvStatus::NotFound)
             return fail(round, ev, "erased key still readable");
         heap.hardening().drainQuarantine();
-        if (count(hs.quarantine_uaf) != uaf_before)
+        if (count(StatCounter::QuarantineUaf) != uaf_before)
             return fail(round, ev,
                         "erase-then-read tripped the UAF guard");
         // Payload stomp: 8 bytes inside the live value (canary and
