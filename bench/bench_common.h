@@ -63,12 +63,14 @@ struct BenchParams
     }
 };
 
-/** Fresh device + allocator, run one workload, return the result. */
+/** Fresh device (eADR if asked) + allocator, run one workload, return
+ *  the result. */
 inline RunResult
 runOn(AllocKind kind, const MakeOptions &opts,
-      const std::function<RunResult(PmAllocator &, VtimeEpoch &)> &body)
+      const std::function<RunResult(PmAllocator &, VtimeEpoch &)> &body,
+      bool eadr = false)
 {
-    auto dev = makeBenchDevice();
+    auto dev = makeBenchDevice(size_t{4} << 30, eadr);
     auto alloc = makeAllocator(kind, *dev, opts);
     VtimeEpoch epoch;
     return body(*alloc, epoch);

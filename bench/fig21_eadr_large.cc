@@ -1,6 +1,6 @@
 /**
  * @file
- * Figure 21: large allocations on the emulated eADR platform.
+ * Figure 21: large allocations on an eADR device (PmDeviceConfig::eadr).
  *
  * Expected shape (§6.7): NVAlloc-LOG keeps a large advantage (~11x on
  * average) even without flushes, because the VEH design plus
@@ -22,10 +22,6 @@ main(int argc, char **argv)
     const AllocKind kinds[] = {AllocKind::Pmdk, AllocKind::NvmMalloc,
                                AllocKind::PAllocator, AllocKind::Makalu,
                                AllocKind::NvAllocLog};
-
-    MakeOptions opts;
-    opts.eadr = true;
-    opts.flush_enabled = false;
 
     struct Bench
     {
@@ -54,10 +50,11 @@ main(int argc, char **argv)
         for (AllocKind kind : kinds) {
             std::vector<double> row;
             for (unsigned t : threads) {
-                RunResult r = runOn(kind, opts,
+                RunResult r = runOn(kind, {},
                                     [&](PmAllocator &a, VtimeEpoch &e) {
                                         return bench.run(a, e, t);
-                                    });
+                                    },
+                                    /*eadr=*/true);
                 row.push_back(r.mops());
             }
             printSeriesRow(allocName(kind), row);

@@ -98,8 +98,6 @@ class PmAllocator
 /** Construction knobs shared by every allocator factory. */
 struct MakeOptions
 {
-    bool flush_enabled = true; //!< false on the emulated eADR platform
-    bool eadr = false;         //!< put the device model in eADR mode
     /** Overrides applied to NVAlloc variants only. */
     std::function<void(NvAllocConfig &)> tweak_nvalloc;
 };
@@ -130,9 +128,9 @@ class PmAllocatorRegistry
     void registerFactory(const std::string &name, Factory fn);
 
     /**
-     * Construct allocator `name` on `dev`. Device-level options
-     * (eADR) are applied here, centrally, before the factory runs.
-     * Returns nullptr for an unknown name.
+     * Construct allocator `name` on `dev`; the device is left as the
+     * caller built it (eADR is a PmDeviceConfig property). Returns
+     * nullptr for an unknown name.
      */
     std::unique_ptr<PmAllocator> make(const std::string &name,
                                       PmDevice &dev,

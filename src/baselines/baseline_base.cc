@@ -11,7 +11,7 @@ BaselineAllocator::publish(uint64_t *where, uint64_t value)
     if (!where)
         return;
     *where = value;
-    if (flush_ && dev_.contains(where)) {
+    if (dev_.contains(where)) {
         dev_.persist(where, sizeof(uint64_t), TimeKind::FlushData);
         dev_.fence();
     }

@@ -44,13 +44,11 @@ struct BaselineSpec
 class BaselineAllocator : public PmAllocator
 {
   public:
-    BaselineAllocator(PmDevice &dev, BaselineSpec spec,
-                      bool flush_enabled = true)
+    BaselineAllocator(PmDevice &dev, BaselineSpec spec)
         : dev_(dev), spec_(spec),
-          extents_(std::make_unique<ExtentHeap>(&dev, flush_enabled)),
+          extents_(std::make_unique<ExtentHeap>(&dev)),
           engine_(std::make_unique<SlabEngine>(&dev, extents_.get(),
-                                               spec.small, flush_enabled)),
-          flush_(flush_enabled)
+                                               spec.small))
     {
     }
 
@@ -81,7 +79,6 @@ class BaselineAllocator : public PmAllocator
     BaselineSpec spec_;
     std::unique_ptr<ExtentHeap> extents_;
     std::unique_ptr<SlabEngine> engine_;
-    bool flush_;
 
     void publish(uint64_t *where, uint64_t value);
     void largeJournal(SlabEngine::Tls *tls, uint64_t off, size_t size,

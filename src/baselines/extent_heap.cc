@@ -73,12 +73,10 @@ ExtentHeap::writeDesc(uint64_t desc_off, uint64_t off, uint64_t size,
     desc->offset = off;
     desc->size = size;
     desc->state = state;
-    if (flush_) {
-        // The in-place bookkeeping update: a 64 B write at whatever
-        // region header the best-fit landed in (random, §3.3).
-        dev_->persist(desc, sizeof(ExtentDesc), TimeKind::FlushMeta);
-        dev_->fence();
-    }
+    // The in-place bookkeeping update: a 64 B write at whatever region
+    // header the best-fit landed in (random, §3.3).
+    dev_->persist(desc, sizeof(ExtentDesc), TimeKind::FlushMeta);
+    dev_->fence();
 }
 
 uint64_t
@@ -127,11 +125,9 @@ ExtentHeap::writeBoundaryTags(uint64_t off, uint64_t size)
         dev_->at(off + size - kCacheLine));
     head[0] = size | 1;
     foot[0] = size | 1;
-    if (flush_) {
-        dev_->persist(head, 8, TimeKind::FlushMeta);
-        dev_->persist(foot, 8, TimeKind::FlushMeta);
-        dev_->fence();
-    }
+    dev_->persist(head, 8, TimeKind::FlushMeta);
+    dev_->persist(foot, 8, TimeKind::FlushMeta);
+    dev_->fence();
 }
 
 void

@@ -31,10 +31,7 @@ namespace nvalloc {
 class ExtentHeap
 {
   public:
-    ExtentHeap(PmDevice *dev, bool flush_enabled)
-        : dev_(dev), flush_(flush_enabled)
-    {
-    }
+    explicit ExtentHeap(PmDevice *dev) : dev_(dev) {}
 
     /** Allocate an extent (16 KB grain). Returns offset or 0. */
     uint64_t allocExtent(uint64_t size);
@@ -67,7 +64,6 @@ class ExtentHeap
     };
 
     PmDevice *dev_;
-    bool flush_;
 
     std::multimap<uint64_t, uint64_t> free_by_size_; // size -> off
     std::map<uint64_t, uint64_t> free_by_addr_;      // off -> size

@@ -28,10 +28,7 @@ namespace nvalloc {
 class MakaluAlloc : public BaselineAllocator
 {
   public:
-    explicit MakaluAlloc(PmDevice &dev, bool flush_enabled = true)
-        : BaselineAllocator(dev, spec(), flush_enabled)
-    {
-    }
+    explicit MakaluAlloc(PmDevice &dev) : BaselineAllocator(dev, spec()) {}
 
     static BaselineSpec
     spec()

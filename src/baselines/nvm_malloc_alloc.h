@@ -24,10 +24,7 @@ namespace nvalloc {
 class NvmMallocAlloc : public BaselineAllocator
 {
   public:
-    explicit NvmMallocAlloc(PmDevice &dev, bool flush_enabled = true)
-        : BaselineAllocator(dev, spec(), flush_enabled)
-    {
-    }
+    explicit NvmMallocAlloc(PmDevice &dev) : BaselineAllocator(dev, spec()) {}
 
     static BaselineSpec
     spec()

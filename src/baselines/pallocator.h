@@ -27,10 +27,7 @@ namespace nvalloc {
 class PalAllocator : public BaselineAllocator
 {
   public:
-    explicit PalAllocator(PmDevice &dev, bool flush_enabled = true)
-        : BaselineAllocator(dev, spec(), flush_enabled)
-    {
-    }
+    explicit PalAllocator(PmDevice &dev) : BaselineAllocator(dev, spec()) {}
 
     static BaselineSpec
     spec()

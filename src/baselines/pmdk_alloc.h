@@ -28,10 +28,7 @@ namespace nvalloc {
 class PmdkAlloc : public BaselineAllocator
 {
   public:
-    explicit PmdkAlloc(PmDevice &dev, bool flush_enabled = true)
-        : BaselineAllocator(dev, spec(), flush_enabled)
-    {
-    }
+    explicit PmdkAlloc(PmDevice &dev) : BaselineAllocator(dev, spec()) {}
 
     static BaselineSpec
     spec()

@@ -27,10 +27,7 @@ namespace nvalloc {
 class RallocAlloc : public BaselineAllocator
 {
   public:
-    explicit RallocAlloc(PmDevice &dev, bool flush_enabled = true)
-        : BaselineAllocator(dev, spec(), flush_enabled)
-    {
-    }
+    explicit RallocAlloc(PmDevice &dev) : BaselineAllocator(dev, spec()) {}
 
     static BaselineSpec
     spec()

@@ -20,12 +20,12 @@ namespace nvalloc {
 namespace {
 
 NvAllocConfig
-nvallocConfigFor(Consistency consistency, const MakeOptions &opts)
+nvallocConfigFor(Consistency consistency, const PmDevice &dev,
+                 const MakeOptions &opts)
 {
     NvAllocConfig cfg;
     cfg.consistency = consistency;
-    cfg.flush_enabled = opts.flush_enabled;
-    if (opts.eadr) {
+    if (dev.eadr()) {
         // pmem_has_auto_flush() detected eADR: interleaving is
         // disabled because it only spreads cache pressure (§6.7).
         cfg.interleaved_bitmap = false;
@@ -42,28 +42,28 @@ nvallocConfigFor(Consistency consistency, const MakeOptions &opts)
 
 PmAllocatorRegistry::PmAllocatorRegistry()
 {
-    registerFactory("pmdk", [](PmDevice &dev, const MakeOptions &o) {
-        return std::make_unique<PmdkAlloc>(dev, o.flush_enabled);
+    registerFactory("pmdk", [](PmDevice &dev, const MakeOptions &) {
+        return std::make_unique<PmdkAlloc>(dev);
     });
-    registerFactory("nvm_malloc", [](PmDevice &dev, const MakeOptions &o) {
-        return std::make_unique<NvmMallocAlloc>(dev, o.flush_enabled);
+    registerFactory("nvm_malloc", [](PmDevice &dev, const MakeOptions &) {
+        return std::make_unique<NvmMallocAlloc>(dev);
     });
-    registerFactory("pallocator", [](PmDevice &dev, const MakeOptions &o) {
-        return std::make_unique<PalAllocator>(dev, o.flush_enabled);
+    registerFactory("pallocator", [](PmDevice &dev, const MakeOptions &) {
+        return std::make_unique<PalAllocator>(dev);
     });
-    registerFactory("makalu", [](PmDevice &dev, const MakeOptions &o) {
-        return std::make_unique<MakaluAlloc>(dev, o.flush_enabled);
+    registerFactory("makalu", [](PmDevice &dev, const MakeOptions &) {
+        return std::make_unique<MakaluAlloc>(dev);
     });
-    registerFactory("ralloc", [](PmDevice &dev, const MakeOptions &o) {
-        return std::make_unique<RallocAlloc>(dev, o.flush_enabled);
+    registerFactory("ralloc", [](PmDevice &dev, const MakeOptions &) {
+        return std::make_unique<RallocAlloc>(dev);
     });
     registerFactory("nvalloc", [](PmDevice &dev, const MakeOptions &o) {
         return std::make_unique<NvAllocAdapter>(
-            dev, nvallocConfigFor(Consistency::Log, o));
+            dev, nvallocConfigFor(Consistency::Log, dev, o));
     });
     registerFactory("nvalloc-gc", [](PmDevice &dev, const MakeOptions &o) {
         return std::make_unique<NvAllocAdapter>(
-            dev, nvallocConfigFor(Consistency::Gc, o));
+            dev, nvallocConfigFor(Consistency::Gc, dev, o));
     });
 }
 
@@ -87,8 +87,6 @@ PmAllocatorRegistry::make(const std::string &name, PmDevice &dev,
     auto it = factories_.find(name);
     if (it == factories_.end())
         return nullptr;
-    if (opts.eadr)
-        dev.model().setEadr(true);
     return it->second(dev, opts);
 }
 

@@ -4,9 +4,8 @@
 
 namespace nvalloc {
 
-SlabEngine::SlabEngine(PmDevice *dev, ExtentHeap *extents, Policy policy,
-                       bool flush_enabled)
-    : dev_(dev), extents_(extents), policy_(policy), flush_(flush_enabled)
+SlabEngine::SlabEngine(PmDevice *dev, ExtentHeap *extents, Policy policy)
+    : dev_(dev), extents_(extents), policy_(policy)
 {
     unsigned shards = policy_.shards < 1 ? 1 : policy_.shards;
     for (unsigned i = 0; i < shards; ++i)
@@ -94,10 +93,8 @@ SlabEngine::journalWith(Tls *tls, const Policy &policy, uint64_t off,
         auto *head = static_cast<uint64_t *>(dev_->at(tls->log_off));
         head[0] = tls->op_count;
         head[1] = off;
-        if (flush_) {
-            dev_->persist(head, kCacheLine, TimeKind::FlushWal);
-            dev_->fence();
-        }
+        dev_->persist(head, kCacheLine, TimeKind::FlushWal);
+        dev_->fence();
     }
     for (unsigned i = 0; i < policy.log_entry_flushes; ++i) {
         // Appending journal: 16 B entries, four per line, so three of
@@ -107,10 +104,8 @@ SlabEngine::journalWith(Tls *tls, const Policy &policy, uint64_t off,
             dev_->at(tls->log_off + kCacheLine + uint64_t(pos) * 16));
         e[0] = (off << 2) | (is_free ? 2 : 1);
         e[1] = size;
-        if (flush_) {
-            dev_->persist(e, 16, TimeKind::FlushWal);
-            dev_->fence();
-        }
+        dev_->persist(e, 16, TimeKind::FlushWal);
+        dev_->fence();
     }
 }
 
@@ -138,10 +133,8 @@ SlabEngine::newSlab(Heap &heap, unsigned cls)
     auto *hdr = static_cast<uint64_t *>(dev_->at(off));
     hdr[0] = 0x42534c4142ULL; // "BSLAB"
     hdr[1] = cls;
-    if (flush_) {
-        dev_->persist(hdr, kCacheLine, TimeKind::FlushMeta);
-        dev_->fence();
-    }
+    dev_->persist(hdr, kCacheLine, TimeKind::FlushMeta);
+    dev_->fence();
     return slab;
 }
 
@@ -156,7 +149,7 @@ SlabEngine::persistBitmapBit(Slab *slab, unsigned idx, bool set)
         bitmapSet(words, idx);
     else
         bitmapClear(words, idx);
-    if (flush_ && policy_.bitmap_flush) {
+    if (policy_.bitmap_flush) {
         dev_->flushLine(reinterpret_cast<char *>(words) + idx / 8,
                         TimeKind::FlushMeta);
         dev_->fence();
@@ -234,7 +227,7 @@ SlabEngine::freeToEmbedded(Heap &heap, Slab *slab, uint64_t off)
 {
     ClassHeap &ch = heap.classes[slab->cls];
     *static_cast<uint64_t *>(dev_->at(off)) = ch.embedded_head;
-    if (flush_ && policy_.flush_link) {
+    if (policy_.flush_link) {
         dev_->persist(dev_->at(off), 8, TimeKind::FlushMeta);
         dev_->fence();
     }
@@ -264,7 +257,7 @@ SlabEngine::alloc(Tls *tls, size_t size)
 
     ++tls->op_count;
     if (policy_.periodic_meta_flush &&
-        tls->op_count % policy_.periodic_meta_flush == 0 && flush_) {
+        tls->op_count % policy_.periodic_meta_flush == 0) {
         auto *slab = static_cast<Slab *>(radix_.get(off));
         dev_->persist(dev_->at(slab->off), kCacheLine,
                       TimeKind::FlushMeta);

@@ -71,8 +71,7 @@ class SlabEngine
         Heap *heap = nullptr; //!< per-thread heap if enabled
     };
 
-    SlabEngine(PmDevice *dev, ExtentHeap *extents, Policy policy,
-               bool flush_enabled);
+    SlabEngine(PmDevice *dev, ExtentHeap *extents, Policy policy);
     ~SlabEngine();
 
     Tls *attach();
@@ -126,7 +125,6 @@ class SlabEngine
     PmDevice *dev_;
     ExtentHeap *extents_;
     Policy policy_;
-    bool flush_;
 
     std::vector<std::unique_ptr<Heap>> shard_heaps_;
     std::vector<std::unique_ptr<Heap>> thread_heaps_;

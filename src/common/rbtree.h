@@ -181,6 +181,16 @@ class RbTree
         return root_ ? objOf(minimum(root_)) : nullptr;
     }
 
+    /** Node with the largest key, or nullptr when empty. */
+    T *
+    last() const
+    {
+        RbNode *x = root_;
+        while (x && x->right)
+            x = x->right;
+        return objOf(x);
+    }
+
     /** In-order successor, or nullptr at the end. */
     T *
     next(T *obj) const

@@ -82,8 +82,7 @@ Arena::newSlab(unsigned cls)
     uint64_t off = large_->allocate(kSlabSize, true);
     if (off == 0)
         return nullptr;
-    auto *slab = new VSlab(dev_, off, cls, slabStripes(),
-                           cfg_->flush_enabled, gc_mode_);
+    auto *slab = new VSlab(dev_, off, cls, slabStripes(), gc_mode_);
     slab->arena = this;
     slab_radix_->setRange(off, kSlabSize, slab);
     slabs_.insert(slab);

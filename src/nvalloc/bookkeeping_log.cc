@@ -37,13 +37,11 @@ BookkeepingLog::chunkOffset(size_t index) const
 bool
 BookkeepingLog::attach(PmDevice *dev, uint64_t region_off,
                        size_t region_bytes, bool interleaved,
-                       bool flush_enabled, double gc_threshold,
-                       bool create, bool verify)
+                       double gc_threshold, bool create, bool verify)
 {
     dev_ = dev;
     region_off_ = region_off;
     region_bytes_ = region_bytes;
-    flush_ = flush_enabled;
     verify_ = verify;
     gc_threshold_ = gc_threshold;
     header_ = static_cast<LogHeader *>(dev->at(region_off));
@@ -63,8 +61,7 @@ BookkeepingLog::attach(PmDevice *dev, uint64_t region_off,
         // always called with the same interleaving the log was
         // written with.
         persistHeader();
-        if (flush_)
-            dev_->fence();
+        dev_->fence();
     } else {
         // The header is the log's single root: if it cannot be
         // trusted no chunk can be found, so a corrupt one means the
@@ -93,8 +90,7 @@ BookkeepingLog::attach(PmDevice *dev, uint64_t region_off,
 void
 BookkeepingLog::persistLine(const void *addr, size_t len)
 {
-    if (flush_)
-        dev_->persist(addr, len, TimeKind::FlushLog);
+    dev_->persist(addr, len, TimeKind::FlushLog);
 }
 
 void
@@ -171,8 +167,7 @@ BookkeepingLog::activateChunk(VChunk *list_tail, uint32_t list)
         header_->head[list] = vc->chunk_off;
         persistLine(&header_->head[list], sizeof(uint64_t));
     }
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
 
     active_.insert(vc, vc->id);
     ++active_count_;
@@ -186,8 +181,7 @@ BookkeepingLog::writeEntry(VChunk &vc, unsigned slot, uint64_t packed)
     unsigned phys = map_.physical(slot);
     pc->entries[phys] = packed;
     persistLine(&pc->entries[phys], sizeof(uint64_t));
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
 }
 
 bool
@@ -321,13 +315,11 @@ BookkeepingLog::releaseChunk(VChunk *vc, VChunk *prev)
         header_->head[header_->alt] = pc->next;
         persistLine(&header_->head[header_->alt], sizeof(uint64_t));
     }
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
 
     pc->active = 0;
     persistChunkHeader(pc);
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
 
     active_.erase(vc);
     --active_count_;
@@ -415,8 +407,7 @@ BookkeepingLog::slowGc()
     // either the complete old list or the complete new one.
     header_->alt = new_alt;
     persistLine(&header_->alt, sizeof(uint32_t));
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
 
     // Recycle list_old.
     for (VChunk *vc : old_chunks) {
@@ -428,8 +419,7 @@ BookkeepingLog::slowGc()
         vc->next_free = free_list_;
         free_list_ = vc;
     }
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
     tail_ = new_tail;
     if (tel_)
         tel_->add(StatCounter::LogGcNs, VClock::now() - t0);
@@ -536,8 +526,7 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
     if (carved_chunks_ != header_->num_chunks) {
         header_->num_chunks = uint32_t(carved_chunks_);
         persistHeader();
-        if (flush_)
-            dev_->fence();
+        dev_->fence();
     }
 
     // Unreachable carved chunks (e.g. an unpublished list_new from a

@@ -74,8 +74,8 @@ class BookkeepingLog
      * unopenable rather than guess at chunk locations.
      */
     bool attach(PmDevice *dev, uint64_t region_off, size_t region_bytes,
-                bool interleaved, bool flush_enabled, double gc_threshold,
-                bool create, bool verify = true);
+                bool interleaved, double gc_threshold, bool create,
+                bool verify = true);
 
     /** Append a normal or slab entry; `owner` is the volatile object
      *  (VEH) to notify on relocation. Returns an invalid ref if the
@@ -153,7 +153,6 @@ class BookkeepingLog
     PmDevice *dev_ = nullptr;
     uint64_t region_off_ = 0;
     size_t region_bytes_ = 0;
-    bool flush_ = true;
     bool verify_ = true; //!< checksum-verify chunks/entries on replay
     double gc_threshold_ = 0.5;
     InterleaveMap map_;

@@ -110,10 +110,6 @@ struct NvAllocConfig
      *  (paper/jemalloc: 50 ms epochs). */
     uint64_t decay_window_ns = 50'000'000;
 
-    /** When false, skips all flush calls (eADR platform, §6.7); the
-     *  device's latency model should be set to eADR mode as well. */
-    bool flush_enabled = true;
-
     // Runtime statistics have no knob: every heap counts each event
     // once, in its telemetry shards (DESIGN.md §7), and maintenance
     // pacing and the pool read those counters.

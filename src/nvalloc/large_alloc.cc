@@ -1,5 +1,6 @@
 #include "nvalloc/large_alloc.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -72,6 +73,17 @@ LargeAllocator::regionOf(uint64_t off) const
     --it;
     NV_ASSERT(off < it->first + it->second);
     return it->first;
+}
+
+uint64_t
+LargeAllocator::largestFreeExtent() const
+{
+    uint64_t best = 0;
+    for (const SizeTree *tree : {&reclaimed_tree_, &retained_tree_}) {
+        if (const Veh *veh = tree->last())
+            best = std::max(best, veh->size);
+    }
+    return best;
 }
 
 bool

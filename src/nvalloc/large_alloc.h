@@ -247,9 +247,14 @@ class LargeAllocator
      *  telemetry; unset, they go uncounted. */
     void setTelemetry(Telemetry *tel) { tel_ = tel; }
 
+    // Gauges (stats.large.*); callers outside the allocator hold lock().
     uint64_t activatedBytes() const { return activated_bytes_; }
     uint64_t reclaimedBytes() const { return reclaimed_bytes_; }
     uint64_t retainedBytes() const { return retained_bytes_; }
+    uint64_t regionSlotsUsed() const { return regions_.size(); }
+    uint64_t regionSlotsTotal() const { return region_slots_; }
+    /** Size of the largest free (reclaimed or retained) extent. */
+    uint64_t largestFreeExtent() const;
 
   private:
     using SizeTree = RbTree<Veh, offsetof(Veh, size_node)>;

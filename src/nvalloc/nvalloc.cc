@@ -263,8 +263,8 @@ NvAlloc::createHeap()
         sb_->log_off = dev_.mapRegion(cfg_.log_file_bytes);
         sb_->log_bytes = cfg_.log_file_bytes;
         log_.attach(&dev_, sb_->log_off, sb_->log_bytes,
-                    cfg_.interleaved_log, cfg_.flush_enabled,
-                    cfg_.log_gc_threshold, /*create=*/true);
+                    cfg_.interleaved_log, cfg_.log_gc_threshold,
+                    /*create=*/true);
     }
     large_.init(&dev_, cfg_, usesBookkeepingLog() ? &log_ : nullptr,
                 region_table_, region_slots_);
@@ -312,6 +312,7 @@ NvAlloc::quarantineSlab(uint64_t off)
         // List full: the slab is still skipped this run, but the
         // refusal will have to be re-derived after the next crash.
         NV_WARN("quarantine list full; slab refusal not recorded");
+        tel_.add(StatCounter::QuarantineListFull);
         return;
     }
     // Persist the slot before the count: the count commits the entry,
@@ -383,8 +384,7 @@ NvAlloc::attachThread()
     dev_.persistFence(dev_.at(ring_off), kWalRingBytes,
                       TimeKind::FlushWal);
     ctx->wal.attach(&dev_, sb_->wal_off + uint64_t(slot) * kWalRingBytes,
-                    cfg_.interleaved_wal, cfg_.bit_stripes,
-                    cfg_.flush_enabled);
+                    cfg_.interleaved_wal, cfg_.bit_stripes);
     ctxs_.push_back(ctx);
     return ctx;
 }

@@ -114,8 +114,7 @@ NvAlloc::recoverHeap()
         }
         if (cfg_.verify_recovery_checksums)
             VClock::advance(2, TimeKind::Other); // header crc math
-        auto *slab = new VSlab(&dev_, off, cfg_.flush_enabled,
-                               gcMode());
+        auto *slab = new VSlab(&dev_, off, gcMode());
         // Per-block vbitmap/counter reconstruction.
         VClock::advance(5 * uint64_t(slab->capacity()),
                         TimeKind::Other);
@@ -128,8 +127,8 @@ NvAlloc::recoverHeap()
 
     if (usesBookkeepingLog()) {
         if (!log_.attach(&dev_, sb_->log_off, sb_->log_bytes,
-                         cfg_.interleaved_log, cfg_.flush_enabled,
-                         cfg_.log_gc_threshold, /*create=*/false,
+                         cfg_.interleaved_log, cfg_.log_gc_threshold,
+                         /*create=*/false,
                          cfg_.verify_recovery_checksums)) {
             // The log header is the single root of every large-extent
             // record; with it untrusted, replay would invent or drop

@@ -27,11 +27,10 @@ geometryValid(unsigned cls, unsigned capacity, unsigned stripes)
 } // namespace
 
 VSlab::VSlab(PmDevice *dev, uint64_t slab_off, unsigned cls,
-             unsigned stripes, bool flush_enabled, bool gc_mode)
+             unsigned stripes, bool gc_mode)
     : dev_(dev), slab_off_(slab_off),
       hdr_(static_cast<SlabHeader *>(dev->at(slab_off))),
-      geo_(SlabGeometry::compute(cls, stripes)),
-      flush_(flush_enabled), gc_mode_(gc_mode)
+      geo_(SlabGeometry::compute(cls, stripes)), gc_mode_(gc_mode)
 {
     NV_ASSERT(geo_.map.physicalSlots() <= kSlabBitmapBytes * 8);
 
@@ -61,17 +60,14 @@ VSlab::VSlab(PmDevice *dev, uint64_t slab_off, unsigned cls,
     // crash could recover a trusted header over the previous owner's
     // stale bytes.
     persistHeaderLine(hdr_, kSlabHeaderSize);
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
 
     avail_.store(geo_.capacity, std::memory_order_relaxed);
 }
 
-VSlab::VSlab(PmDevice *dev, uint64_t slab_off, bool flush_enabled,
-             bool gc_mode)
+VSlab::VSlab(PmDevice *dev, uint64_t slab_off, bool gc_mode)
     : dev_(dev), slab_off_(slab_off),
-      hdr_(static_cast<SlabHeader *>(dev->at(slab_off))),
-      flush_(flush_enabled), gc_mode_(gc_mode)
+      hdr_(static_cast<SlabHeader *>(dev->at(slab_off))), gc_mode_(gc_mode)
 {
     NV_ASSERT(hdr_->magic == kSlabMagic);
 
@@ -108,8 +104,7 @@ VSlab::VSlab(PmDevice *dev, uint64_t slab_off, bool flush_enabled,
             // the setFlag fence and recovery itself crashed there, the
             // flag clear could land while the bitmap lines were
             // dropped, leaving a trusted header over a wrong bitmap.
-            if (flush_)
-                dev_->fence();
+            dev_->fence();
         }
         hdr_->index_count = 0;
         setFlag(0);
@@ -125,8 +120,7 @@ VSlab::VSlab(PmDevice *dev, uint64_t slab_off, bool flush_enabled,
             std::memset(hdr_->bitmap, 0, kSlabBitmapBytes);
             persistHeaderLine(hdr_->bitmap, kSlabBitmapBytes);
             // Same epoch-separation as the flag-2 repair above.
-            if (flush_)
-                dev_->fence();
+            dev_->fence();
         }
         setFlag(0);
     }
@@ -294,8 +288,7 @@ VSlab::rebuildPersistentBitmap()
             bitmapSet(pbitmapWords(), geo_.map.physical(idx));
     }
     persistHeaderLine(hdr_->bitmap, kSlabBitmapBytes);
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
     unfreeze();
     return true;
 }
@@ -325,8 +318,7 @@ VSlab::repairHeader()
     hdr_->new_stripes = 0;
     updateHeaderCrc();
     persistHeaderLine(hdr_, kCacheLine);
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
     unfreeze();
     return true;
 }
@@ -347,7 +339,7 @@ VSlab::persistBit(unsigned idx, bool set)
     // NVAlloc-GC never flushes per-block metadata (paper §4.1): the
     // post-crash GC rebuilds it, trading recovery time for allocation
     // speed.
-    if (flush_ && !gc_mode_) {
+    if (!gc_mode_) {
         dev_->flushLine(hdr_->bitmap + phys / 8, TimeKind::FlushMeta);
         dev_->fence();
     }
@@ -356,8 +348,7 @@ VSlab::persistBit(unsigned idx, bool set)
 void
 VSlab::persistHeaderLine(const void *addr, size_t len)
 {
-    if (flush_)
-        dev_->persist(addr, len, TimeKind::FlushMeta);
+    dev_->persist(addr, len, TimeKind::FlushMeta);
 }
 
 void
@@ -369,8 +360,7 @@ VSlab::setFlag(uint16_t flag)
     hdr_->flag = flag;
     updateHeaderCrc();
     persistHeaderLine(hdr_, kCacheLine);
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
 }
 
 bool
@@ -485,8 +475,7 @@ VSlab::morphTo(unsigned new_cls, unsigned stripes)
     // flag 2 while dropping the table lines. That includes the count,
     // which shares the first line with the flag — a word-granular tear
     // of the flag-2 flush could otherwise land the flag alone.
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
     setFlag(2);
 
     // Step 3: install the new geometry; the old allocation info now
@@ -597,11 +586,8 @@ VSlab::freeOldBlock(unsigned old_idx)
     // Paper §5.2 block release: update the entry's state and flush it;
     // blocks_before bypass the tcache.
     hdr_->index_table[entry_pos] = uint16_t(old_idx);
-    if (flush_) {
-        dev_->flushLine(&hdr_->index_table[entry_pos],
-                        TimeKind::FlushMeta);
-        dev_->fence();
-    }
+    dev_->flushLine(&hdr_->index_table[entry_pos], TimeKind::FlushMeta);
+    dev_->fence();
 
     uint64_t start = uint64_t(old_idx) * old_geo_.block_size;
     uint64_t end = start + old_geo_.block_size;
@@ -632,8 +618,7 @@ VSlab::finishMorph()
     hdr_->index_count = 0;
     updateHeaderCrc();
     persistHeaderLine(hdr_, kCacheLine);
-    if (flush_)
-        dev_->fence();
+    dev_->fence();
     cnt_slab_.store(0, std::memory_order_release);
     cnt_block_.clear();
     cnt_block_.shrink_to_fit();

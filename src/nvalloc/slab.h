@@ -72,12 +72,11 @@ class VSlab
   public:
     /** Format a freshly mapped 64 KB extent as a slab. */
     VSlab(PmDevice *dev, uint64_t slab_off, unsigned cls, unsigned stripes,
-          bool flush_enabled, bool gc_mode);
+          bool gc_mode);
 
     /** Adopt an existing slab during recovery (header already valid;
      *  rebuilds all volatile state from the persistent header). */
-    VSlab(PmDevice *dev, uint64_t slab_off, bool flush_enabled,
-          bool gc_mode);
+    VSlab(PmDevice *dev, uint64_t slab_off, bool gc_mode);
 
     /**
      * Recovery gate: can the header at `slab_off` be trusted? Checks
@@ -413,7 +412,6 @@ class VSlab
     uint64_t slab_off_;
     SlabHeader *hdr_;
     SlabGeometry geo_;
-    bool flush_ = true;
     bool gc_mode_ = false; //!< GC variant: write but do not flush bits
 
     SlabBitfield<kMaxSlabBlocks> vbits_;

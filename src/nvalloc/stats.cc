@@ -10,12 +10,13 @@
  *    (per-class and per-reason families, the arenas' own Stats,
  *    RecoveryInfo);
  *  - gauges read from the object that owns them (live depths, modes,
- *    PmDevice space).
+ *    PmDevice space, the large allocator's extent and region state).
  *
  * The registry is built lazily on the first ctl use and is immutable
- * afterwards; readers are called with no heap lock held and only load
- * atomics / read plain counters, so introspection never blocks
- * allocation.
+ * afterwards; readers are called with no heap lock held. Most only
+ * load atomics / read plain counters; the hardening and large-path
+ * gauges take their owner's lock briefly, so introspection never
+ * blocks allocation for longer than one gauge read.
  */
 
 #include "nvalloc/nvalloc.h"
@@ -166,6 +167,27 @@ NvAlloc::buildCtlRegistry()
     for (const char *name :
          {"stats.slab.refills", "stats.fastpath.refill_searches"})
         ctl_.registerName(name, arenaSum(&Arena::Stats::refills));
+
+    // Large-path gauges, each read under the large allocator's lock.
+    {
+        LargeAllocator *large = &large_;
+        using Getter = uint64_t (LargeAllocator::*)() const;
+        const std::pair<const char *, Getter> kLargeGauges[] = {
+            {"activated_bytes", &LargeAllocator::activatedBytes},
+            {"reclaimed_bytes", &LargeAllocator::reclaimedBytes},
+            {"retained_bytes", &LargeAllocator::retainedBytes},
+            {"region_slots_used", &LargeAllocator::regionSlotsUsed},
+            {"region_slots_total", &LargeAllocator::regionSlotsTotal},
+            {"largest_free_extent", &LargeAllocator::largestFreeExtent},
+        };
+        for (const auto &[leaf, get] : kLargeGauges) {
+            ctl_.registerName(std::string("stats.large.") + leaf,
+                              [large, get = get] {
+                                  VLockGuard g(large->lock());
+                                  return (large->*get)();
+                              });
+        }
+    }
 
     // Bookkeeping log gauges, and what replay rejected (recorded in
     // RecoveryInfo).

@@ -38,7 +38,7 @@ class Wal
     /** Attach to a persistent ring at device offset `ring_off`. */
     void
     attach(PmDevice *dev, uint64_t ring_off, bool interleaved,
-           unsigned stripes, bool flush_enabled)
+           unsigned stripes)
     {
         dev_ = dev;
         ring_ = static_cast<WalEntry *>(dev->at(ring_off));
@@ -47,7 +47,6 @@ class Wal
                                     interleaved ? stripes : 1);
         NV_ASSERT(map_.physicalSlots() * sizeof(WalEntry) <=
                   kWalRingBytes);
-        flush_ = flush_enabled;
         seq_.store(0, std::memory_order_relaxed);
     }
 
@@ -98,10 +97,8 @@ class Wal
         e.tx_id = 0;
         e.tx_mark = kWalTxNone;
         e.crc = walEntryCrc(e);
-        if (flush_) {
-            dev_->persist(&e, sizeof(e), TimeKind::FlushWal);
-            dev_->fence();
-        }
+        dev_->persist(&e, sizeof(e), TimeKind::FlushWal);
+        dev_->fence();
     }
 
     /** Entries ever appended since attach (== WAL commits: appending
@@ -199,16 +196,13 @@ class Wal
         e.tx_id = tx_id;
         e.tx_mark = tx_mark;
         e.crc = walEntryCrc(e);
-        if (flush_) {
-            dev_->persist(&e, sizeof(e), TimeKind::FlushWal);
-            dev_->fence();
-        }
+        dev_->persist(&e, sizeof(e), TimeKind::FlushWal);
+        dev_->fence();
     }
 
     PmDevice *dev_ = nullptr;
     WalEntry *ring_ = nullptr;
     InterleaveMap map_;
-    bool flush_ = true;
     std::atomic<uint64_t> seq_{0};
 };
 

@@ -16,8 +16,6 @@ FaultInjector::copyLineTorn(char *dst, const char *src, uint64_t line)
     for (unsigned w = 0; w < kCacheLine / 8; ++w) {
         if (wordLands(line, w))
             std::memcpy(dst + w * 8, src + w * 8, 8);
-        else
-            ++stats_.words_torn;
     }
 }
 
@@ -29,12 +27,8 @@ FaultInjector::applyCrashImage(char *base, char *shadow,
     // Issued-but-unfenced flushes: the power cut caught the epoch
     // mid-drain, so each line lands (possibly torn) or is lost.
     for (uint64_t line : staged) {
-        if (stagedLineLands(line)) {
+        if (stagedLineLands(line))
             copyLineTorn(shadow + line, base + line, line);
-            ++stats_.staged_landed;
-        } else {
-            ++stats_.staged_dropped;
-        }
     }
 
     // Dirty, never-flushed lines: ordinarily lost with the CPU cache,
@@ -45,10 +39,8 @@ FaultInjector::applyCrashImage(char *base, char *shadow,
                 continue;
             if (std::memcmp(base + line, shadow + line, kCacheLine) == 0)
                 continue;
-            if (evictedLineLands(line)) {
+            if (evictedLineLands(line))
                 copyLineTorn(shadow + line, base + line, line);
-                ++stats_.evicted_landed;
-            }
         }
     }
 

@@ -66,17 +66,6 @@ constexpr uint8_t kPoisonByte = 0xb5;
 class FaultInjector
 {
   public:
-    struct Stats
-    {
-        uint64_t flushes = 0;        //!< flushes observed
-        uint64_t fences = 0;         //!< fences observed
-        uint64_t staged_dropped = 0; //!< unfenced flushes lost at crash
-        uint64_t staged_landed = 0;  //!< unfenced flushes that survived
-        uint64_t evicted_landed = 0; //!< unflushed dirty lines survived
-        uint64_t words_torn = 0;     //!< words rolled back inside
-                                     //!< otherwise-landing lines
-    };
-
     explicit FaultInjector(FaultPolicy policy = {}) : policy_(policy) {}
 
     const FaultPolicy &policy() const { return policy_; }
@@ -89,7 +78,7 @@ class FaultInjector
     void
     armCrashAtFlush(uint64_t nth)
     {
-        crash_at_flush_ = nth ? stats_.flushes + nth : 0;
+        crash_at_flush_ = nth ? flushes_ + nth : 0;
     }
 
     /** Crash when the Nth fence from now begins (its epoch never
@@ -97,7 +86,7 @@ class FaultInjector
     void
     armCrashAtFence(uint64_t nth)
     {
-        crash_at_fence_ = nth ? stats_.fences + nth : 0;
+        crash_at_fence_ = nth ? fences_ + nth : 0;
     }
 
     bool armed() const { return crash_at_flush_ || crash_at_fence_; }
@@ -113,16 +102,16 @@ class FaultInjector
     bool
     noteFlush()
     {
-        ++stats_.flushes;
-        return crash_at_flush_ && stats_.flushes >= crash_at_flush_;
+        ++flushes_;
+        return crash_at_flush_ && flushes_ >= crash_at_flush_;
     }
 
     /** Count one fence; true if it is the scheduled crash point. */
     bool
     noteFence()
     {
-        ++stats_.fences;
-        return crash_at_fence_ && stats_.fences >= crash_at_fence_;
+        ++fences_;
+        return crash_at_fence_ && fences_ >= crash_at_fence_;
     }
 
     void markFrozen() { frozen_.store(true, std::memory_order_release); }
@@ -183,9 +172,6 @@ class FaultInjector
     void applyCrashImage(char *base, char *shadow, uint64_t high_water,
                          const std::unordered_set<uint64_t> &staged);
 
-    Stats &stats() { return stats_; }
-    const Stats &stats() const { return stats_; }
-
   private:
     void copyLineTorn(char *dst, const char *src, uint64_t line);
 
@@ -203,11 +189,12 @@ class FaultInjector
     }
 
     FaultPolicy policy_;
+    uint64_t flushes_ = 0; //!< flushes observed (crash-point clock)
+    uint64_t fences_ = 0;  //!< fences observed
     uint64_t crash_at_flush_ = 0; //!< absolute flush count, 0 = off
     uint64_t crash_at_fence_ = 0;
     std::atomic<bool> frozen_{false};
     std::unordered_set<uint64_t> poisoned_; //!< line offsets
-    Stats stats_;
 };
 
 } // namespace nvalloc

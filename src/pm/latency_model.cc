@@ -31,7 +31,6 @@ struct LatencyModel::ThreadState
     // LRU set of buffered 256 B XPLines.
     std::vector<uint64_t> xplines;
 
-    uint64_t last_line = ~uint64_t{0};
     uint64_t last_miss_xpline = ~uint64_t{0};
 
     // Sink attribution row (FlushSink::flushCells), re-resolved
@@ -182,32 +181,6 @@ LatencyModel::onFlush(uint64_t line, TimeKind kind)
 
     ThreadState &ts = threadState();
 
-    if (eadr_) {
-        // No flush stall; repeated dirtying of the same line is free
-        // (write combining), but distinct lines still drain to media.
-        unsigned distance = ts.touchLine(line);
-        if (distance < params_.reflush_window) {
-            noteClass(FlushClass::Reflush, ts);
-            return;
-        }
-        uint64_t xpline = line & ~(kXpLine - 1);
-        if (ts.touchXpLine(xpline, params_.xpbuf_lines)) {
-            noteClass(FlushClass::XpLineHit, ts);
-            VClock::advance(params_.eadr_hit, kind);
-        } else {
-            bool sequential = (xpline == ts.last_miss_xpline ||
-                               xpline == ts.last_miss_xpline + kXpLine);
-            ts.last_miss_xpline = xpline;
-            uint64_t cost =
-                sequential ? params_.eadr_seq : params_.eadr_random;
-            noteClass(sequential ? FlushClass::Sequential
-                                 : FlushClass::Random,
-                      ts);
-            VClock::advance(cost, kind);
-        }
-        return;
-    }
-
     VClock::advance(params_.issue, kind);
 
     unsigned distance = ts.touchLine(line);
@@ -218,7 +191,6 @@ LatencyModel::onFlush(uint64_t line, TimeKind kind)
         uint64_t cost = params_.reflush_base -
                         params_.reflush_step * distance;
         VClock::advance(cost, kind);
-        ts.last_line = line;
         return;
     }
 
@@ -229,22 +201,13 @@ LatencyModel::onFlush(uint64_t line, TimeKind kind)
     } else {
         chargeMedia(line, ts, kind);
     }
-    ts.last_line = line;
 }
 
 void
 LatencyModel::onFence()
 {
     n_fence_.fetch_add(1, std::memory_order_relaxed);
-    if (!eadr_)
-        VClock::advance(params_.fence, TimeKind::Fence);
-}
-
-void
-LatencyModel::setEadr(bool on)
-{
-    eadr_ = on;
-    reset();
+    VClock::advance(params_.fence, TimeKind::Fence);
 }
 
 void

@@ -16,8 +16,9 @@
  *    media bandwidth, modeled as a small pool of virtual-time slots.
  *    This reproduces the non-monotone bit-stripe sensitivity of
  *    Fig. 16(a).
- *  - eADR: flushes become free (only counted), as in the paper's §6.7
- *    emulation.
+ *
+ * The model prices ADR flushes and nothing else. A device whose CPU
+ * caches are persistent never calls it (see PmDevice).
  *
  * All costs advance the calling thread's VClock; counters are global
  * and deterministic for a fixed workload trace.
@@ -51,14 +52,6 @@ struct LatencyParams
 
     unsigned xpbuf_lines = 64;   //!< XPBuffer capacity: 16 KB of 256 B XPLines [40]
     unsigned media_slots = 8;    //!< concurrent media writes (2 DIMMs x 4 WPQ slots)
-
-    // eADR: flush *stalls* disappear (the cache is persistent) but PM
-    // write traffic still drains through the same media, so dirty
-    // lines cost a little, more if random (§6.7: NVAlloc keeps its
-    // advantage on eADR through fewer accesses and better locality).
-    uint64_t eadr_hit = 5;       //!< write into a buffered XPLine
-    uint64_t eadr_seq = 25;      //!< sequential writeback
-    uint64_t eadr_random = 60;   //!< random writeback
 
     uint64_t read_miss = 0;      //!< PM reads are not modeled
 };
@@ -134,10 +127,6 @@ class LatencyModel
 
     void onFence();
 
-    /** Switch eADR emulation on or off (also resets history). */
-    void setEadr(bool on);
-    bool eadr() const { return eadr_; }
-
     const LatencyParams &params() const { return params_; }
     void setParams(const LatencyParams &p) { params_ = p; }
 
@@ -203,7 +192,6 @@ class LatencyModel
     void noteClass(FlushClass cls, ThreadState &ts);
 
     LatencyParams params_;
-    bool eadr_ = false;
 
     std::atomic<uint64_t> generation_{1};
     std::atomic<FlushSink *> sink_{nullptr};

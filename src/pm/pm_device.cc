@@ -130,7 +130,7 @@ PmDevice::unmapRegion(uint64_t offset, size_t bytes)
 void
 PmDevice::persist(const void *addr, size_t len, TimeKind kind)
 {
-    if (len == 0)
+    if (len == 0 || cfg_.eadr)
         return;
     uint64_t first = offsetOf(addr) & ~uint64_t{kCacheLine - 1};
     uint64_t last = (offsetOf(addr) + len - 1) & ~uint64_t{kCacheLine - 1};
@@ -148,6 +148,8 @@ PmDevice::persist(const void *addr, size_t len, TimeKind kind)
 void
 PmDevice::flushLine(const void *addr, TimeKind kind)
 {
+    if (cfg_.eadr)
+        return;
     uint64_t line = offsetOf(addr) & ~uint64_t{kCacheLine - 1};
     model_.onFlush(line, kind);
     if (!shadow_) {
@@ -168,6 +170,8 @@ PmDevice::flushLine(const void *addr, TimeKind kind)
 void
 PmDevice::fence()
 {
+    if (cfg_.eadr)
+        return;
     model_.onFence();
     if (!fi() || !shadow_)
         return;
@@ -258,6 +262,8 @@ void
 PmDevice::crash()
 {
     NV_ASSERT(shadow_ != nullptr);
+    if (cfg_.eadr)
+        return; // the caches are in the persistence domain
     if (fi()) {
         std::lock_guard<std::mutex> g(stage_mutex_);
         // Resolve the final unfenced epoch by policy unless a

@@ -16,6 +16,12 @@
  * ADR hardware (CPU caches lost, DIMM contents kept). Recovery code is
  * tested against these torn states.
  *
+ * eADR (paper §6.7) is a property of the device, fixed at
+ * construction: the CPU caches are inside the persistence domain, so
+ * persist(), flushLine() and fence() return at once (nothing is
+ * staged, priced or counted — the paper's "all clwb removed") and
+ * crash() keeps every store.
+ *
  * Fault injection: enableFaultInjection() installs a FaultInjector and
  * switches the shadow to epoch semantics — flushes stage lines, fences
  * commit them. Crashes (explicit or scheduled at the Nth flush/fence)
@@ -50,6 +56,7 @@ struct PmDeviceConfig
 {
     size_t size = size_t{8} << 30;  //!< virtual size (NORESERVE)
     bool shadow = false;            //!< enable crash simulation
+    bool eadr = false;              //!< caches persistent: flushes are no-ops
     LatencyParams latency{};
 };
 
@@ -69,6 +76,7 @@ class PmDevice
 
     char *base() const { return base_; }
     size_t size() const { return cfg_.size; }
+    bool eadr() const { return cfg_.eadr; }
 
     uint64_t
     offsetOf(const void *p) const
@@ -174,7 +182,8 @@ class PmDevice
      * persisted. Region bookkeeping is untouched (the heap file keeps
      * its length); only byte contents roll back. Requires shadow mode.
      * With a fault injector installed, the final unfenced epoch is
-     * resolved by the injector's policy instead of being kept.
+     * resolved by the injector's policy instead of being kept. On an
+     * eADR device every store survives.
      */
     void crash();
 
@@ -187,8 +196,6 @@ class PmDevice
      * off. Returns the injector for arming crash points.
      */
     FaultInjector &enableFaultInjection(FaultPolicy policy = {});
-
-    FaultInjector *faultInjector() { return fi(); }
 
     /** Schedule a crash at the Nth flush from now (requires an
      *  injector). Sweeps at flush granularity arm this per point. */

@@ -78,6 +78,7 @@ enum class StatCounter : unsigned
     ReclaimAttempts,  //!< exhaustion slow paths entered
     ReclaimSuccesses, //!< retries the slow path rescued
     FailedAttaches,   //!< attachThread refusals
+    QuarantineListFull, //!< slab refusals the full list could not record
 
     // Recovery.
     RecoveryRun, //!< recoverHeap() executions observed by this heap
@@ -184,6 +185,8 @@ statCounterName(StatCounter c)
     case StatCounter::ReclaimAttempts: return "degraded.reclaim_attempts";
     case StatCounter::ReclaimSuccesses: return "degraded.reclaim_successes";
     case StatCounter::FailedAttaches: return "degraded.failed_attaches";
+    case StatCounter::QuarantineListFull:
+        return "degraded.quarantine_list_full";
     case StatCounter::RecoveryRun: return "recovery.runs";
     case StatCounter::DoubleFree: return "hardening.double_frees";
     case StatCounter::MisalignedFree: return "hardening.misaligned_frees";

@@ -76,10 +76,11 @@ allocRegistryName(AllocKind kind)
 }
 
 std::unique_ptr<PmDevice>
-makeBenchDevice(size_t size)
+makeBenchDevice(size_t size, bool eadr)
 {
     PmDeviceConfig cfg;
     cfg.size = size;
+    cfg.eadr = eadr;
     return std::make_unique<PmDevice>(cfg);
 }
 

@@ -54,8 +54,10 @@ const char *allocName(AllocKind kind);
 /** Registry name (PmAllocatorRegistry key) for a paper AllocKind. */
 const char *allocRegistryName(AllocKind kind);
 
-/** Device size used by the benches. */
-std::unique_ptr<PmDevice> makeBenchDevice(size_t size = size_t{4} << 30);
+/** Device used by the benches; `eadr` builds the paper's §6.7
+ *  platform, whose flushes and fences are free. */
+std::unique_ptr<PmDevice> makeBenchDevice(size_t size = size_t{4} << 30,
+                                          bool eadr = false);
 
 /** Thin wrapper over PmAllocatorRegistry::make(allocRegistryName(kind)):
  *  MakeOptions lives in allocator_iface.h next to the registry. */

@@ -27,7 +27,7 @@ class ExtentHeapFixture : public ::testing::Test
         PmDeviceConfig cfg;
         cfg.size = size_t{1} << 28;
         dev_ = std::make_unique<PmDevice>(cfg);
-        heap_ = std::make_unique<ExtentHeap>(dev_.get(), true);
+        heap_ = std::make_unique<ExtentHeap>(dev_.get());
         VClock::reset();
     }
 
@@ -126,9 +126,9 @@ struct EngineRig
         PmDeviceConfig cfg;
         cfg.size = size_t{1} << 28;
         dev = std::make_unique<PmDevice>(cfg);
-        extents = std::make_unique<ExtentHeap>(dev.get(), true);
+        extents = std::make_unique<ExtentHeap>(dev.get());
         engine = std::make_unique<SlabEngine>(dev.get(), extents.get(),
-                                              policy, true);
+                                              policy);
         tls = engine->attach();
     }
 

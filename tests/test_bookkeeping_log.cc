@@ -35,8 +35,8 @@ class LogFixture : public ::testing::Test
         region_ = dev_->mapRegion(kRegionBytes);
         log_ = std::make_unique<BookkeepingLog>();
         log_->attach(dev_.get(), region_, kRegionBytes,
-                     /*interleaved=*/true, /*flush=*/true,
-                     /*gc_threshold=*/0.5, /*create=*/true);
+                     /*interleaved=*/true, /*gc_threshold=*/0.5,
+                     /*create=*/true);
         log_->setRelocateFn([](void *owner, LogEntryRef ref) {
             static_cast<Owner *>(owner)->ref = ref;
         });
@@ -68,7 +68,7 @@ TEST_F(LogFixture, AppendAndReplayRoundtrip)
     EXPECT_EQ(log_->liveEntries(), 2u);
 
     BookkeepingLog fresh;
-    fresh.attach(dev_.get(), region_, kRegionBytes, true, true, 0.5,
+    fresh.attach(dev_.get(), region_, kRegionBytes, true, 0.5,
                  /*create=*/false);
     auto entries = replayAll(fresh);
     ASSERT_EQ(entries.size(), 2u);
@@ -85,7 +85,7 @@ TEST_F(LogFixture, TombstoneRemovesEntryFromReplay)
     EXPECT_EQ(log_->liveEntries(), 1u);
 
     BookkeepingLog fresh;
-    fresh.attach(dev_.get(), region_, kRegionBytes, true, true, 0.5,
+    fresh.attach(dev_.get(), region_, kRegionBytes, true, 0.5,
                  false);
     auto entries = replayAll(fresh);
     ASSERT_EQ(entries.size(), 1u);
@@ -100,7 +100,7 @@ TEST_F(LogFixture, ManyEntriesSpanChunks)
     EXPECT_GE(log_->activeChunks(), 5u);
 
     BookkeepingLog fresh;
-    fresh.attach(dev_.get(), region_, kRegionBytes, true, true, 0.5,
+    fresh.attach(dev_.get(), region_, kRegionBytes, true, 0.5,
                  false);
     EXPECT_EQ(replayAll(fresh).size(), 5 * kLogEntriesPerChunk);
 }
@@ -149,7 +149,7 @@ TEST_F(LogFixture, SlowGcCompactsAndRelocatesOwners)
 
     // Relocated refs must still resolve: replay and compare.
     BookkeepingLog fresh;
-    fresh.attach(dev_.get(), region_, kRegionBytes, true, true, 0.5,
+    fresh.attach(dev_.get(), region_, kRegionBytes, true, 0.5,
                  false);
     auto entries = replayAll(fresh);
     EXPECT_EQ(entries.size(), live);
@@ -185,7 +185,7 @@ TEST_F(LogFixture, InterleavedEntriesAvoidSameLine)
     uint64_t region2 = dev_->mapRegion(kRegionBytes);
     BookkeepingLog seq;
     seq.attach(dev_.get(), region2, kRegionBytes, /*interleaved=*/false,
-               true, 0.5, true);
+               0.5, true);
     dev_->model().reset();
     for (unsigned i = 0; i < 32; ++i)
         seq.append(kLogNormal, (i + 1) << 12, 4096, nullptr);
@@ -217,7 +217,7 @@ TEST_F(LogFixture, ReplayRecyclesUnreachableChunks)
         log_->append(kLogNormal, (i + 1) << 12, 4096, nullptr);
 
     BookkeepingLog fresh;
-    fresh.attach(dev_.get(), region_, kRegionBytes, true, true, 0.5,
+    fresh.attach(dev_.get(), region_, kRegionBytes, true, 0.5,
                  false);
     replayAll(fresh);
     // All carved chunks are either active or back on the free list:

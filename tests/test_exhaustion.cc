@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "nvalloc/nvalloc.h"
@@ -100,7 +101,45 @@ TEST(Exhaustion, RegionTableFullIsCountedByReason)
               1u);
     EXPECT_EQ(readCtl(alloc, "stats.alloc.failed"), 1u);
     EXPECT_EQ(readCtl(alloc, "stats.large.regions_mapped"), served);
+    // The gauges name the cause: every slot of the table is in use.
+    EXPECT_EQ(readCtl(alloc, "stats.large.region_slots_total"), 448u);
+    EXPECT_EQ(readCtl(alloc, "stats.large.region_slots_used"), 448u);
     alloc.detachThread(ctx);
+}
+
+TEST(Exhaustion, FullSlabQuarantineListIsCounted)
+{
+    // The persistent quarantine list has kQuarantineSlots entries; a
+    // recovery that refuses more slabs still skips them all, and
+    // counts each refusal it could not record.
+    PmDevice dev;
+    std::vector<uint64_t> slabs;
+    {
+        auto alloc_h = NvAlloc::openOrDie(dev, logConfig());
+        NvAlloc &alloc = *alloc_h;
+        ThreadCtx *ctx = alloc.attachThread();
+        ASSERT_NE(ctx, nullptr);
+        // One block per size class puts each in a slab of its own.
+        for (size_t size = 16; slabs.size() < kQuarantineSlots + 1;
+             size += 16) {
+            uint64_t off = alloc.allocOffset(*ctx, size, nullptr);
+            ASSERT_NE(off, 0u);
+            uint64_t slab = static_cast<VSlab *>(alloc.slabRadix().get(off))
+                                ->slabOffset();
+            if (std::find(slabs.begin(), slabs.end(), slab) == slabs.end())
+                slabs.push_back(slab);
+        }
+        alloc.detachThread(ctx);
+    }
+    for (uint64_t slab : slabs)
+        static_cast<SlabHeader *>(dev.at(slab))->magic = 0;
+
+    auto again_h = NvAlloc::openOrDie(dev, logConfig());
+    NvAlloc &again = *again_h;
+    EXPECT_EQ(again.quarantinedSlabs().size(), size_t{kQuarantineSlots});
+    EXPECT_EQ(readCtl(again, "stats.recovery.slabs_quarantined"),
+              kQuarantineSlots + 1u);
+    EXPECT_EQ(readCtl(again, "stats.degraded.quarantine_list_full"), 1u);
 }
 
 TEST(Exhaustion, SmallAllocExhaustsGracefullyAndRecovers)

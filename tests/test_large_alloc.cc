@@ -32,8 +32,8 @@ class LargeFixture : public ::testing::Test
         if (log_mode) {
             log_ = std::make_unique<BookkeepingLog>();
             log_region_ = dev_->mapRegion(256 * 1024);
-            log_->attach(dev_.get(), log_region_, 256 * 1024, true,
-                         true, 0.5, true);
+            log_->attach(dev_.get(), log_region_, 256 * 1024, true, 0.5,
+                         true);
         }
         large_ = std::make_unique<LargeAllocator>();
         large_->init(dev_.get(), cfg_, log_.get(), table_, 256);
@@ -198,8 +198,7 @@ TEST_F(LargeFixture, GapRecoveryRebuildsFreeSpace)
 
     // "Restart": a fresh allocator adopts the log + region table.
     BookkeepingLog log2;
-    log2.attach(dev_.get(), log_region_, 256 * 1024, true, true, 0.5,
-                false);
+    log2.attach(dev_.get(), log_region_, 256 * 1024, true, 0.5, false);
     LargeAllocator fresh;
     fresh.init(dev_.get(), cfg_, &log2, table_, 256);
     log2.replay([&](LogType type, uint64_t off, uint64_t size,

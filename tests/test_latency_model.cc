@@ -3,7 +3,7 @@
  * Tests of the flush latency model against the behaviours §3.1
  * documents: the reflush-distance cost curve (800→500 ns over
  * distances 0-3), sequential-vs-random media costs, XPBuffer hits,
- * classification counters, the eADR mode, and the trace hook.
+ * classification counters, and the trace hook.
  */
 
 #include <gtest/gtest.h>
@@ -121,38 +121,6 @@ TEST_F(LatencyModelTest, FenceCostAndCount)
     dev_->fence();
     EXPECT_EQ(VClock::now() - v0, 2 * dev_->model().params().fence);
     EXPECT_EQ(dev_->flushCounts().fences, 2u);
-}
-
-TEST_F(LatencyModelTest, EadrRemovesStallsKeepsMediaCosts)
-{
-    dev_->model().setEadr(true);
-    const LatencyParams &p = dev_->model().params();
-
-    // Reflush pattern: free under eADR (write combining). The first
-    // touches of fresh lines pay the writeback cost; steady state is
-    // free.
-    for (unsigned i = 0; i < 4; ++i)
-        flushCost((i % 2) * 64);
-    uint64_t v0 = VClock::now();
-    for (unsigned i = 0; i < 100; ++i)
-        flushCost((i % 2) * 64);
-    EXPECT_EQ(VClock::now(), v0) << "same-line dirtying is free";
-
-    // Distinct random lines still pay the (small) writeback cost.
-    v0 = VClock::now();
-    uint64_t x = 7;
-    for (unsigned i = 0; i < 100; ++i) {
-        x = x * 6364136223846793005ULL + 1;
-        flushCost((x % (1 << 20)) * 64);
-    }
-    uint64_t eadr_cost = VClock::now() - v0;
-    EXPECT_GT(eadr_cost, 0u);
-    EXPECT_LE(eadr_cost, 100 * p.eadr_random);
-
-    // Fences are free on eADR.
-    v0 = VClock::now();
-    dev_->fence();
-    EXPECT_EQ(VClock::now(), v0);
 }
 
 TEST_F(LatencyModelTest, TraceCapturesOffsets)

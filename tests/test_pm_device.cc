@@ -3,7 +3,8 @@
  * Tests of the emulated PM device: region map/unmap with reuse and
  * coalescing, committed-byte accounting (the space metric of the
  * paper's figures), decommit/recommit, persist-to-shadow semantics,
- * and crash rollback.
+ * crash rollback, and the eADR device's free flushes and keep-all
+ * crash.
  */
 
 #include <gtest/gtest.h>
@@ -143,6 +144,36 @@ TEST(PmDevice, CrashPreservesAcrossMultipleRegions)
         EXPECT_EQ(p[0], uint64_t(1000 + i));
         EXPECT_EQ(p[1], 0u);
     }
+}
+
+TEST(PmDevice, EadrFlushesAreFreeAndCrashKeepsEveryStore)
+{
+    PmDeviceConfig cfg = smallCfg(true);
+    cfg.eadr = true;
+    PmDevice dev(cfg);
+    ASSERT_TRUE(dev.eadr());
+    uint64_t a = dev.mapRegion(64 * 1024);
+    auto *p = static_cast<uint64_t *>(dev.at(a));
+
+    // Flushes and fences are neither priced nor counted.
+    VClock::reset();
+    p[0] = 111;
+    dev.persist(&p[0], 8, TimeKind::FlushData);
+    dev.flushLine(&p[8], TimeKind::FlushMeta);
+    dev.fence();
+    dev.persistFence(p, 4096, TimeKind::FlushLog);
+    EXPECT_EQ(VClock::now(), 0u);
+    FlushClassCounts c = dev.flushCounts();
+    EXPECT_EQ(c.total, 0u);
+    EXPECT_EQ(c.fences, 0u);
+
+    // The caches are persistent: a store that was never flushed
+    // survives the power cut.
+    p[1] = 222;
+    p[0] = 333;
+    dev.crash();
+    EXPECT_EQ(p[0], 333u);
+    EXPECT_EQ(p[1], 222u);
 }
 
 TEST(PmDevice, ContainsAndOffsetRoundtrip)

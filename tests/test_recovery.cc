@@ -15,6 +15,7 @@
 #include <cstring>
 #include <vector>
 
+#include "nvalloc/auditor.h"
 #include "nvalloc/nvalloc.h"
 #include "test_util.h"
 
@@ -261,6 +262,52 @@ TEST(Recovery, MorphFlagUndoneAfterCrash)
             EXPECT_EQ(slab->header()->flag, 0);
         });
     }
+}
+
+TEST(Recovery, EadrHeapReopensCleanWithoutAnyFlush)
+{
+    // On eADR the CPU caches are persistent: the heap issues no flush
+    // that costs anything, and a power cut keeps every store, so the
+    // heap must reopen exactly as it was.
+    PmDeviceConfig cfg = shadowCfg();
+    cfg.eadr = true;
+    PmDevice dev(cfg);
+    const size_t sizes[] = {48, 200, 1024, 4096, 128 * 1024,
+                            (size_t{3} << 20)};
+    std::vector<uint64_t> published;
+    {
+        auto alloc_h = NvAlloc::openOrDie(dev);
+        NvAlloc &alloc = *alloc_h;
+        ThreadCtx *ctx = alloc.attachThread();
+        ASSERT_NE(ctx, nullptr);
+        for (unsigned i = 0; i < 6; ++i) {
+            ASSERT_NE(alloc.mallocTo(*ctx, sizes[i], alloc.rootWord(i)),
+                      nullptr);
+            published.push_back(*alloc.rootWord(i));
+        }
+        EXPECT_EQ(dev.flushCounts().total, 0u);
+        alloc.simulateCrash();
+    }
+
+    OpenResult r = NvAlloc::open(dev);
+    ASSERT_EQ(r.status, NvStatus::Ok);
+    NvAlloc &again = *r.heap;
+    EXPECT_TRUE(again.lastRecovery().after_failure);
+    AuditReport rep = HeapAuditor(again).audit();
+    EXPECT_TRUE(rep.clean()) << rep.summary();
+    for (unsigned i = 0; i < 6; ++i) {
+        uint64_t off = published[i];
+        EXPECT_EQ(*again.rootWord(i), off);
+        if (sizes[i] <= kSmallMax) {
+            EXPECT_TRUE(blockIsLive(again, off)) << sizes[i];
+        } else {
+            Veh *veh = again.large().findVeh(off);
+            ASSERT_NE(veh, nullptr) << sizes[i];
+            EXPECT_EQ(veh->off, off);
+            EXPECT_EQ(veh->state, Veh::State::Activated);
+        }
+    }
+    EXPECT_EQ(dev.flushCounts().total, 0u);
 }
 
 } // namespace

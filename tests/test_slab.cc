@@ -58,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(AllClasses, SlabGeometryAllClasses,
 
 TEST_F(SlabFixture, FreshSlabFullyAvailable)
 {
-    VSlab slab(dev_.get(), slab_off_, sizeToClass(64), 6, true, false);
+    VSlab slab(dev_.get(), slab_off_, sizeToClass(64), 6, false);
     EXPECT_EQ(slab.available(), slab.capacity());
     EXPECT_EQ(slab.liveBlocks(), 0u);
     EXPECT_EQ(slab.header()->magic, kSlabMagic);
@@ -67,7 +67,7 @@ TEST_F(SlabFixture, FreshSlabFullyAvailable)
 
 TEST_F(SlabFixture, PopAllocateFreeLifecycle)
 {
-    VSlab slab(dev_.get(), slab_off_, sizeToClass(128), 6, true, false);
+    VSlab slab(dev_.get(), slab_off_, sizeToClass(128), 6, false);
     unsigned cap = slab.capacity();
 
     unsigned idx = slab.popBlock();
@@ -88,7 +88,7 @@ TEST_F(SlabFixture, PopAllocateFreeLifecycle)
 
 TEST_F(SlabFixture, PopUntilExhausted)
 {
-    VSlab slab(dev_.get(), slab_off_, sizeToClass(2048), 6, true, false);
+    VSlab slab(dev_.get(), slab_off_, sizeToClass(2048), 6, false);
     std::set<unsigned> seen;
     for (unsigned i = 0; i < slab.capacity(); ++i) {
         unsigned idx = slab.popBlock();
@@ -101,7 +101,7 @@ TEST_F(SlabFixture, PopUntilExhausted)
 
 TEST_F(SlabFixture, BlockOffsetsRoundtrip)
 {
-    VSlab slab(dev_.get(), slab_off_, sizeToClass(160), 6, true, false);
+    VSlab slab(dev_.get(), slab_off_, sizeToClass(160), 6, false);
     for (unsigned idx = 0; idx < slab.capacity(); idx += 17) {
         uint64_t off = slab.blockOffset(idx);
         EXPECT_EQ(slab.blockIndexOf(off), idx);
@@ -118,8 +118,7 @@ TEST_F(SlabFixture, RebuildFromHeaderMatches)
 {
     std::set<unsigned> allocated;
     {
-        VSlab slab(dev_.get(), slab_off_, sizeToClass(96), 6, true,
-                   false);
+        VSlab slab(dev_.get(), slab_off_, sizeToClass(96), 6, false);
         for (int i = 0; i < 50; ++i) {
             unsigned idx = slab.popBlock();
             slab.markAllocated(idx);
@@ -132,7 +131,7 @@ TEST_F(SlabFixture, RebuildFromHeaderMatches)
             slab.markFree(idx);
         }
     }
-    VSlab rebuilt(dev_.get(), slab_off_, true, false);
+    VSlab rebuilt(dev_.get(), slab_off_, false);
     EXPECT_EQ(rebuilt.sizeClass(), sizeToClass(96));
     EXPECT_EQ(rebuilt.liveBlocks(), allocated.size());
     for (unsigned idx = 0; idx < rebuilt.capacity(); ++idx)
@@ -141,7 +140,7 @@ TEST_F(SlabFixture, RebuildFromHeaderMatches)
 
 TEST_F(SlabFixture, PersistentBitsFlushedInLogMode)
 {
-    VSlab slab(dev_.get(), slab_off_, sizeToClass(64), 6, true, false);
+    VSlab slab(dev_.get(), slab_off_, sizeToClass(64), 6, false);
     dev_->model().reset();
     unsigned idx = slab.popBlock();
     slab.markAllocated(idx);
@@ -149,7 +148,7 @@ TEST_F(SlabFixture, PersistentBitsFlushedInLogMode)
 
     // GC mode writes the bit but never flushes it.
     uint64_t off2 = dev_->mapRegion(kSlabSize);
-    VSlab gc_slab(dev_.get(), off2, sizeToClass(64), 6, true, true);
+    VSlab gc_slab(dev_.get(), off2, sizeToClass(64), 6, true);
     dev_->model().reset();
     unsigned idx2 = gc_slab.popBlock();
     gc_slab.markAllocated(idx2);
@@ -168,8 +167,7 @@ class MorphFixture : public SlabFixture
     makeSparse(unsigned from_size, const std::vector<unsigned> &live)
     {
         auto slab = std::make_unique<VSlab>(
-            dev_.get(), slab_off_, sizeToClass(from_size), 6, true,
-            false);
+            dev_.get(), slab_off_, sizeToClass(from_size), 6, false);
         // Claim specific indices (pop everything, return the rest).
         std::vector<unsigned> popped;
         for (unsigned i = 0; i < slab->capacity(); ++i)
@@ -279,7 +277,7 @@ TEST_F(MorphFixture, IneligibleWhenBusyOrLent)
     // Lent blocks pin the slab.
     {
         uint64_t off2 = dev_->mapRegion(kSlabSize);
-        VSlab slab(dev_.get(), off2, sizeToClass(64), 6, true, false);
+        VSlab slab(dev_.get(), off2, sizeToClass(64), 6, false);
         unsigned a = slab.popBlock();
         slab.markAllocated(a);
         EXPECT_TRUE(slab.morphEligible(0.2));
@@ -296,7 +294,7 @@ TEST_F(MorphFixture, MorphStateSurvivesRebuild)
     slab->markAllocated(fresh);
     slab.reset(); // drop volatile state
 
-    VSlab rebuilt(dev_.get(), slab_off_, true, false);
+    VSlab rebuilt(dev_.get(), slab_off_, false);
     EXPECT_TRUE(rebuilt.morphing());
     EXPECT_EQ(rebuilt.cntSlab(), 3u);
     EXPECT_EQ(rebuilt.sizeClass(), sizeToClass(256));
@@ -321,7 +319,7 @@ TEST_F(MorphFixture, CrashAtEarlyFlagUndoesMorph)
     hdr->flag = 2;
     slab.reset();
 
-    VSlab rebuilt(dev_.get(), slab_off_, true, false);
+    VSlab rebuilt(dev_.get(), slab_off_, false);
     EXPECT_EQ(rebuilt.header()->flag, 0u) << "undo clears the flag";
     EXPECT_FALSE(rebuilt.morphing()) << "staging discarded";
     EXPECT_EQ(rebuilt.sizeClass(), sizeToClass(64));
@@ -353,7 +351,7 @@ TEST_F(MorphFixture, TornFlagTwoCommitKeepsLiveBlocks)
         slab.reset();
         dev_->crash();
 
-        VSlab rebuilt(dev_.get(), slab_off_, true, false);
+        VSlab rebuilt(dev_.get(), slab_off_, false);
         EXPECT_EQ(rebuilt.sizeClass(), sizeToClass(64)) << "seed " << seed;
         EXPECT_EQ(rebuilt.liveBlocks(), 3u) << "seed " << seed;
     }

@@ -26,7 +26,7 @@ class TcacheFixture : public ::testing::Test
         dev_ = std::make_unique<PmDevice>(cfg);
         slab_ = std::make_unique<VSlab>(dev_.get(),
                                         dev_->mapRegion(kSlabSize),
-                                        sizeToClass(64), 6, true, false);
+                                        sizeToClass(64), 6, false);
     }
 
     CachedBlock

@@ -301,6 +301,23 @@ TEST_F(TelemetryHeap, CountersFollowTraffic)
     EXPECT_GT(ctl("stats.heap.stat_shards"), 0u);
 }
 
+TEST_F(TelemetryHeap, LargeGaugesFollowExtents)
+{
+    const uint64_t kSize = 300 * 1024;
+    uint64_t big = alloc_->allocOffset(*ctx_, kSize, nullptr);
+    ASSERT_NE(big, 0u);
+    EXPECT_GE(ctl("stats.large.activated_bytes"), kSize);
+    EXPECT_GE(ctl("stats.large.region_slots_used"), 1u);
+    EXPECT_EQ(ctl("stats.large.region_slots_total"), 448u);
+
+    // A freed extent is free space again, whole.
+    ASSERT_EQ(alloc_->freeOffset(*ctx_, big, nullptr), NvStatus::Ok);
+    EXPECT_GE(ctl("stats.large.largest_free_extent"), kSize);
+    EXPECT_GE(ctl("stats.large.reclaimed_bytes") +
+                  ctl("stats.large.retained_bytes"),
+              kSize);
+}
+
 TEST_F(TelemetryHeap, UnknownCtlNameIsAnError)
 {
     uint64_t v = 0;

@@ -37,7 +37,7 @@ TEST_F(WalFixture, EmptyRingHasNoNewestEntry)
 TEST_F(WalFixture, NewestEntryTracksAppends)
 {
     Wal wal;
-    wal.attach(dev_.get(), ring_off_, true, 6, true);
+    wal.attach(dev_.get(), ring_off_, true, 6);
 
     wal.append(kWalAlloc, 0x1000, 0x2000, 64);
     const WalEntry *e = Wal::newestEntry(dev_.get(), ring_off_);
@@ -56,7 +56,7 @@ TEST_F(WalFixture, NewestEntryTracksAppends)
 TEST_F(WalFixture, WrapKeepsNewestCorrect)
 {
     Wal wal;
-    wal.attach(dev_.get(), ring_off_, true, 6, true);
+    wal.attach(dev_.get(), ring_off_, true, 6);
     for (uint64_t i = 1; i <= 3 * kWalRingEntries + 5; ++i)
         wal.append(kWalAlloc, i << 12, kWalNoWhere, 64);
     const WalEntry *e = Wal::newestEntry(dev_.get(), ring_off_);
@@ -75,7 +75,7 @@ TEST_F(WalFixture, OneLineEntriesNeverReflush)
     // second append; the format change removes that hazard instead of
     // relying on interleaving to dodge it.
     Wal wal;
-    wal.attach(dev_.get(), ring_off_, true, 6, true);
+    wal.attach(dev_.get(), ring_off_, true, 6);
     dev_->model().reset();
     for (int i = 0; i < 32; ++i)
         wal.append(kWalAlloc, uint64_t(i) << 12, kWalNoWhere, 64);
@@ -83,7 +83,7 @@ TEST_F(WalFixture, OneLineEntriesNeverReflush)
 
     uint64_t ring2 = dev_->mapRegion(kWalRingBytes);
     Wal seq;
-    seq.attach(dev_.get(), ring2, false, 6, true);
+    seq.attach(dev_.get(), ring2, false, 6);
     dev_->model().reset();
     for (int i = 0; i < 32; ++i)
         seq.append(kWalAlloc, uint64_t(i) << 12, kWalNoWhere, 64);
@@ -93,7 +93,7 @@ TEST_F(WalFixture, OneLineEntriesNeverReflush)
 TEST_F(WalFixture, ChecksumRejectsTornEntry)
 {
     Wal wal;
-    wal.attach(dev_.get(), ring_off_, true, 6, true);
+    wal.attach(dev_.get(), ring_off_, true, 6);
     wal.append(kWalAlloc, 0x1000, 0x2000, 64);
     wal.append(kWalAlloc, 0x4000, 0x5000, 128);
 
@@ -120,14 +120,18 @@ TEST_F(WalFixture, ChecksumRejectsTornEntry)
     EXPECT_EQ(e->block_op >> 2, 0x4000u);
 }
 
-TEST_F(WalFixture, FlushDisabledWritesButDoesNotFlush)
+TEST(Wal, EadrDeviceWritesButDoesNotFlush)
 {
+    PmDeviceConfig cfg;
+    cfg.size = size_t{1} << 24;
+    cfg.eadr = true;
+    PmDevice dev(cfg);
+    uint64_t ring_off = dev.mapRegion(kWalRingBytes);
     Wal wal;
-    wal.attach(dev_.get(), ring_off_, true, 6, /*flush=*/false);
-    dev_->model().reset();
+    wal.attach(&dev, ring_off, true, 6);
     wal.append(kWalAlloc, 0x5000, kWalNoWhere, 64);
-    EXPECT_EQ(dev_->flushCounts().total, 0u);
-    EXPECT_NE(Wal::newestEntry(dev_.get(), ring_off_), nullptr);
+    EXPECT_EQ(dev.flushCounts().total, 0u);
+    EXPECT_NE(Wal::newestEntry(&dev, ring_off), nullptr);
 }
 
 } // namespace
