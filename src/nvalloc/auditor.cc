@@ -194,9 +194,13 @@ HeapAuditor::run(bool repair)
 
     checkSuperblock();
     if (a_.open_failed_) {
-        // Nothing below the root was adopted; the structural checks
-        // above cover a bad superblock, and a clean superblock means
-        // the refusal came from the log root.
+        // Nothing below the root was adopted. The checks name a bad
+        // superblock, else a bad region table; a clean root means the
+        // refusal came from the log root.
+        if (rep_.clean()) {
+            for (unsigned i = 0; i < a_.region_slots_; ++i)
+                checkRegionSlot(i);
+        }
         if (rep_.clean()) {
             ++rep_.log_chain_bad;
             note("heap failed to open: bookkeeping-log root corrupt");
@@ -344,8 +348,7 @@ HeapAuditor::checkRegionSlot(unsigned i)
         return {0, 0};
     uint64_t off = regionEntryOff(e);
     uint64_t size = regionEntrySize(e);
-    if (off % PmDevice::kRegionAlign != 0 || size == 0 ||
-        off < PmDevice::kRegionAlign || off + size > a_.dev_.size()) {
+    if (!regionEntryValid(e, a_.dev_.size())) {
         ++rep_.region_table_bad;
         note(fmt("region table: bad entry 0x%llx+%llu", off, size));
         return {0, 0};
@@ -459,7 +462,6 @@ HeapAuditor::checkSlab(VSlab *slab)
         note(fmt("slab 0x%llx: header invalid", off));
         if (repair_ || live_) {
             if (slab->repairHeader()) {
-                dev.clearPoison(off); // first line only
                 ++rep_.repaired_headers;
             } else {
                 note(fmt("slab 0x%llx: header not repairable (morphing)",
@@ -803,7 +805,6 @@ HeapAuditor::checkWalRings()
                 std::memset(&e, 0, sizeof(e));
                 dev.persist(&e, sizeof(e), TimeKind::FlushWal);
                 dev.fence();
-                dev.clearPoison(ring_off + s * sizeof(WalEntry));
                 ++rep_.repaired_wal_entries;
             }
         }
@@ -883,7 +884,6 @@ HeapAuditor::checkTxRecords()
                     std::memset(&e, 0, sizeof(e));
                     dev.persist(&e, sizeof(e), TimeKind::FlushWal);
                     dev.fence();
-                    dev.clearPoison(ring_off + s * sizeof(WalEntry));
                     ++rep_.repaired_tx_entries;
                 }
             }
@@ -1041,9 +1041,6 @@ HeapAuditor::scrubLine(uint64_t line)
     std::memset(dev.at(line), 0, kCacheLine);
     dev.persist(dev.at(line), kCacheLine, TimeKind::FlushMeta);
     dev.fence();
-    // persist() heals poison only under an active fault-injection
-    // epoch; clear it explicitly so a scrub always lands.
-    dev.clearPoison(line);
 }
 
 void

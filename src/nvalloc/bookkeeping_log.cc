@@ -435,9 +435,10 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
 
     // Pass 1: adopt the published chain, rebuild bitmaps, apply
     // tombstones.
-    // head[] lives outside the header crc (layout.h), so validate the
-    // chain offsets structurally before dereferencing them: a torn or
-    // corrupted link must end the chain, not walk wild memory.
+    // head[] and every `next` live outside the crcs (layout.h), so
+    // validate the chain offsets structurally before dereferencing
+    // them: a torn or corrupted link must end the chain, not walk wild
+    // memory or loop back to a chunk already adopted.
     uint64_t off = header_->head[header_->alt];
     uint32_t max_id = 0;
     std::vector<VChunk *> chain;
@@ -460,6 +461,11 @@ BookkeepingLog::replay(const std::function<void(LogType, uint64_t,
                 ++rejects.chunks;
                 break;
             }
+        }
+        if (VChunk *seen = active_.find(pc->id);
+            seen && seen->chunk_off == off) {
+            ++rejects.chunks; // a cycle: this chunk is already adopted
+            break;
         }
         VChunk *vc = new VChunk;
         vc->chunk_off = off;

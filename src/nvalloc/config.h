@@ -127,8 +127,8 @@ struct NvAllocConfig
      * headers) while recovering, rejecting torn or poisoned metadata
      * instead of interpreting it. Costs a little recovery-time crc
      * math (Fig. 18 reports both settings); turning it off reverts
-     * to trusting the media, which is only safe on the idealized
-     * no-fault device.
+     * to trusting the media, which is only safe when crashes land
+     * every flush whole and no line is poisoned.
      */
     bool verify_recovery_checksums = true;
 

@@ -544,13 +544,10 @@ LargeAllocator::scrubUnmappedPoison(
             if (off < it->first + it->second)
                 continue; // inside a live region: the auditor's job
         }
-        // Dead space: zero + persist rewrites the line, then clear
-        // the flag explicitly (persist() only heals poison under an
-        // active fault-injection epoch).
+        // Dead space: zero + persist rewrites the line and heals it.
         std::memset(dev_->at(off), 0, kCacheLine);
         dev_->persistFence(dev_->at(off), kCacheLine,
                            TimeKind::FlushMeta);
-        dev_->clearPoison(off);
         ++scrubbed;
     }
     return scrubbed;
@@ -690,17 +687,29 @@ LargeAllocator::adoptActivated(uint64_t off, uint64_t size, bool is_slab,
     return veh;
 }
 
-void
-LargeAllocator::rebuildFreeSpace()
+/** The one adoption loop of both recovery modes. */
+bool
+LargeAllocator::adoptRegionTable()
 {
-    // Adopt the persistent region table.
     regions_.clear();
     for (unsigned i = 0; i < region_slots_; ++i) {
-        if (region_table_[i] != 0) {
-            regions_[regionEntryOff(region_table_[i])] =
-                regionEntrySize(region_table_[i]);
+        uint64_t e = region_table_[i];
+        if (e == 0)
+            continue;
+        if (!regionEntryValid(e, dev_->size())) {
+            regions_.clear(); // a failed open adopts nothing
+            return false;
         }
+        regions_[regionEntryOff(e)] = regionEntrySize(e);
     }
+    return true;
+}
+
+bool
+LargeAllocator::rebuildFreeSpace()
+{
+    if (!adoptRegionTable())
+        return false;
 
     // Every gap between activated extents becomes a reclaimed extent
     // (paper §4.4: "treat the space gaps between active extents as
@@ -755,20 +764,15 @@ LargeAllocator::rebuildFreeSpace()
         dev_->unmapRegion(region, total);
         count(StatCounter::LargeRegionsUnmapped);
     }
+    return true;
 }
 
-void
+bool
 LargeAllocator::recoverFromDescriptors(
     const std::function<void(uint64_t, uint64_t)> &on_slab)
 {
-    regions_.clear();
-    for (unsigned i = 0; i < region_slots_; ++i) {
-        if (region_table_[i] != 0) {
-            regions_[regionEntryOff(region_table_[i])] =
-                regionEntrySize(region_table_[i]);
-        }
-    }
-
+    if (!adoptRegionTable())
+        return false;
     for (auto &[region, total] : regions_) {
         (void)total;
         auto &slots = desc_free_[region];
@@ -798,6 +802,7 @@ LargeAllocator::recoverFromDescriptors(
             }
         }
     }
+    return true;
 }
 
 } // namespace nvalloc

@@ -193,13 +193,15 @@ class LargeAllocator
                         LogEntryRef ref);
 
     /** Adopt regions from the persistent region table and turn every
-     *  gap between activated extents into a reclaimed extent. */
-    void rebuildFreeSpace();
+     *  gap between activated extents into a reclaimed extent. False,
+     *  with nothing adopted, if a table word breaks regionEntryValid:
+     *  the table cannot be trusted and the open must fail. */
+    bool rebuildFreeSpace();
 
-    /** In-place mode recovery: scan every region's descriptor slots.
-     *  Calls on_slab(off, size) for each allocated slab so the caller
-     *  can rebuild vslabs. */
-    void recoverFromDescriptors(
+    /** In-place mode recovery: adopt the region table as above, then
+     *  scan every region's descriptor slots. Calls on_slab(off, size)
+     *  for each allocated slab so the caller can rebuild vslabs. */
+    bool recoverFromDescriptors(
         const std::function<void(uint64_t, uint64_t)> &on_slab);
 
     /** Iterate all activated VEHs (recovery GC sweep, stats). */
@@ -315,6 +317,7 @@ class LargeAllocator
     void descriptorWrite(Veh *veh, uint32_t state);
     void descriptorRelease(Veh *veh);
     uint64_t regionOf(uint64_t off) const;
+    bool adoptRegionTable();
     bool regionTableAdd(uint64_t region_off, uint64_t size);
     void regionTableRemove(uint64_t region_off);
 

@@ -27,6 +27,7 @@
 
 #include "common/checksum.h"
 #include "common/size_classes.h"
+#include "pm/pm_device.h"
 
 namespace nvalloc {
 
@@ -397,7 +398,8 @@ logHeaderCrc(const LogHeader &h)
 
 /** Log-region geometry: a 64 B header line, then LogChunks back to
  *  back. head[] and `next` sit outside every crc, so replay and the
- *  auditor bound each link with logChunkOffValid before following. */
+ *  auditor bound each link with logChunkOffValid before following,
+ *  and end the chain at a chunk they already visited. */
 constexpr size_t kLogHeaderArea = 64;
 constexpr size_t kLogChunkStride = sizeof(LogChunk); // 1088 B
 
@@ -432,6 +434,18 @@ constexpr uint64_t
 regionEntrySize(uint64_t e)
 {
     return (e & ((uint64_t{1} << 28) - 1)) << 16;
+}
+
+/** The rule for a nonzero region-table word: an aligned, non-empty
+ *  region past the root area and inside the device. The table lies
+ *  outside every crc, so recovery refuses to open over a word that
+ *  breaks it, and the auditor reports one. */
+constexpr bool
+regionEntryValid(uint64_t e, uint64_t dev_size)
+{
+    uint64_t off = regionEntryOff(e), size = regionEntrySize(e);
+    return off % PmDevice::kRegionAlign == 0 && size != 0 &&
+           off >= PmDevice::kRegionAlign && off + size <= dev_size;
 }
 
 /** Region-table words are published and retired under the large

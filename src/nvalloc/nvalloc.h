@@ -132,8 +132,9 @@ using RecoveryReport = RecoveryInfo;
  *  - status == InvalidArgument: the config failed validation
  *                               (NvAllocConfig::invalidReason);
  *                               heap is null — nothing was touched;
- *  - status == CorruptMetadata: the superblock or log root failed
- *                               validation; heap is non-null but in
+ *  - status == CorruptMetadata: the superblock, region table or
+ *                               log root failed validation; heap
+ *                               is non-null but in
  *                               HeapMode::Failed — only read-only
  *                               introspection (ctl, stats, auditor)
  *                               works, which is why it is returned at

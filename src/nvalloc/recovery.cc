@@ -41,31 +41,30 @@ NvAlloc::recoverHeap()
             recovery_.after_failure = true;
     }
 
+    // Root metadata recovery cannot contain (superblock, region table,
+    // log header) degrades the open to Failed mode instead of being
+    // guessed at.
+    auto refuse = [&](const char *why) {
+        NV_WARN(why);
+        open_failed_ = true;
+        open_status_ = NvStatus::CorruptMetadata;
+        last_status_.store(NvStatus::CorruptMetadata,
+                           std::memory_order_relaxed);
+    };
+
     // The superblock is the root of trust: if its config fields are
-    // torn or poisoned, nothing below it can be located, so this is
-    // the one corruption recovery cannot contain — the open degrades
-    // to Failed mode before any persistent state is touched (the
-    // arena-state stamp above all else), leaving the media exactly as
-    // found for offline fsck.
+    // torn or poisoned, nothing below it can be located, so the open
+    // fails before any persistent state is touched (the arena-state
+    // stamp above all else), leaving the media exactly as found for
+    // offline fsck.
     recovery_.lines_poisoned = dev_.poisonedLineCount();
     if (cfg_.verify_recovery_checksums &&
         (dev_.isPoisoned(sb_, sizeof(NvSuperblock)) ||
-         sb_->sb_crc != superblockCrc(*sb_))) {
-        NV_WARN("superblock corrupt (crc/poison); opening in Failed mode");
-        open_failed_ = true;
-        open_status_ = NvStatus::CorruptMetadata;
-        last_status_.store(NvStatus::CorruptMetadata,
-                           std::memory_order_relaxed);
-        return;
-    }
-    if (sb_->version != kSuperVersion) {
-        NV_WARN("superblock version mismatch; opening in Failed mode");
-        open_failed_ = true;
-        open_status_ = NvStatus::CorruptMetadata;
-        last_status_.store(NvStatus::CorruptMetadata,
-                           std::memory_order_relaxed);
-        return;
-    }
+         sb_->sb_crc != superblockCrc(*sb_)))
+        return refuse("superblock corrupt (crc/poison); "
+                      "opening in Failed mode");
+    if (sb_->version != kSuperVersion)
+        return refuse("superblock version mismatch; opening in Failed mode");
     setArenaStates(ArenaState::Recovering);
 
     // The on-media format pins geometry choices; honour them over the
@@ -125,22 +124,17 @@ NvAlloc::recoverHeap()
         ++recovery_.slabs_rebuilt;
     };
 
+    bool regions_ok;
     if (usesBookkeepingLog()) {
+        // The log header is the single root of every large-extent
+        // record; with it untrusted, replay would invent or drop
+        // extents.
         if (!log_.attach(&dev_, sb_->log_off, sb_->log_bytes,
                          cfg_.interleaved_log, cfg_.log_gc_threshold,
                          /*create=*/false,
-                         cfg_.verify_recovery_checksums)) {
-            // The log header is the single root of every large-extent
-            // record; with it untrusted, replay would invent or drop
-            // extents. Degrade to Failed mode instead of guessing.
-            NV_WARN("bookkeeping log header corrupt; "
-                    "opening in Failed mode");
-            open_failed_ = true;
-            open_status_ = NvStatus::CorruptMetadata;
-            last_status_.store(NvStatus::CorruptMetadata,
-                               std::memory_order_relaxed);
-            return;
-        }
+                         cfg_.verify_recovery_checksums))
+            return refuse("bookkeeping log header corrupt; "
+                          "opening in Failed mode");
         // Paper: "perform a slow GC on the persistent bookkeeping log
         // to clean up its tombstone entries. Then scan and process
         // every log entry."
@@ -153,15 +147,20 @@ NvAlloc::recoverHeap()
                     adopt_slab(off);
             });
         log_.slowGc();
-        large_.rebuildFreeSpace();
+        regions_ok = large_.rebuildFreeSpace();
         recovery_.log_entries_rejected = rejects.entries;
         recovery_.log_chunks_rejected = rejects.chunks;
     } else {
-        large_.recoverFromDescriptors([&](uint64_t off, uint64_t size) {
-            NV_ASSERT(size == kSlabSize);
-            adopt_slab(off);
-        });
+        regions_ok = large_.recoverFromDescriptors(
+            [&](uint64_t off, uint64_t size) {
+                NV_ASSERT(size == kSlabSize);
+                adopt_slab(off);
+            });
     }
+    // The region table lies outside every crc: one bad word would
+    // unmap or carve a range that is not a region.
+    if (!regions_ok)
+        return refuse("region table corrupt; opening in Failed mode");
     recovery_.free_extents_rebuilt = large_.reclaimedBytes();
 
     if (recovery_.after_failure) {

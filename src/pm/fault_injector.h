@@ -2,8 +2,13 @@
  * @file
  * Fault injection for the emulated persistent memory device.
  *
- * The plain shadow device models an idealized ADR platform: a flushed
- * line is durable the instant the flush is issued, and a crash loses
+ * Every shadow PmDevice follows one durability rule. A flush stages
+ * its line with the content the line holds at that moment (the cache
+ * writing it back); a fence commits the staged snapshots to the
+ * durable image; stores made after a line's flush reach media only
+ * through a later flush of that line. What a crash does to the last,
+ * unfenced epoch is this file's FaultPolicy. The default lands every
+ * staged line whole, which is the plain ADR device: a crash loses
  * exactly the never-flushed stores. Real Optane DIMMs fail in finer
  * ways, and allocator bugs hide in exactly those modes:
  *
@@ -20,11 +25,9 @@
  *    poison sentinel on read; consumers must detect and contain it
  *    rather than interpret garbage.
  *
- * With an injector installed, PmDevice switches to epoch semantics:
- * flushes *stage* lines and only a fence makes the staged set durable.
  * A crash (explicit, or scheduled at the Nth flush/fence via
- * armCrashAtFlush/armCrashAtFence) applies the FaultPolicy to the
- * final epoch: each staged line lands with probability
+ * armCrashAtFlush/armCrashAtFence) applies the policy to the final
+ * epoch: each staged line lands with probability
  * `staged_persist_fraction`, each dirty-unflushed line lands with
  * probability `eviction_fraction`, and with `word_granularity` a
  * landing line may tear at 8-byte boundaries. All coins are
@@ -35,9 +38,11 @@
 #ifndef NVALLOC_PM_FAULT_INJECTOR_H
 #define NVALLOC_PM_FAULT_INJECTOR_H
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace nvalloc {
@@ -48,7 +53,7 @@ struct FaultPolicy
     uint64_t seed = 1;
 
     /** Fraction of issued-but-unfenced flushes that reach media. 1.0
-     *  reproduces the idealized flush-is-durable device. */
+     *  (the default) lands every flushed line as it was flushed. */
     double staged_persist_fraction = 1.0;
 
     /** Fraction of dirty, never-flushed lines that reach media anyway
@@ -63,12 +68,20 @@ struct FaultPolicy
 /** Byte a poisoned line reads back as until rewritten. */
 constexpr uint8_t kPoisonByte = 0xb5;
 
+/** One cache line's content, as the eight 8-byte words x86 stores
+ *  atomically. */
+using LineImage = std::array<uint64_t, 8>;
+
+/** Flushed, unfenced lines: line offset -> content at its last flush. */
+using StagedLines = std::unordered_map<uint64_t, LineImage>;
+
+/** The cache writing the line at `line` back to media: its content
+ *  now, read while other threads may be storing to it. */
+LineImage writeBack(const char *line);
+
 class FaultInjector
 {
   public:
-    explicit FaultInjector(FaultPolicy policy = {}) : policy_(policy) {}
-
-    const FaultPolicy &policy() const { return policy_; }
     void setPolicy(const FaultPolicy &p) { policy_ = p; }
 
     // ---- crash scheduling -------------------------------------------
@@ -88,8 +101,6 @@ class FaultInjector
     {
         crash_at_fence_ = nth ? fences_ + nth : 0;
     }
-
-    bool armed() const { return crash_at_flush_ || crash_at_fence_; }
 
     /** The scheduled crash point was reached; the device is frozen
      *  (no store after this point can become durable). Polled without
@@ -114,10 +125,7 @@ class FaultInjector
         return crash_at_fence_ && fences_ >= crash_at_fence_;
     }
 
-    void markFrozen() { frozen_.store(true, std::memory_order_release); }
-
-    /** The crash consumed the armed point; the injector stays
-     *  installed for the next run (the policy persists). */
+    /** The crash consumed the armed point; the policy stays. */
     void
     resetAfterCrash()
     {
@@ -150,14 +158,19 @@ class FaultInjector
         return coin(line * 8 + word, 0x3c4d) < 0.5;
     }
 
-    bool wordGranularity() const { return policy_.word_granularity; }
-
     // ---- media poison -----------------------------------------------
 
-    void poison(uint64_t line) { poisoned_.insert(line); }
-    void clearPoison(uint64_t line) { poisoned_.erase(line); }
+    void poison(uint64_t l) { poisoned_count_ += poisoned_.insert(l).second; }
+    void clearPoison(uint64_t l) { poisoned_count_ -= poisoned_.erase(l); }
     bool isPoisoned(uint64_t line) const { return poisoned_.count(line); }
-    size_t poisonedLines() const { return poisoned_.size(); }
+
+    /** Lock-free: a flush reads it to skip the heal on a clean device. */
+    size_t
+    poisonedLines() const
+    {
+        return poisoned_count_.load(std::memory_order_relaxed);
+    }
+
     const std::unordered_set<uint64_t> &poisonSet() const
     {
         return poisoned_;
@@ -165,15 +178,16 @@ class FaultInjector
 
     /**
      * Build the post-crash durable image: apply the policy to the
-     * final epoch, writing surviving content from `base` into
-     * `shadow`. Called by PmDevice when the crash point is reached
-     * (scheduled or explicit); leaves the injector frozen.
+     * final epoch, writing the surviving snapshots of `staged` and
+     * evicted dirty lines of `base` into `shadow`. Called by PmDevice
+     * when the crash point is reached (scheduled or explicit); leaves
+     * the injector frozen.
      */
-    void applyCrashImage(char *base, char *shadow, uint64_t high_water,
-                         const std::unordered_set<uint64_t> &staged);
+    void applyCrashImage(const char *base, char *shadow,
+                         uint64_t high_water, const StagedLines &staged);
 
   private:
-    void copyLineTorn(char *dst, const char *src, uint64_t line);
+    void copyLineTorn(char *dst, const LineImage &src, uint64_t line);
 
     /** splitmix64 of (seed, x, salt), mapped to [0, 1). */
     double
@@ -195,6 +209,7 @@ class FaultInjector
     uint64_t crash_at_fence_ = 0;
     std::atomic<bool> frozen_{false};
     std::unordered_set<uint64_t> poisoned_; //!< line offsets
+    std::atomic<size_t> poisoned_count_{0};  //!< poisoned_.size()
 };
 
 } // namespace nvalloc

@@ -46,7 +46,6 @@ PmDevice::PmDevice(PmDeviceConfig cfg)
 
 PmDevice::~PmDevice()
 {
-    delete fi();
     ::munmap(base_, cfg_.size);
     if (shadow_)
         ::munmap(shadow_, cfg_.size);
@@ -136,35 +135,9 @@ PmDevice::persist(const void *addr, size_t len, TimeKind kind)
     uint64_t last = (offsetOf(addr) + len - 1) & ~uint64_t{kCacheLine - 1};
     for (uint64_t line = first; line <= last; line += kCacheLine) {
         model_.onFlush(line, kind);
-        if (!shadow_)
-            continue;
-        if (fi())
+        if (shadow_ || faults_.poisonedLines() != 0)
             stageLine(line);
-        else
-            std::memcpy(shadow_ + line, base_ + line, kCacheLine);
     }
-}
-
-void
-PmDevice::flushLine(const void *addr, TimeKind kind)
-{
-    if (cfg_.eadr)
-        return;
-    uint64_t line = offsetOf(addr) & ~uint64_t{kCacheLine - 1};
-    model_.onFlush(line, kind);
-    if (!shadow_) {
-        // No crash simulation: flushes are durable immediately, so a
-        // persisted write heals media poison right here.
-        if (fi()) {
-            std::lock_guard<std::mutex> g(stage_mutex_);
-            fi()->clearPoison(line);
-        }
-        return;
-    }
-    if (fi())
-        stageLine(line);
-    else
-        std::memcpy(shadow_ + line, base_ + line, kCacheLine);
 }
 
 void
@@ -173,19 +146,23 @@ PmDevice::fence()
     if (cfg_.eadr)
         return;
     model_.onFence();
-    if (!fi() || !shadow_)
+    if (!shadow_)
         return;
     std::lock_guard<std::mutex> g(stage_mutex_);
-    if (fi()->triggered())
+    if (faults_.triggered())
         return; // post-crash-point fence: nothing can commit
-    if (fi()->noteFence()) {
+    if (faults_.noteFence()) {
         // The scheduled crash point is this fence: its epoch never
         // commits; the policy decides what survives of it.
         freezeAtCrashPoint();
         return;
     }
-    for (uint64_t line : staged_)
-        commitLine(line);
+    // Each line lands as it was flushed; a persisted write to a
+    // poisoned line heals it.
+    for (const auto &[line, img] : staged_) {
+        std::memcpy(shadow_ + line, img.data(), kCacheLine);
+        faults_.clearPoison(line);
+    }
     staged_.clear();
 }
 
@@ -193,26 +170,21 @@ void
 PmDevice::stageLine(uint64_t line)
 {
     std::lock_guard<std::mutex> g(stage_mutex_);
-    if (fi()->triggered())
+    if (!shadow_) {
+        faults_.clearPoison(line); // no media model: durable at once
+        return;
+    }
+    if (faults_.triggered())
         return; // post-crash-point flush: lost
-    staged_.insert(line);
-    if (fi()->noteFlush())
+    staged_[line] = writeBack(base_ + line);
+    if (faults_.noteFlush())
         freezeAtCrashPoint();
-}
-
-void
-PmDevice::commitLine(uint64_t line)
-{
-    std::memcpy(shadow_ + line, base_ + line, kCacheLine);
-    // A persisted write to a poisoned line heals it.
-    if (fi()->isPoisoned(line))
-        fi()->clearPoison(line);
 }
 
 void
 PmDevice::freezeAtCrashPoint()
 {
-    fi()->applyCrashImage(base_, shadow_, high_water_, staged_);
+    faults_.applyCrashImage(base_, shadow_, high_water_, staged_);
     staged_.clear();
 }
 
@@ -240,13 +212,13 @@ PmDevice::dropFaultState(uint64_t offset, size_t bytes)
 {
     // A released range holds no staged flushes, and remapping fresh
     // pages over a poisoned line clears its poison.
-    if (!fi())
-        return;
     std::lock_guard<std::mutex> g(stage_mutex_);
+    if (staged_.empty() && faults_.poisonedLines() == 0)
+        return;
     for (uint64_t line = offset; line < offset + bytes;
          line += kCacheLine) {
         staged_.erase(line);
-        fi()->clearPoison(line);
+        faults_.clearPoison(line);
     }
 }
 
@@ -264,39 +236,23 @@ PmDevice::crash()
     NV_ASSERT(shadow_ != nullptr);
     if (cfg_.eadr)
         return; // the caches are in the persistence domain
-    if (fi()) {
-        std::lock_guard<std::mutex> g(stage_mutex_);
-        // Resolve the final unfenced epoch by policy unless a
-        // scheduled crash point already froze the durable image.
-        if (!fi()->triggered())
-            freezeAtCrashPoint();
-        fi()->resetAfterCrash();
-    }
+    std::lock_guard<std::mutex> g(stage_mutex_);
+    // Resolve the final unfenced epoch by policy unless a scheduled
+    // crash point already froze the durable image.
+    if (!faults_.triggered())
+        freezeAtCrashPoint();
+    faults_.resetAfterCrash();
     // Roll the working image back to the last persisted state. Only
     // the range ever handed out can contain data.
     std::memcpy(base_, shadow_, high_water_);
 }
 
-FaultInjector &
-PmDevice::faults()
-{
-    // Created lazily by whichever thread first arms a crash or poisons
-    // a line, possibly while a maintenance slice reads the device: the
-    // pointer is published once, under the lock, with release order.
-    if (FaultInjector *existing = fi())
-        return *existing;
-    std::lock_guard<std::mutex> g(stage_mutex_);
-    if (!fi())
-        fi_.store(new FaultInjector, std::memory_order_release);
-    return *fi();
-}
-
-FaultInjector &
-PmDevice::enableFaultInjection(FaultPolicy policy)
+void
+PmDevice::setFaultPolicy(const FaultPolicy &policy)
 {
     NV_ASSERT(shadow_ != nullptr);
-    faults().setPolicy(policy);
-    return *fi();
+    std::lock_guard<std::mutex> g(stage_mutex_);
+    faults_.setPolicy(policy);
 }
 
 void
@@ -304,9 +260,8 @@ PmDevice::poisonLine(uint64_t off)
 {
     uint64_t line = off & ~uint64_t{kCacheLine - 1};
     NV_ASSERT(line < cfg_.size);
-    FaultInjector &inj = faults();
     std::lock_guard<std::mutex> g(stage_mutex_);
-    inj.poison(line);
+    faults_.poison(line);
     std::memset(base_ + line, kPoisonByte, kCacheLine);
     if (shadow_)
         std::memset(shadow_ + line, kPoisonByte, kCacheLine);
@@ -315,37 +270,30 @@ PmDevice::poisonLine(uint64_t off)
 void
 PmDevice::clearPoison(uint64_t off)
 {
-    if (fi()) {
-        std::lock_guard<std::mutex> g(stage_mutex_);
-        fi()->clearPoison(off & ~uint64_t{kCacheLine - 1});
-    }
+    std::lock_guard<std::mutex> g(stage_mutex_);
+    faults_.clearPoison(off & ~uint64_t{kCacheLine - 1});
 }
 
 std::vector<uint64_t>
 PmDevice::poisonedLineOffsets() const
 {
-    std::vector<uint64_t> lines;
-    if (fi()) {
-        std::lock_guard<std::mutex> g(stage_mutex_);
-        const auto &set = fi()->poisonSet();
-        lines.assign(set.begin(), set.end());
-        std::sort(lines.begin(), lines.end());
-    }
+    std::lock_guard<std::mutex> g(stage_mutex_);
+    std::vector<uint64_t> lines(faults_.poisonSet().begin(),
+                                faults_.poisonSet().end());
+    std::sort(lines.begin(), lines.end());
     return lines;
 }
 
 bool
 PmDevice::isPoisoned(const void *addr, size_t len) const
 {
-    if (!fi() || len == 0)
+    if (len == 0 || faults_.poisonedLines() == 0)
         return false;
     std::lock_guard<std::mutex> g(stage_mutex_);
-    if (fi()->poisonedLines() == 0)
-        return false;
     uint64_t first = offsetOf(addr) & ~uint64_t{kCacheLine - 1};
     uint64_t last = (offsetOf(addr) + len - 1) & ~uint64_t{kCacheLine - 1};
     for (uint64_t line = first; line <= last; line += kCacheLine) {
-        if (fi()->isPoisoned(line))
+        if (faults_.isPoisoned(line))
             return true;
     }
     return false;

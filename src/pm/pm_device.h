@@ -10,11 +10,13 @@
  * LatencyModel for cost accounting.
  *
  * Crash simulation: with the shadow enabled, the device keeps a second
- * image that only receives data on persist(). crash() replaces the
- * working image with the shadow, which discards every store that was
- * never explicitly flushed — exactly the state a power cut leaves in
- * ADR hardware (CPU caches lost, DIMM contents kept). Recovery code is
- * tested against these torn states.
+ * image, the media. A flush stages its line as it is at that moment;
+ * a fence copies the staged snapshots to the media; crash() resolves
+ * whatever is still staged by the FaultPolicy and replaces the working
+ * image with the media. So a crash keeps each line as of its last
+ * flush and discards every later store — exactly the state a power cut
+ * leaves in ADR hardware (CPU caches lost, DIMM contents kept).
+ * Recovery code is tested against these torn states.
  *
  * eADR (paper §6.7) is a property of the device, fixed at
  * construction: the CPU caches are inside the persistence domain, so
@@ -22,14 +24,13 @@
  * staged, priced or counted — the paper's "all clwb removed") and
  * crash() keeps every store.
  *
- * Fault injection: enableFaultInjection() installs a FaultInjector and
- * switches the shadow to epoch semantics — flushes stage lines, fences
- * commit them. Crashes (explicit or scheduled at the Nth flush/fence)
- * then apply the injector's policy to the final epoch: torn lines,
- * 8-byte word atomicity, dropped flushes, early evictions. The device
- * also carries a media-poison set: poisoned lines read back as a
- * sentinel until rewritten, and isPoisoned() lets recovery react
- * instead of interpreting garbage.
+ * Fault injection: setFaultPolicy() chooses what a crash (explicit or
+ * scheduled at the Nth flush/fence) makes of the final epoch: torn
+ * lines, 8-byte word atomicity, dropped flushes, early evictions. The
+ * default lands every staged line whole. The device also carries a
+ * media-poison set: poisoned lines read back as a sentinel until a
+ * rewrite is persisted, and isPoisoned() lets recovery react instead
+ * of interpreting garbage.
  *
  * The device outlives allocator instances: destroying an allocator and
  * re-attaching a new one to the same device emulates a process restart
@@ -39,12 +40,10 @@
 #ifndef NVALLOC_PM_PM_DEVICE_H
 #define NVALLOC_PM_PM_DEVICE_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "pm/fault_injector.h"
@@ -147,11 +146,12 @@ class PmDevice
     size_t peakCommittedBytes() const { return peak_committed_; }
     void resetPeak() { peak_committed_ = committed_bytes_; }
 
-    /** Flush every cache line overlapping [addr, addr+len). */
+    /** Flush every cache line overlapping [addr, addr+len): each is
+     *  staged as it is now, and durable once a fence commits it. */
     void persist(const void *addr, size_t len, TimeKind kind);
 
     /** Flush a single line containing `addr`. */
-    void flushLine(const void *addr, TimeKind kind);
+    void flushLine(const void *addr, TimeKind kind) { persist(addr, 1, kind); }
 
     void fence();
 
@@ -181,57 +181,44 @@ class PmDevice
      * Simulate a power failure: discard all stores that were never
      * persisted. Region bookkeeping is untouched (the heap file keeps
      * its length); only byte contents roll back. Requires shadow mode.
-     * With a fault injector installed, the final unfenced epoch is
-     * resolved by the injector's policy instead of being kept. On an
-     * eADR device every store survives.
+     * Flushed lines no fence committed land as the fault policy says.
+     * On an eADR device every store survives.
      */
     void crash();
 
     // ---- fault injection --------------------------------------------
 
-    /**
-     * Install (or replace) a fault injector with `policy`; requires
-     * shadow mode. From this call on, flushes only stage lines and
-     * fences commit them — the idealized flush-is-durable shortcut is
-     * off. Returns the injector for arming crash points.
-     */
-    FaultInjector &enableFaultInjection(FaultPolicy policy = {});
+    /** What the next crashes make of the unfenced epoch; requires
+     *  shadow mode. */
+    void setFaultPolicy(const FaultPolicy &policy);
 
-    /** Schedule a crash at the Nth flush from now (requires an
-     *  injector). Sweeps at flush granularity arm this per point. */
+    /** Schedule a crash at the Nth flush from now. Sweeps at flush
+     *  granularity arm this per point. */
     void
     armCrashAtFlush(uint64_t nth)
     {
-        FaultInjector &inj = faults();
         std::lock_guard<std::mutex> g(stage_mutex_);
-        inj.armCrashAtFlush(nth);
+        faults_.armCrashAtFlush(nth);
     }
 
     /** Schedule a crash at the Nth fence from now. */
     void
     armCrashAtFence(uint64_t nth)
     {
-        FaultInjector &inj = faults();
         std::lock_guard<std::mutex> g(stage_mutex_);
-        inj.armCrashAtFence(nth);
+        faults_.armCrashAtFence(nth);
     }
 
     /** True once a scheduled crash point has been reached: every later
      *  store is doomed, so workloads can stop early. */
-    bool
-    crashTriggered() const
-    {
-        FaultInjector *inj = fi();
-        return inj && inj->triggered();
-    }
+    bool crashTriggered() const { return faults_.triggered(); }
 
     // ---- media poison -----------------------------------------------
 
     /**
      * Poison the media line containing device offset `off`: the line
      * reads back as kPoisonByte until rewritten (a persisted write to
-     * a poisoned line heals it, as on real DIMMs). Works with or
-     * without an injector policy.
+     * a poisoned line heals it, as on real DIMMs).
      */
     void poisonLine(uint64_t off);
 
@@ -241,14 +228,7 @@ class PmDevice
     /** True if any byte of [addr, addr+len) lies in a poisoned line. */
     bool isPoisoned(const void *addr, size_t len = 1) const;
 
-    size_t
-    poisonedLineCount() const
-    {
-        if (!fi())
-            return 0;
-        std::lock_guard<std::mutex> g(stage_mutex_);
-        return fi()->poisonedLines();
-    }
+    size_t poisonedLineCount() const { return faults_.poisonedLines(); }
 
     /** Sorted device offsets of every poisoned media line. Lets an
      *  auditor classify each poisoned line (free vs live data) instead
@@ -275,18 +255,14 @@ class PmDevice
     size_t committed_bytes_ = 0;
     size_t peak_committed_ = 0;
 
-    // Fault injection (null = idealized flush-is-durable shadow). The
-    // injector is created once and then owned until destruction;
-    // stage_mutex_ guards its counters, crash arming and poison set.
-    std::atomic<FaultInjector *> fi_{nullptr};
+    // stage_mutex_ guards the staged lines and the injector's policy,
+    // crash clocks and poison set.
     mutable std::mutex stage_mutex_;
-    std::unordered_set<uint64_t> staged_; //!< flushed, unfenced lines
+    FaultInjector faults_;
+    StagedLines staged_;
 
-    FaultInjector *fi() const { return fi_.load(std::memory_order_acquire); }
     void addCommitted(size_t bytes);
-    FaultInjector &faults();
     void stageLine(uint64_t line);
-    void commitLine(uint64_t line);
     void freezeAtCrashPoint();
     void dropFaultState(uint64_t offset, size_t bytes);
 };

@@ -69,6 +69,19 @@ class FaultDeviceFixture : public ::testing::Test
         w_ = static_cast<uint64_t *>(dev_->at(off_));
     }
 
+    /** `w = 1; persist; w = 2; fence; crash()`: the word the fence made
+     *  durable. */
+    uint64_t
+    storeAfterFlushSurvivor()
+    {
+        w_[0] = 1;
+        dev_->persist(w_, 8, TimeKind::FlushData);
+        w_[0] = 2; // after the flush, never flushed itself
+        dev_->fence();
+        dev_->crash();
+        return w_[0];
+    }
+
     std::unique_ptr<PmDevice> dev_;
     uint64_t off_ = 0;
     uint64_t *w_ = nullptr;
@@ -78,7 +91,7 @@ TEST_F(FaultDeviceFixture, FencedEpochsAlwaysCommit)
 {
     FaultPolicy p;
     p.staged_persist_fraction = 0.0; // drop every unfenced flush
-    dev_->enableFaultInjection(p);
+    dev_->setFaultPolicy(p);
 
     w_[0] = 1;
     dev_->persistFence(w_, 8, TimeKind::FlushData);
@@ -90,7 +103,7 @@ TEST_F(FaultDeviceFixture, UnfencedFlushIsSubjectToPolicy)
 {
     FaultPolicy p;
     p.staged_persist_fraction = 0.0;
-    dev_->enableFaultInjection(p);
+    dev_->setFaultPolicy(p);
 
     w_[0] = 1;
     dev_->persistFence(w_, 8, TimeKind::FlushData);
@@ -99,17 +112,39 @@ TEST_F(FaultDeviceFixture, UnfencedFlushIsSubjectToPolicy)
     dev_->crash();
     EXPECT_EQ(w_[0], 1u) << "issued-but-unfenced flush dropped";
 
-    // The idealized default keeps it.
-    dev_->enableFaultInjection(FaultPolicy{});
+    // The default policy keeps it.
+    dev_->setFaultPolicy(FaultPolicy{});
     w_[0] = 3;
     dev_->persist(w_, 8, TimeKind::FlushData);
     dev_->crash();
-    EXPECT_EQ(w_[0], 3u) << "fraction 1.0 reproduces flush-is-durable";
+    EXPECT_EQ(w_[0], 3u) << "fraction 1.0 lands every flushed line";
+}
+
+TEST_F(FaultDeviceFixture, FenceCommitsFlushTimeContent)
+{
+    dev_->setFaultPolicy(FaultPolicy{});
+    EXPECT_EQ(storeAfterFlushSurvivor(), 1u)
+        << "a store made after the flush is not in its epoch";
+}
+
+// Poisoning a line or arming a crash must not change what a fence
+// commits: every shadow device follows the same rule from the start.
+TEST_F(FaultDeviceFixture, PoisonElsewhereKeepsTheRule)
+{
+    EXPECT_EQ(storeAfterFlushSurvivor(), 1u);
+    dev_->poisonLine(off_ + 1024);
+    EXPECT_EQ(storeAfterFlushSurvivor(), 1u);
+}
+
+TEST_F(FaultDeviceFixture, ArmedCrashFarAheadKeepsTheRule)
+{
+    EXPECT_EQ(storeAfterFlushSurvivor(), 1u);
+    dev_->armCrashAtFlush(1000000);
+    EXPECT_EQ(storeAfterFlushSurvivor(), 1u);
 }
 
 TEST_F(FaultDeviceFixture, EvictionLandsNeverFlushedStores)
 {
-    dev_->enableFaultInjection(FaultPolicy{});
     w_[0] = 1;
     dev_->persistFence(w_, 8, TimeKind::FlushData);
 
@@ -119,7 +154,7 @@ TEST_F(FaultDeviceFixture, EvictionLandsNeverFlushedStores)
 
     FaultPolicy p;
     p.eviction_fraction = 1.0;
-    dev_->enableFaultInjection(p);
+    dev_->setFaultPolicy(p);
     w_[0] = 2;
     dev_->crash();
     EXPECT_EQ(w_[0], 2u) << "evicted line reached media without flush";
@@ -132,7 +167,7 @@ TEST_F(FaultDeviceFixture, TornLineRespectsWordAtomicity)
         FaultPolicy p;
         p.seed = seed;
         p.word_granularity = true;
-        dev_->enableFaultInjection(p);
+        dev_->setFaultPolicy(p);
 
         for (unsigned i = 0; i < 8; ++i)
             w_[i] = 0x1111111111111111ull * (i + 1);
@@ -161,7 +196,6 @@ TEST_F(FaultDeviceFixture, TornLineRespectsWordAtomicity)
 
 TEST_F(FaultDeviceFixture, ArmedCrashFreezesWithoutThrowing)
 {
-    dev_->enableFaultInjection(FaultPolicy{});
     dev_->armCrashAtFlush(2);
 
     w_[0] = 1;
@@ -280,7 +314,7 @@ runCrashSweepPoint(const PolicyCase &pc, bool at_fence, unsigned nth)
     policy.staged_persist_fraction = pc.staged_fraction;
     policy.eviction_fraction = pc.eviction_fraction;
     policy.word_granularity = pc.word_granularity;
-    dev.enableFaultInjection(policy);
+    dev.setFaultPolicy(policy);
 
     uint64_t table_off;
     {
@@ -571,7 +605,7 @@ TEST_P(DoubleRecovery, CrashDuringRecoveryIsIdempotent)
     policy.seed = nth * 31 + 7;
     policy.staged_persist_fraction = 0.6;
     policy.word_granularity = true;
-    dev.enableFaultInjection(policy);
+    dev.setFaultPolicy(policy);
 
     // Phase 1: a workload crash leaves real recovery work behind.
     uint64_t table_off;

@@ -717,7 +717,6 @@ runKvCrashPoint(unsigned nth)
     dcfg.size = size_t{1} << 28;
     dcfg.shadow = true;
     PmDevice dev(dcfg);
-    dev.enableFaultInjection(FaultPolicy{});
 
     // Durable oracle: id -> latest acked version. Maintained only for
     // ops that completed before the crash triggered.
@@ -955,7 +954,6 @@ runYcsbCrashPoint(YcsbWorkload w, unsigned nth)
     dcfg.size = size_t{1} << 28;
     dcfg.shadow = true;
     PmDevice dev(dcfg);
-    dev.enableFaultInjection(FaultPolicy{});
 
     YcsbSpec spec = smallSpec(w, 4);
     spec.record_count = 1500;

@@ -205,7 +205,7 @@ TEST_F(LargeFixture, GapRecoveryRebuildsFreeSpace)
                     LogEntryRef ref) {
         fresh.adoptActivated(off, size, type == kLogSlab, ref);
     });
-    fresh.rebuildFreeSpace();
+    ASSERT_TRUE(fresh.rebuildFreeSpace());
 
     EXPECT_NE(fresh.findVeh(a), nullptr);
     EXPECT_EQ(fresh.findVeh(a)->state, Veh::State::Activated);
@@ -230,11 +230,11 @@ TEST_F(LargeFixture, InPlaceDescriptorModeRecovers)
     LargeAllocator fresh;
     fresh.init(dev_.get(), cfg_, nullptr, table_, 256);
     unsigned slabs_seen = 0;
-    fresh.recoverFromDescriptors([&](uint64_t off, uint64_t size) {
+    EXPECT_TRUE(fresh.recoverFromDescriptors([&](uint64_t off, uint64_t size) {
         EXPECT_EQ(off, slab);
         EXPECT_EQ(size, kSlabSize);
         ++slabs_seen;
-    });
+    }));
     EXPECT_EQ(slabs_seen, 1u);
     EXPECT_EQ(fresh.findVeh(a)->state, Veh::State::Activated);
     EXPECT_EQ(fresh.findVeh(b)->state, Veh::State::Reclaimed);

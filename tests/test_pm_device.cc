@@ -3,8 +3,8 @@
  * Tests of the emulated PM device: region map/unmap with reuse and
  * coalescing, committed-byte accounting (the space metric of the
  * paper's figures), decommit/recommit, persist-to-shadow semantics,
- * crash rollback, and the eADR device's free flushes and keep-all
- * crash.
+ * crash rollback, poison healing by a flush, and the eADR device's
+ * free flushes and keep-all crash.
  */
 
 #include <gtest/gtest.h>
@@ -124,6 +124,25 @@ TEST(PmDevice, PersistCoversWholeLines)
         ASSERT_EQ(p[i], 0xab);
     for (int i = 64; i < 128; ++i)
         ASSERT_EQ(p[i], 0);
+}
+
+TEST(PmDevice, FlushHealsPoisonWithoutShadow)
+{
+    PmDevice dev(smallCfg());
+    uint64_t a = dev.mapRegion(64 * 1024);
+    auto *p = static_cast<uint64_t *>(dev.at(a));
+    dev.poisonLine(a);
+    dev.poisonLine(a + 64);
+
+    // With no media model a flush is durable at once, whichever call
+    // issues it.
+    p[0] = 1;
+    dev.persist(p, 8, TimeKind::FlushData);
+    EXPECT_FALSE(dev.isPoisoned(p, 8)) << "persist() heals";
+    p[8] = 2;
+    dev.flushLine(&p[8], TimeKind::FlushData);
+    EXPECT_FALSE(dev.isPoisoned(&p[8], 8)) << "flushLine() heals";
+    EXPECT_EQ(dev.poisonedLineCount(), 0u);
 }
 
 TEST(PmDevice, CrashPreservesAcrossMultipleRegions)

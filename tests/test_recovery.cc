@@ -310,5 +310,65 @@ TEST(Recovery, EadrHeapReopensCleanWithoutAnyFlush)
     EXPECT_EQ(dev.flushCounts().total, 0u);
 }
 
+TEST(Recovery, BadRegionTableWordFailsTheOpen)
+{
+    // The region table (root offset 512) lies outside every crc. A
+    // poisoned table line must fail the open, not abort recovery, after
+    // a clean shutdown and after a crash alike.
+    for (bool crash : {false, true}) {
+        SCOPED_TRACE(crash ? "crash" : "clean shutdown");
+        PmDevice dev(shadowCfg());
+        {
+            auto alloc_h = NvAlloc::openOrDie(dev);
+            NvAlloc &alloc = *alloc_h;
+            ThreadCtx *ctx = alloc.attachThread();
+            ASSERT_NE(ctx, nullptr);
+            ASSERT_NE(alloc.mallocTo(*ctx, 256 * 1024, alloc.rootWord(0)),
+                      nullptr);
+            if (crash)
+                alloc.simulateCrash();
+        }
+        dev.poisonLine(512);
+
+        OpenResult r = NvAlloc::open(dev);
+        EXPECT_EQ(r.status, NvStatus::CorruptMetadata);
+        ASSERT_NE(r.heap, nullptr);
+        EXPECT_EQ(r.heap->mode(), HeapMode::Failed);
+        AuditReport rep = HeapAuditor(*r.heap).audit();
+        EXPECT_GT(rep.region_table_bad, 0u) << rep.summary();
+        EXPECT_EQ(rep.log_chain_bad, 0u) << rep.summary();
+    }
+}
+
+TEST(Recovery, CyclicLogChainEndsAtTheRevisitedChunk)
+{
+    // Chunk `next` words lie outside the chunk crc: a link back to an
+    // adopted chunk must end replay, not loop over it forever.
+    PmDevice dev(shadowCfg());
+    {
+        auto alloc_h = NvAlloc::openOrDie(dev);
+        NvAlloc &alloc = *alloc_h;
+        ThreadCtx *ctx = alloc.attachThread();
+        ASSERT_NE(ctx, nullptr);
+        ASSERT_NE(alloc.mallocTo(*ctx, 256 * 1024, alloc.rootWord(0)),
+                  nullptr);
+        auto *sb = static_cast<NvSuperblock *>(dev.root());
+        auto *lh = static_cast<LogHeader *>(dev.at(sb->log_off));
+        uint64_t head = lh->head[lh->alt];
+        ASSERT_NE(head, 0u);
+        auto *chunk = static_cast<LogChunk *>(dev.at(head));
+        chunk->next = head;
+        dev.persistFence(&chunk->next, 8, TimeKind::FlushLog);
+        alloc.simulateCrash();
+    }
+
+    OpenResult r = NvAlloc::open(dev);
+    ASSERT_EQ(r.status, NvStatus::Ok);
+    NvAlloc &again = *r.heap;
+    EXPECT_EQ(readCtl(again, "stats.log.replay.chunks_rejected"), 1u);
+    AuditReport rep = HeapAuditor(again).audit();
+    EXPECT_TRUE(rep.clean()) << rep.summary();
+}
+
 } // namespace
 } // namespace nvalloc

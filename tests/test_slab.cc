@@ -344,7 +344,7 @@ TEST_F(MorphFixture, TornFlagTwoCommitKeepsLiveBlocks)
         fp.seed = seed;
         fp.staged_persist_fraction = 0.5;
         fp.word_granularity = true;
-        dev_->enableFaultInjection(fp);
+        dev_->setFaultPolicy(fp);
         dev_->armCrashAtFence(3); // fences: flag 1, index table, flag 2
         ASSERT_TRUE(slab->morphTo(sizeToClass(256), 6));
         ASSERT_TRUE(dev_->crashTriggered());

@@ -580,7 +580,6 @@ runTxCrashPoint(TxShape shape, bool at_fence, unsigned nth)
     dcfg.size = size_t{1} << 28;
     dcfg.shadow = true;
     PmDevice dev(dcfg);
-    dev.enableFaultInjection(FaultPolicy{});
 
     std::vector<Effect> fx;  //!< primary tx's effects
     std::vector<Effect> fx2; //!< second tx's effects (Interleaved)

@@ -614,7 +614,7 @@ ChaosHarness::run()
         fp.seed = opt_.seed * 1000003ULL + round + 1;
         fp.staged_persist_fraction = 0.7;
         fp.word_granularity = true;
-        dev.enableFaultInjection(fp);
+        dev.setFaultPolicy(fp);
 
         auto heap_h = NvAlloc::openOrDie(dev, config());
         NvAlloc &heap = *heap_h;

@@ -153,7 +153,6 @@ runCrashSmoke(const Options &o)
     dcfg.size = size_t{1} << 28;
     dcfg.shadow = true;
     PmDevice dev(dcfg);
-    dev.enableFaultInjection(FaultPolicy{});
 
     uint64_t records = o.records > 20000 ? 20000 : o.records;
     Options so = o;

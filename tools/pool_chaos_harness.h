@@ -186,7 +186,7 @@ PoolChaosHarness::runPool()
             fp.seed = opt_.seed * 1000003ULL + round + 1;
             fp.staged_persist_fraction = 0.7;
             fp.word_granularity = true;
-            devs[0]->enableFaultInjection(fp);
+            devs[0]->setFaultPolicy(fp);
 
             sizes_.swap(tsizes[0]);
             if (ev == ChaosEvent::Crash) {
