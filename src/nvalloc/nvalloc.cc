@@ -629,7 +629,7 @@ NvAlloc::allocSmall(ThreadCtx &ctx, size_t size, uint64_t where_off)
     // release), which routes through the locked fallback below.
     if (blk.slab->enterFast()) {
         {
-            VLockFreeScope nolock;
+            [[maybe_unused]] VLockFreeScope nolock;
             blk.slab->markAllocated(blk.idx);
             blk.slab->exitFast();
         }
@@ -1170,7 +1170,7 @@ bool
 NvAlloc::gateRetire(const FreeCall &c, VSlab *slab, bool locked,
                     SmallFree &f)
 {
-    VLockFreeScope nolock;
+    [[maybe_unused]] VLockFreeScope nolock;
     unsigned idx = slab->blockIndexOf(c.off);
     bool aligned = idx < slab->capacity();
     // In a morphing slab only an allocated current-geometry bit proves

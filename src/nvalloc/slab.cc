@@ -185,12 +185,11 @@ VSlab::popBlockSpread()
         unsigned end = begin + line_blocks;
         if (end > geo_.capacity)
             end = geo_.capacity;
-        for (unsigned idx = begin; idx < end; ++idx) {
-            if (!vbits_.test(idx) && vbits_.tryClaim(idx)) {
-                lent_.fetch_add(1, std::memory_order_relaxed);
-                avail_.fetch_sub(1, std::memory_order_relaxed);
-                return idx;
-            }
+        unsigned idx = vbits_.claimRange(begin, end);
+        if (idx < geo_.capacity) {
+            lent_.fetch_add(1, std::memory_order_relaxed);
+            avail_.fetch_sub(1, std::memory_order_relaxed);
+            return idx;
         }
     }
     return geo_.capacity;

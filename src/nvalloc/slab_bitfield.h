@@ -123,6 +123,32 @@ class SlabBitfield
         return kNone;
     }
 
+    /**
+     * Atomically claim the first free bit in [begin, end), a word at a
+     * time: mask the word to the range, take its lowest clear bit and
+     * CAS it in; a lost CAS retries the word with the value it
+     * reloaded. Returns the bit index or kNone. Unlike claim() it
+     * neither reads nor marks the summary — the range is one bitmap
+     * cache line of popBlockSpread's rotation, not a whole-slab scan.
+     */
+    unsigned
+    claimRange(unsigned begin, unsigned end)
+    {
+        for (unsigned w = begin >> 6; w * 64 < end; ++w) {
+            uint64_t range = rangeMask(w, begin, end);
+            uint64_t cur = words_[w].load(std::memory_order_relaxed);
+            while (uint64_t free = ~cur & range) {
+                unsigned bit = unsigned(std::countr_zero(free));
+                if (words_[w].compare_exchange_weak(
+                        cur, cur | (uint64_t{1} << bit),
+                        std::memory_order_acq_rel,
+                        std::memory_order_relaxed))
+                    return w * 64 + bit;
+            }
+        }
+        return kNone;
+    }
+
     /** Atomically claim one specific bit; false if already set. */
     bool
     tryClaim(unsigned bit)
@@ -145,6 +171,17 @@ class SlabBitfield
     }
 
   private:
+    /** The bits of word `w` that lie in [begin, end). */
+    static uint64_t
+    rangeMask(unsigned w, unsigned begin, unsigned end)
+    {
+        unsigned lo = begin > w * 64 ? begin - w * 64 : 0;
+        unsigned hi = end < (w + 1) * 64 ? end - w * 64 : 64;
+        uint64_t below_hi = hi == 64 ? ~uint64_t{0}
+                                     : (uint64_t{1} << hi) - 1;
+        return below_hi & ~((uint64_t{1} << lo) - 1);
+    }
+
     static uint64_t
     fullMask(unsigned w, unsigned limit)
     {

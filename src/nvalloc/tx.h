@@ -55,6 +55,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/size_classes.h"
+
 namespace nvalloc {
 
 /** One staged operation of an open transaction. Volatile bookkeeping
@@ -96,14 +98,110 @@ struct TxContext
 };
 
 /**
+ * A set of keys split into 64 shards by key hash, each with its
+ * own cache-line-aligned mutex, set and size count. Every operation
+ * touches one shard, so transactions on unrelated keys never meet on
+ * a lock or a written cache line. `size()`, and `contains()` on an
+ * empty shard, take no lock: they read the shard counts.
+ */
+template <class Key>
+class ShardedKeySet
+{
+  public:
+    /** Insert `key`; false if it was already present. */
+    bool
+    insert(Key key)
+    {
+        Shard &s = shardOf(key);
+        std::lock_guard<std::mutex> g(s.mu);
+        if (!s.keys.insert(key).second)
+            return false;
+        s.count.store(s.keys.size(), std::memory_order_relaxed);
+        return true;
+    }
+
+    void
+    erase(Key key)
+    {
+        Shard &s = shardOf(key);
+        std::lock_guard<std::mutex> g(s.mu);
+        s.keys.erase(key);
+        s.count.store(s.keys.size(), std::memory_order_relaxed);
+    }
+
+    bool
+    contains(Key key) const
+    {
+        const Shard &s = shardOf(key);
+        if (s.count.load(std::memory_order_relaxed) == 0)
+            return false;
+        std::lock_guard<std::mutex> g(s.mu);
+        return s.keys.count(key) != 0;
+    }
+
+    /** Sum of the shard counts: exact when no insert or erase races
+     *  the read, a snapshot otherwise. */
+    uint64_t
+    size() const
+    {
+        uint64_t n = 0;
+        for (const Shard &s : shards_)
+            n += s.count.load(std::memory_order_relaxed);
+        return n;
+    }
+
+    std::vector<Key>
+    snapshot() const
+    {
+        std::vector<Key> out;
+        for (const Shard &s : shards_) {
+            std::lock_guard<std::mutex> g(s.mu);
+            out.insert(out.end(), s.keys.begin(), s.keys.end());
+        }
+        return out;
+    }
+
+  private:
+    static constexpr unsigned kShardBits = 6;
+
+    struct alignas(kCacheLine) Shard
+    {
+        mutable std::mutex mu;
+        std::unordered_set<Key> keys;
+        std::atomic<uint64_t> count{0};
+    };
+
+    // Fibonacci hashing: block offsets share their low bits and tx
+    // ids are consecutive; the multiply spreads both over the shards.
+    static unsigned
+    shardIndex(Key key)
+    {
+        return unsigned((uint64_t(key) * 0x9E3779B97F4A7C15ull) >>
+                        (64 - kShardBits));
+    }
+
+    Shard &shardOf(Key key) { return shards_[shardIndex(key)]; }
+    const Shard &shardOf(Key key) const { return shards_[shardIndex(key)]; }
+
+    Shard shards_[1u << kShardBits];
+};
+
+/**
  * Heap-wide transaction bookkeeping: id allocation, the set of open
  * ids, and the staged-offset registry consulted by the ordered free
  * validator. All volatile — a crash forgets it, and recovery clears
  * the rings it mirrors.
  *
+ * Both sets are sharded by key hash (ShardedKeySet), so a put's six
+ * registry calls (begin, two stages, two unstages, end) lock shards
+ * that concurrent puts on other keys almost never share. The id
+ * counter stays one atomic: recovery resolves crashed runs in id
+ * order, which is the commit order of conflicting transactions only
+ * because every id comes from one sequence (DESIGN.md §11).
+ *
  * The free-path probe is the only hot-path cost the layer adds:
- * one relaxed load of staged_count_, which is zero whenever no
- * transaction holds staged blocks.
+ * one relaxed load of the probed shard's count, which is zero
+ * whenever no transaction holds a staged block in that shard.
  */
 class TxManager
 {
@@ -113,7 +211,6 @@ class TxManager
     beginTx()
     {
         uint32_t id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-        std::lock_guard<std::mutex> g(mu_);
         open_.insert(id);
         return id;
     }
@@ -135,78 +232,30 @@ class TxManager
     }
 
     /** Close an id (commit, abort, or recovery cleanup). */
-    void
-    endTx(uint32_t id)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        open_.erase(id);
-    }
+    void endTx(uint32_t id) { open_.erase(id); }
 
-    bool
-    isOpen(uint32_t id) const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return open_.count(id) != 0;
-    }
+    bool isOpen(uint32_t id) const { return open_.contains(id); }
 
-    uint64_t
-    openCount() const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return open_.size();
-    }
+    uint64_t openCount() const { return open_.size(); }
 
     /** Register `off` as staged by an open tx (a tx-allocated block
      *  awaiting publish, or a tx-freed block awaiting its deferred
      *  free). False if some tx already staged it. */
-    bool
-    stage(uint64_t off)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        if (!staged_.insert(off).second)
-            return false;
-        staged_count_.store(staged_.size(), std::memory_order_relaxed);
-        return true;
-    }
+    bool stage(uint64_t off) { return staged_.insert(off); }
 
-    void
-    unstage(uint64_t off)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        staged_.erase(off);
-        staged_count_.store(staged_.size(), std::memory_order_relaxed);
-    }
+    void unstage(uint64_t off) { staged_.erase(off); }
 
-    /** Free-validator probe. The count shortcut keeps the plain free
-     *  path at one relaxed load when no tx holds staged blocks. */
-    bool
-    isStaged(uint64_t off) const
-    {
-        if (staged_count_.load(std::memory_order_relaxed) == 0)
-            return false;
-        std::lock_guard<std::mutex> g(mu_);
-        return staged_.count(off) != 0;
-    }
+    /** Free-validator probe. */
+    bool isStaged(uint64_t off) const { return staged_.contains(off); }
 
     /** Auditor snapshot of the staged registry. */
-    std::vector<uint64_t>
-    stagedSnapshot() const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return std::vector<uint64_t>(staged_.begin(), staged_.end());
-    }
+    std::vector<uint64_t> stagedSnapshot() const { return staged_.snapshot(); }
 
-    uint64_t
-    stagedCount() const
-    {
-        return staged_count_.load(std::memory_order_relaxed);
-    }
+    uint64_t stagedCount() const { return staged_.size(); }
 
   private:
-    mutable std::mutex mu_;
-    std::unordered_set<uint32_t> open_;
-    std::unordered_set<uint64_t> staged_;
-    std::atomic<uint64_t> staged_count_{0};
+    ShardedKeySet<uint32_t> open_;
+    ShardedKeySet<uint64_t> staged_;
     std::atomic<uint32_t> next_id_{0};
 };
 

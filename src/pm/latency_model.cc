@@ -11,18 +11,34 @@ namespace {
 constexpr unsigned kMruCap = 8;      // recent distinct lines tracked
 constexpr uint64_t kXpLine = 256;    // Optane internal write granule
 
+/** Owner-thread increment of a count block cell: only the owning
+ *  thread writes it, so a relaxed load + store replaces a fetch_add. */
+void
+bump(std::atomic<uint64_t> &a)
+{
+    a.store(a.load(std::memory_order_relaxed) + 1,
+            std::memory_order_relaxed);
+}
+
 } // namespace
 
 /**
  * Per-thread flush history. Stored thread-locally and keyed by (model,
  * generation) so that reset() on one model cannot leak stale recency
  * state into the next benchmark phase, and several devices can be live
- * at once.
+ * at once. The model's unique id tells a reset model (same id, new
+ * generation: keep the count block) from a new model at a recycled
+ * address (new id: register a new block).
  */
 struct LatencyModel::ThreadState
 {
     const LatencyModel *owner = nullptr;
+    uint64_t model_id = 0;
     uint64_t generation = 0;
+
+    // This thread's counters in the model; kept across reset(), which
+    // zeroes the block in place.
+    CountBlock *counts = nullptr;
 
     // MRU list of recently flushed 64 B lines, deduplicated.
     uint64_t mru[kMruCap] = {};
@@ -88,20 +104,21 @@ namespace {
 // One slot per live model this thread has touched.
 thread_local std::vector<LatencyModel::ThreadState> tl_states;
 
-// Generations are drawn from a process-wide counter, never reused.
-// Slots in tl_states are matched by (owner pointer, generation); if a
-// destroyed model's address is recycled for a new one, a per-model
-// counter would restart at the same value and the stale thread history
-// would wrongly match, leaking flush recency across devices.
+// Model ids and generations are drawn from a process-wide counter,
+// never reused. Slots in tl_states are matched by (owner pointer, id,
+// generation); if a destroyed model's address is recycled for a new
+// one, a per-model counter would restart at the same value and the
+// stale thread history (and count block) would wrongly match.
 std::atomic<uint64_t> g_generation{1};
 
 } // namespace
 
 LatencyModel::LatencyModel(LatencyParams params)
-    : params_(params), media_(params.media_slots)
+    : params_(params),
+      id_(g_generation.fetch_add(1, std::memory_order_relaxed)),
+      media_(params.media_slots)
 {
-    generation_.store(g_generation.fetch_add(1, std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+    generation_.store(id_, std::memory_order_relaxed);
 }
 
 // (media_ is a VServer with params.media_slots parallel units.)
@@ -110,28 +127,41 @@ LatencyModel::ThreadState &
 LatencyModel::threadState()
 {
     uint64_t gen = generation_.load(std::memory_order_relaxed);
+    ThreadState *slot = nullptr;
     for (auto &ts : tl_states) {
         if (ts.owner == this) {
-            if (ts.generation != gen) {
-                ts = ThreadState{};
-                ts.owner = this;
-                ts.generation = gen;
-            }
-            return ts;
+            if (ts.model_id == id_ && ts.generation == gen)
+                return ts;
+            slot = &ts;
+            break;
         }
     }
-    tl_states.emplace_back();
-    auto &ts = tl_states.back();
-    ts.owner = this;
-    ts.generation = gen;
-    return ts;
+    // A reset of this model keeps the thread's count block and drops
+    // its history; a first touch, or a new model at a dead one's
+    // address, registers a block.
+    CountBlock *counts =
+        slot && slot->model_id == id_ ? slot->counts : registerBlock();
+    if (!slot)
+        slot = &tl_states.emplace_back();
+    *slot = ThreadState{};
+    slot->owner = this;
+    slot->model_id = id_;
+    slot->generation = gen;
+    slot->counts = counts;
+    return *slot;
+}
+
+LatencyModel::CountBlock *
+LatencyModel::registerBlock()
+{
+    std::lock_guard<std::mutex> g(blocks_mutex_);
+    return &blocks_.emplace_back();
 }
 
 void
 LatencyModel::noteClass(FlushClass cls, ThreadState &ts)
 {
-    n_class_[static_cast<unsigned>(cls)].fetch_add(
-        1, std::memory_order_relaxed);
+    bump(ts.counts->cls[static_cast<unsigned>(cls)]);
     // Sink attribution: resolve the cell row lazily (once per thread
     // per epoch), then bump it with a relaxed load+store — the row is
     // owned by this thread, so no read-modify-write is needed. The
@@ -171,15 +201,14 @@ LatencyModel::chargeMedia(uint64_t line, ThreadState &ts, TimeKind kind)
 void
 LatencyModel::onFlush(uint64_t line, TimeKind kind)
 {
-    n_total_.fetch_add(1, std::memory_order_relaxed);
-
-    if (tracing_) {
+    if (tracing_.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> g(trace_mutex_);
         if (trace_.size() < trace_cap_)
             trace_.push_back(line);
     }
 
     ThreadState &ts = threadState();
+    bump(ts.counts->total);
 
     VClock::advance(params_.issue, kind);
 
@@ -206,7 +235,7 @@ LatencyModel::onFlush(uint64_t line, TimeKind kind)
 void
 LatencyModel::onFence()
 {
-    n_fence_.fetch_add(1, std::memory_order_relaxed);
+    bump(threadState().counts->fences);
     VClock::advance(params_.fence, TimeKind::Fence);
 }
 
@@ -215,23 +244,34 @@ LatencyModel::reset()
 {
     generation_.store(g_generation.fetch_add(1, std::memory_order_relaxed),
                       std::memory_order_relaxed);
-    n_total_.store(0);
-    for (auto &c : n_class_)
-        c.store(0);
-    n_fence_.store(0);
+    {
+        std::lock_guard<std::mutex> g(blocks_mutex_);
+        for (CountBlock &b : blocks_) {
+            b.total.store(0, std::memory_order_relaxed);
+            for (auto &c : b.cls)
+                c.store(0, std::memory_order_relaxed);
+            b.fences.store(0, std::memory_order_relaxed);
+        }
+    }
     media_.reset();
 }
 
 FlushClassCounts
 LatencyModel::counts() const
 {
+    uint64_t cls[kNumFlushClasses] = {};
     FlushClassCounts c;
-    c.total = n_total_.load();
-    c.reflush = n_class_[unsigned(FlushClass::Reflush)].load();
-    c.sequential = n_class_[unsigned(FlushClass::Sequential)].load();
-    c.random = n_class_[unsigned(FlushClass::Random)].load();
-    c.xpline_hit = n_class_[unsigned(FlushClass::XpLineHit)].load();
-    c.fences = n_fence_.load();
+    std::lock_guard<std::mutex> g(blocks_mutex_);
+    for (const CountBlock &b : blocks_) {
+        c.total += b.total.load(std::memory_order_relaxed);
+        for (unsigned i = 0; i < kNumFlushClasses; ++i)
+            cls[i] += b.cls[i].load(std::memory_order_relaxed);
+        c.fences += b.fences.load(std::memory_order_relaxed);
+    }
+    c.reflush = cls[unsigned(FlushClass::Reflush)];
+    c.sequential = cls[unsigned(FlushClass::Sequential)];
+    c.random = cls[unsigned(FlushClass::Random)];
+    c.xpline_hit = cls[unsigned(FlushClass::XpLineHit)];
     return c;
 }
 
@@ -241,7 +281,7 @@ LatencyModel::startTrace(size_t max_entries)
     std::lock_guard<std::mutex> g(trace_mutex_);
     trace_.clear();
     trace_cap_ = max_entries;
-    tracing_ = true;
+    tracing_.store(true, std::memory_order_relaxed);
 }
 
 std::vector<uint64_t>
@@ -253,7 +293,7 @@ LatencyModel::stopTrace()
     // stale trace or touch a moved-from vector.
     std::vector<uint64_t> out;
     std::lock_guard<std::mutex> g(trace_mutex_);
-    tracing_ = false;
+    tracing_.store(false, std::memory_order_relaxed);
     trace_cap_ = 0;
     out.swap(trace_);
     return out;
@@ -262,8 +302,7 @@ LatencyModel::stopTrace()
 bool
 LatencyModel::tracing() const
 {
-    std::lock_guard<std::mutex> g(trace_mutex_);
-    return tracing_;
+    return tracing_.load(std::memory_order_relaxed);
 }
 
 } // namespace nvalloc

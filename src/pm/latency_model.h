@@ -20,8 +20,10 @@
  * The model prices ADR flushes and nothing else. A device whose CPU
  * caches are persistent never calls it (see PmDevice).
  *
- * All costs advance the calling thread's VClock; counters are global
- * and deterministic for a fixed workload trace.
+ * All costs advance the calling thread's VClock. Each thread counts
+ * its flushes and fences into a block of its own that the model keeps
+ * (counts() sums them), so the totals are deterministic for a fixed
+ * workload trace and no flush writes a line another thread writes.
  */
 
 #ifndef NVALLOC_PM_LATENCY_MODEL_H
@@ -29,9 +31,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <vector>
 
+#include "common/size_classes.h"
 #include "pm/vclock.h"
 
 namespace nvalloc {
@@ -52,8 +56,6 @@ struct LatencyParams
 
     unsigned xpbuf_lines = 64;   //!< XPBuffer capacity: 16 KB of 256 B XPLines [40]
     unsigned media_slots = 8;    //!< concurrent media writes (2 DIMMs x 4 WPQ slots)
-
-    uint64_t read_miss = 0;      //!< PM reads are not modeled
 };
 
 /** Mapping a TimeKind for a flush; see VClock. */
@@ -128,11 +130,14 @@ class LatencyModel
     void onFence();
 
     const LatencyParams &params() const { return params_; }
-    void setParams(const LatencyParams &p) { params_ = p; }
 
-    /** Zero counters and invalidate all per-thread history. */
+    /** Zero the counters, those of exited threads included, and
+     *  invalidate all per-thread history. Call it between phases: a
+     *  flush racing it may keep a count it made before the reset. */
     void reset();
 
+    /** Sum of every thread's counters since construction or the last
+     *  reset(), exited threads included. */
     FlushClassCounts counts() const;
 
     /**
@@ -187,31 +192,48 @@ class LatencyModel
     struct ThreadState;
 
   private:
+    /** One thread's counters, written only by that thread (a relaxed
+     *  load + store, no read-modify-write) and on a line of its own. */
+    struct alignas(kCacheLine) CountBlock
+    {
+        std::atomic<uint64_t> total{0};
+        //! Indexed by FlushClass.
+        std::atomic<uint64_t> cls[kNumFlushClasses] = {};
+        std::atomic<uint64_t> fences{0};
+    };
+
     ThreadState &threadState();
+    CountBlock *registerBlock();
     void chargeMedia(uint64_t line, ThreadState &ts, TimeKind kind);
     void noteClass(FlushClass cls, ThreadState &ts);
 
-    LatencyParams params_;
-
+    // Read by every flush, written by none: construction fixes
+    // params_ and id_; generation_, sink_, sink_epoch_ and tracing_
+    // change only on reset, sink and trace calls.
+    const LatencyParams params_;
+    //! Process-wide unique identity; a recycled address never matches.
+    const uint64_t id_;
     std::atomic<uint64_t> generation_{1};
     std::atomic<FlushSink *> sink_{nullptr};
     //! Bumped on every setSink/invalidateSinkCells; threads compare it
     //! against their cached row's epoch before trusting the pointer.
     std::atomic<uint64_t> sink_epoch_{1};
-
-    std::atomic<uint64_t> n_total_{0};
-    //! Per-class flush counts, indexed by FlushClass (one indexed
-    //! fetch_add on the flush path instead of a switch).
-    std::atomic<uint64_t> n_class_[kNumFlushClasses] = {};
-    std::atomic<uint64_t> n_fence_{0};
+    std::atomic<bool> tracing_{false};
 
     // Shared media bandwidth (XPBuffer drain ports): a windowed
-    // capacity server with `media_slots` parallel units.
-    VServer media_;
+    // capacity server with `media_slots` parallel units. Aligned so
+    // neither it nor anything below (the trace buffer, written by
+    // flushes while tracing) shares a line with the fields above.
+    alignas(kCacheLine) VServer media_;
+
+    // Every thread's counters; blocks outlive their threads so
+    // counts() keeps what exited threads counted. blocks_mutex_ is
+    // taken once per (thread, model) and by counts() and reset().
+    mutable std::mutex blocks_mutex_;
+    std::deque<CountBlock> blocks_;
 
     // Optional flush-address trace.
     mutable std::mutex trace_mutex_;
-    bool tracing_ = false;
     size_t trace_cap_ = 0;
     std::vector<uint64_t> trace_;
 };

@@ -693,7 +693,7 @@ sweepValue(uint64_t id, uint64_t version)
 
 struct SweepOp
 {
-    enum class Kind { Read, Update, Insert, Erase } kind;
+    enum class Kind { Read, Update, Insert, Erase } kind = Kind::Read;
     uint64_t id = 0;
     uint64_t version = 0; //!< version written (update/insert)
 };
@@ -875,9 +875,10 @@ runKvCrashPoint(unsigned nth)
         case SweepOp::Kind::Update:
             EXPECT_EQ(st, KvStatus::Ok)
                 << "in-flight update lost the key";
-            if (st == KvStatus::Ok)
+            if (st == KvStatus::Ok) {
                 EXPECT_TRUE(v == old_v || v == new_v)
                     << "in-flight update torn";
+            }
             break;
         case SweepOp::Kind::Erase:
             EXPECT_TRUE((st == KvStatus::NotFound) ||
@@ -895,8 +896,9 @@ runKvCrashPoint(unsigned nth)
             continue;
         KvStatus st = store->get(ycsbKey(id), &v);
         EXPECT_EQ(st, KvStatus::Ok) << "acked op lost: id " << id;
-        if (st == KvStatus::Ok)
+        if (st == KvStatus::Ok) {
             EXPECT_EQ(v, sweepValue(id, version)) << "id " << id;
+        }
     }
     // Nothing invented: ids never durably inserted stay absent
     // (except a visible in-flight insert, handled above).

@@ -3,10 +3,14 @@
  * Tests of the flush latency model against the behaviours §3.1
  * documents: the reflush-distance cost curve (800→500 ns over
  * distances 0-3), sequential-vs-random media costs, XPBuffer hits,
- * classification counters, and the trace hook.
+ * classification counters (per thread, summed across exited
+ * threads), and the trace hook.
  */
 
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "pm/pm_device.h"
 
@@ -192,6 +196,61 @@ TEST_F(LatencyModelTest, PersistFlushesEveryCoveredLine)
     dev_->model().reset();
     dev_->persist(dev_->base() + 4096, 256, TimeKind::FlushData);
     EXPECT_EQ(dev_->flushCounts().total, 4u);
+}
+
+TEST_F(LatencyModelTest, PerThreadCountsOutliveTheirThreads)
+{
+    // Each thread cycles over kLines distinct lines of its own for
+    // kPasses passes. A pass revisits a line after kLines - 1 other
+    // lines, beyond the reflush window, so every flush is a regular
+    // one; then each thread flushes its first line kReflushes more
+    // times back to back, and those are reflushes (distance 0).
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kLines = 16;
+    constexpr unsigned kPasses = 3;
+    constexpr unsigned kReflushes = 5;
+    constexpr unsigned kFences = 7;
+    ASSERT_GE(kLines, dev_->model().params().reflush_window + 1);
+    dev_->model().reset();
+
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back([this, t] {
+            uint64_t base = (uint64_t(t) + 1) << 20;
+            for (unsigned p = 0; p < kPasses; ++p)
+                for (unsigned i = 0; i < kLines; ++i)
+                    dev_->flushLine(dev_->base() + base + i * 64,
+                                    TimeKind::FlushMeta);
+            for (unsigned r = 0; r < kReflushes; ++r)
+                dev_->flushLine(dev_->base() + base + (kLines - 1) * 64,
+                                TimeKind::FlushMeta);
+            for (unsigned f = 0; f < kFences; ++f)
+                dev_->fence();
+        });
+    }
+    for (auto &w : workers)
+        w.join(); // every counting thread has exited
+
+    FlushClassCounts c = dev_->flushCounts();
+    EXPECT_EQ(c.total, kThreads * (kPasses * kLines + kReflushes));
+    EXPECT_EQ(c.reflush, kThreads * kReflushes);
+    EXPECT_EQ(c.total,
+              c.reflush + c.sequential + c.random + c.xpline_hit);
+    EXPECT_EQ(c.fences, kThreads * kFences);
+
+    dev_->model().reset();
+    c = dev_->flushCounts();
+    EXPECT_EQ(c.total, 0u);
+    EXPECT_EQ(c.reflush + c.sequential + c.random + c.xpline_hit, 0u);
+    EXPECT_EQ(c.fences, 0u);
+
+    // The test thread's own block survives the reset and keeps
+    // counting from zero.
+    flushCost(0);
+    dev_->fence();
+    c = dev_->flushCounts();
+    EXPECT_EQ(c.total, 1u);
+    EXPECT_EQ(c.fences, 1u);
 }
 
 } // namespace

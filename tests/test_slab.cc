@@ -1,6 +1,7 @@
 /**
  * @file
- * Slab/VSlab unit tests: geometry for every size class (TEST_P),
+ * Slab/VSlab unit tests: geometry for every size class (TEST_P), the
+ * bitfield range claim against its bit-at-a-time reference, the
  * availability state machine (pop / lend / allocate / free), the
  * persistent-vs-volatile bitmap contract, rebuild-from-header, and
  * the full slab-morphing protocol of §5.2 — index table contents,
@@ -10,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
+#include "common/rng.h"
 #include "nvalloc/slab.h"
 
 namespace nvalloc {
@@ -55,6 +58,76 @@ TEST_P(SlabGeometryAllClasses, CapacityAndOffsetsConsistent)
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, SlabGeometryAllClasses,
                          ::testing::Range(0u, kNumSizeClasses));
+
+using Bitfield = SlabBitfield<kMaxSlabBlocks>;
+
+/** The bit-at-a-time loop popBlockSpread ran before claimRange: the
+ *  reference the word-level claim must agree with. */
+unsigned
+claimRangeBitwise(Bitfield &bits, unsigned begin, unsigned end)
+{
+    for (unsigned idx = begin; idx < end; ++idx) {
+        if (!bits.test(idx) && bits.tryClaim(idx))
+            return idx;
+    }
+    return Bitfield::kNone;
+}
+
+TEST(SlabBitfieldRange, ClaimMatchesBitAtATimeReference)
+{
+    // 85 blocks per bitmap line is what 6 stripes give (512 / 6):
+    // such ranges start and end mid-word and straddle word bounds.
+    const unsigned kLineBlocks[] = {85, 512 / 5, 512, 64, 1};
+    Rng rng(20261017);
+    for (unsigned round = 0; round < 400; ++round) {
+        unsigned line_blocks = kLineBlocks[round % 5];
+        // Half the ranges sit on popBlockSpread's line grid, half
+        // start anywhere.
+        unsigned begin =
+            round % 2 ? unsigned(rng.nextBounded(kMaxSlabBlocks))
+                      : unsigned(rng.nextBounded(kMaxSlabBlocks /
+                                                 line_blocks)) *
+                            line_blocks;
+        unsigned end = std::min(kMaxSlabBlocks, begin + line_blocks);
+
+        Bitfield word, bit;
+        double density = rng.nextDouble();
+        for (unsigned i = 0; i < kMaxSlabBlocks; ++i) {
+            if (rng.nextDouble() < density) {
+                word.set(i);
+                bit.set(i);
+            }
+        }
+        // Claim the range dry; every step must pick the same bit.
+        for (;;) {
+            unsigned want = claimRangeBitwise(bit, begin, end);
+            ASSERT_EQ(word.claimRange(begin, end), want)
+                << "range [" << begin << ", " << end << ")";
+            if (want == Bitfield::kNone)
+                break;
+        }
+        for (unsigned i = 0; i < kMaxSlabBlocks; ++i)
+            ASSERT_EQ(word.test(i), bit.test(i)) << "bit " << i;
+    }
+}
+
+TEST(SlabBitfieldRange, OneBitAndFullRanges)
+{
+    Bitfield bits;
+    // A one-bit range claims its bit once.
+    EXPECT_EQ(bits.claimRange(130, 131), 130u);
+    EXPECT_EQ(bits.claimRange(130, 131), Bitfield::kNone);
+    EXPECT_FALSE(bits.test(129));
+    EXPECT_FALSE(bits.test(131));
+
+    // A range whose every bit is set returns kNone and changes
+    // nothing, including a range straddling a word boundary.
+    for (unsigned i = 40; i < 125; ++i)
+        bits.set(i);
+    EXPECT_EQ(bits.claimRange(40, 125), Bitfield::kNone);
+    EXPECT_EQ(bits.popcount(kMaxSlabBlocks), 85u + 1u);
+    EXPECT_EQ(bits.claimRange(40, 126), 125u);
+}
 
 TEST_F(SlabFixture, FreshSlabFullyAvailable)
 {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -389,6 +390,83 @@ TEST(TxConcurrent, EightThreadRoundTripsCountExactly)
     EXPECT_EQ(ctlValue(*alloc, "stats.tx.ops_free"), n);
     EXPECT_EQ(ctlValue(*alloc, "stats.tx.aborts"), 0u);
     EXPECT_EQ(ctlValue(*alloc, "stats.tx.open"), 0u);
+}
+
+TEST(TxConcurrent, RacingTxFreesOfOneBlockStageItOnce)
+{
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    PmDevice dev(dcfg);
+    auto alloc = NvAlloc::openOrDie(dev, sweepConfig());
+    ThreadCtx *owner = alloc->attachThread();
+    ASSERT_NE(owner, nullptr);
+
+    // Every round, eight threads open a transaction and txFree the
+    // same published block at once. The staged registry lets exactly
+    // one stage it; the winner commits only after every thread has
+    // tried, so each loser meets the staged block, not a freed one.
+    constexpr unsigned kThreads = 8;
+    constexpr unsigned kRounds = 50;
+    std::barrier<> sync(kThreads + 1);
+    std::atomic<uint64_t> target{0};
+    std::atomic<unsigned> wins{0}, staged_rejects{0}, other{0};
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&] {
+            ThreadCtx *ctx = alloc->attachThread();
+            for (unsigned r = 0; r < kRounds; ++r) {
+                sync.arrive_and_wait(); // block published
+                bool open = ctx && alloc->txBegin(*ctx) == NvStatus::Ok;
+                NvStatus st = open ? alloc->txFree(*ctx, target.load())
+                                   : NvStatus::InvalidArgument;
+                if (st == NvStatus::Ok)
+                    wins.fetch_add(1);
+                else if (st == NvStatus::InvalidFree)
+                    staged_rejects.fetch_add(1);
+                else
+                    other.fetch_add(1);
+                sync.arrive_and_wait(); // every thread has tried
+                if (open && (st == NvStatus::Ok
+                                 ? alloc->txCommit(*ctx)
+                                 : alloc->txAbort(*ctx)) != NvStatus::Ok)
+                    other.fetch_add(1);
+                sync.arrive_and_wait(); // every tx resolved
+            }
+            if (ctx)
+                alloc->detachThread(ctx);
+        });
+    }
+
+    for (unsigned r = 0; r < kRounds; ++r) {
+        // A plain allocation: published the moment it returns. (No
+        // ASSERT before the barriers: the workers wait on them.)
+        uint64_t blk = alloc->allocOffset(*owner, 64, nullptr);
+        EXPECT_NE(blk, 0u);
+        target.store(blk);
+        unsigned wins_before = wins.load();
+        uint64_t rejects_before =
+            ctlValue(*alloc, "stats.hardening.tx_staged_frees");
+        sync.arrive_and_wait();
+        sync.arrive_and_wait();
+        sync.arrive_and_wait();
+        EXPECT_EQ(wins.load() - wins_before, 1u) << "round " << r;
+        EXPECT_EQ(ctlValue(*alloc, "stats.hardening.tx_staged_frees") -
+                      rejects_before,
+                  kThreads - 1)
+            << "round " << r;
+        EXPECT_EQ(ctlValue(*alloc, "stats.tx.open"), 0u);
+        EXPECT_EQ(ctlValue(*alloc, "stats.tx.staged_blocks"), 0u);
+        EXPECT_FALSE(blockIsLive(*alloc, blk)) << "round " << r;
+    }
+    for (auto &w : workers)
+        w.join();
+
+    EXPECT_EQ(wins.load(), kRounds);
+    EXPECT_EQ(staged_rejects.load(), kRounds * (kThreads - 1));
+    EXPECT_EQ(other.load(), 0u);
+    AuditReport rep = HeapAuditor(*alloc).audit();
+    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
+    alloc->detachThread(owner);
 }
 
 TEST_F(TxFixture, DegradedHeapRejectsTx)
