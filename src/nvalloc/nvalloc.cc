@@ -72,17 +72,15 @@ NvAlloc::NvAlloc(PmDevice &dev, NvAllocConfig cfg)
     NV_ASSERT(cfg_.bit_stripes >= 1 && cfg_.bit_stripes <= 32);
     wal_slot_used_.assign(kMaxThreads, false);
 
-    static_assert(kMaxArenas <= kTelemetryMaxArenas,
-                  "telemetry per-arena flush array too small");
     static_assert(kNumNvStatuses <= kTelemetryMaxStatuses,
                   "telemetry failed-allocation family too small");
 
-    // Telemetry observes everything from here on, including heap
-    // creation and recovery flushes (attributed to arena 0 until the
-    // thread binds one).
+    // Telemetry observes everything from here on, and the flush
+    // leaves count from here, so heap creation and recovery are
+    // included and an earlier heap's flushes on this device are not.
     if (cfg_.trace_ring_capacity)
         tel_.startTracing(cfg_.trace_ring_capacity);
-    tel_.attachSink(&dev_.model());
+    flush_base_ = dev_.model().counts();
     log_.setTelemetry(&tel_);
     large_.setTelemetry(&tel_);
 
@@ -197,11 +195,6 @@ NvAlloc::~NvAlloc()
     // Maintenance first — even on the crashed path — so no slice can
     // run into a heap being dismantled.
     maint_.shutdown();
-
-    // Detach from the device's flush stream next. attachSink leaves
-    // the model alone if a newer heap on the same device has already
-    // replaced us as the sink.
-    tel_.attachSink(nullptr);
 
     if (crashed_) {
         // The process "died": free only DRAM state, touch no PM.
@@ -369,10 +362,6 @@ NvAlloc::attachThread()
     attach_cursor_ = (best->id() + 1) % unsigned(arenas_.size());
     best->thread_count.fetch_add(1);
     attached_threads_.fetch_add(1);
-
-    // Attribute this thread's flush classes to its arena from now on
-    // (attachThread runs on the attaching thread itself).
-    tel_.bindArena(best->id());
 
     constexpr unsigned kTcacheSlots = 48; // per-class capacity, blocks
     auto *ctx = new ThreadCtx(this, best, cfg_.bit_stripes,

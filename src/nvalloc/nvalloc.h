@@ -459,7 +459,7 @@ class NvAlloc
 
     /**
      * mallctl-style introspection: read the statistic registered
-     * under the dotted `name` ("stats.arena.0.flush.reflush",
+     * under the dotted `name` ("stats.flush.reflush",
      * "stats.tcache.hit", ...). Returns UnknownCtl — without touching
      * lastStatus() — when no such name exists. The registry is built
      * lazily on first use; names are discoverable via ctl().names().
@@ -509,9 +509,11 @@ class NvAlloc
     unsigned region_slots_;
 
     // Declared before every subsystem that records into it so it is
-    // destroyed last; also the device model's FlushSink while this
-    // heap is open.
+    // destroyed last.
     Telemetry tel_;
+    //! The device model's counts when this heap opened; the
+    //! stats.flush.* leaves read the model's counts minus these.
+    FlushClassCounts flush_base_;
 
     BookkeepingLog log_;
     LargeAllocator large_;

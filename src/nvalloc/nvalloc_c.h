@@ -299,7 +299,7 @@ uint64_t *nvalloc_root(NvInstance *inst, unsigned idx);
 
 /**
  * mallctl-style statistics query: read the counter registered under
- * the dotted `name` (e.g. "stats.arena.0.flush.reflush") into *out.
+ * the dotted `name` (e.g. "stats.flush.reflush") into *out.
  * Returns NVALLOC_OK, or NVALLOC_EINVAL for a name not in the
  * registry (*out untouched; nvalloc_errno is not affected).
  */

@@ -49,13 +49,6 @@ struct LatencyModel::ThreadState
 
     uint64_t last_miss_xpline = ~uint64_t{0};
 
-    // Sink attribution row (FlushSink::flushCells), re-resolved
-    // whenever the model's sink epoch moves past sink_epoch. epoch 0
-    // never matches the model's (it starts at 1), so a fresh slot
-    // resolves on its first flush.
-    std::atomic<uint64_t> *sink_cells = nullptr;
-    uint64_t sink_epoch = 0;
-
     /** Reflush distance of `line`, or kMruCap if the line was not
      *  flushed recently (a fresh line is never a reflush, no matter
      *  how short the history is). Also moves/inserts the line to the
@@ -162,22 +155,6 @@ void
 LatencyModel::noteClass(FlushClass cls, ThreadState &ts)
 {
     bump(ts.counts->cls[static_cast<unsigned>(cls)]);
-    // Sink attribution: resolve the cell row lazily (once per thread
-    // per epoch), then bump it with a relaxed load+store — the row is
-    // owned by this thread, so no read-modify-write is needed. The
-    // epoch is checked before every use, so a row handed out by a
-    // since-replaced sink can never be written.
-    uint64_t ep = sink_epoch_.load(std::memory_order_relaxed);
-    if (ts.sink_epoch != ep) {
-        FlushSink *s = sink_.load(std::memory_order_acquire);
-        ts.sink_cells = s ? s->flushCells() : nullptr;
-        ts.sink_epoch = ep;
-    }
-    if (std::atomic<uint64_t> *row = ts.sink_cells) {
-        auto &cell = row[static_cast<unsigned>(cls)];
-        cell.store(cell.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
-    }
 }
 
 void
@@ -208,7 +185,6 @@ LatencyModel::onFlush(uint64_t line, TimeKind kind)
     }
 
     ThreadState &ts = threadState();
-    bump(ts.counts->total);
 
     VClock::advance(params_.issue, kind);
 
@@ -247,7 +223,6 @@ LatencyModel::reset()
     {
         std::lock_guard<std::mutex> g(blocks_mutex_);
         for (CountBlock &b : blocks_) {
-            b.total.store(0, std::memory_order_relaxed);
             for (auto &c : b.cls)
                 c.store(0, std::memory_order_relaxed);
             b.fences.store(0, std::memory_order_relaxed);
@@ -263,7 +238,6 @@ LatencyModel::counts() const
     FlushClassCounts c;
     std::lock_guard<std::mutex> g(blocks_mutex_);
     for (const CountBlock &b : blocks_) {
-        c.total += b.total.load(std::memory_order_relaxed);
         for (unsigned i = 0; i < kNumFlushClasses; ++i)
             cls[i] += b.cls[i].load(std::memory_order_relaxed);
         c.fences += b.fences.load(std::memory_order_relaxed);
@@ -272,6 +246,8 @@ LatencyModel::counts() const
     c.sequential = cls[unsigned(FlushClass::Sequential)];
     c.random = cls[unsigned(FlushClass::Random)];
     c.xpline_hit = cls[unsigned(FlushClass::XpLineHit)];
+    // Every flush is served in exactly one class.
+    c.total = c.reflush + c.sequential + c.random + c.xpline_hit;
     return c;
 }
 

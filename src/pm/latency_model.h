@@ -21,9 +21,12 @@
  * caches are persistent never calls it (see PmDevice).
  *
  * All costs advance the calling thread's VClock. Each thread counts
- * its flushes and fences into a block of its own that the model keeps
- * (counts() sums them), so the totals are deterministic for a fixed
- * workload trace and no flush writes a line another thread writes.
+ * its flushes, by class, and its fences into a block of its own that
+ * the model keeps (counts() sums them), so the totals are
+ * deterministic for a fixed workload trace and no flush writes a line
+ * another thread writes. These blocks are the only flush and fence
+ * counters: a heap's stats.flush.* leaves read counts() minus what it
+ * read when the heap opened.
  */
 
 #ifndef NVALLOC_PM_LATENCY_MODEL_H
@@ -58,7 +61,10 @@ struct LatencyParams
     unsigned media_slots = 8;    //!< concurrent media writes (2 DIMMs x 4 WPQ slots)
 };
 
-/** Mapping a TimeKind for a flush; see VClock. */
+/**
+ * Flush and fence counts. Every flush is served in exactly one
+ * FlushClass, so the four class counts sum to `total`.
+ */
 struct FlushClassCounts
 {
     uint64_t total = 0;
@@ -82,42 +88,6 @@ enum class FlushClass : unsigned
 constexpr unsigned kNumFlushClasses =
     static_cast<unsigned>(FlushClass::NumClasses);
 
-inline const char *
-flushClassName(FlushClass c)
-{
-    switch (c) {
-    case FlushClass::Reflush: return "reflush";
-    case FlushClass::Sequential: return "sequential";
-    case FlushClass::Random: return "random";
-    case FlushClass::XpLineHit: return "xpline_hit";
-    case FlushClass::NumClasses: break;
-    }
-    return "?";
-}
-
-/**
- * The hook a telemetry layer installs to attribute flush classes to
- * whatever higher-level context it tracks (heap, arena, thread).
- *
- * The model does not make a virtual call per flush. Instead it asks
- * the sink once per thread — and again whenever the sink epoch moves
- * (setSink / invalidateSinkCells) — for that thread's *cell row*:
- * kNumFlushClasses relaxed atomics, indexed by FlushClass, that only
- * the calling thread will write. Every classified flush then bumps
- * row[class] directly, so the steady-state cost of an installed sink
- * is one relaxed load+store. flushCells() runs on the flushing
- * thread, inside the flush path; it may return nullptr to decline
- * attribution for that thread and must not flush. The returned row
- * must stay valid until the sink is uninstalled or the epoch is
- * bumped again.
- */
-class FlushSink
-{
-  public:
-    virtual ~FlushSink() = default;
-    virtual std::atomic<uint64_t> *flushCells() = 0;
-};
-
 class LatencyModel
 {
   public:
@@ -137,40 +107,9 @@ class LatencyModel
     void reset();
 
     /** Sum of every thread's counters since construction or the last
-     *  reset(), exited threads included. */
+     *  reset(), exited threads included. The only flush and fence
+     *  count in the system: a heap's stats.flush.* leaves read it. */
     FlushClassCounts counts() const;
-
-    /**
-     * Install (or, with nullptr, remove) the flush-classification
-     * sink. One sink at a time — installing replaces the previous one
-     * (last writer wins; the allocator that owns the device's traffic
-     * installs its telemetry here and removes it on destruction). The
-     * caller guarantees the sink outlives its installation.
-     */
-    void
-    setSink(FlushSink *sink)
-    {
-        sink_.store(sink, std::memory_order_release);
-        invalidateSinkCells();
-    }
-
-    FlushSink *
-    sink() const
-    {
-        return sink_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Drop every thread's cached cell row; each thread re-asks the
-     * sink on its next flush. setSink calls this itself; a sink whose
-     * attribution target changed out of band (say, a thread re-bound
-     * to a different arena) calls it directly. One atomic increment.
-     */
-    void
-    invalidateSinkCells()
-    {
-        sink_epoch_.fetch_add(1, std::memory_order_release);
-    }
 
     /**
      * Begin recording flush offsets (for the Fig. 2 scatter). Calling
@@ -196,8 +135,7 @@ class LatencyModel
      *  load + store, no read-modify-write) and on a line of its own. */
     struct alignas(kCacheLine) CountBlock
     {
-        std::atomic<uint64_t> total{0};
-        //! Indexed by FlushClass.
+        //! Indexed by FlushClass; the total is their sum.
         std::atomic<uint64_t> cls[kNumFlushClasses] = {};
         std::atomic<uint64_t> fences{0};
     };
@@ -205,19 +143,15 @@ class LatencyModel
     ThreadState &threadState();
     CountBlock *registerBlock();
     void chargeMedia(uint64_t line, ThreadState &ts, TimeKind kind);
-    void noteClass(FlushClass cls, ThreadState &ts);
+    static void noteClass(FlushClass cls, ThreadState &ts);
 
     // Read by every flush, written by none: construction fixes
-    // params_ and id_; generation_, sink_, sink_epoch_ and tracing_
-    // change only on reset, sink and trace calls.
+    // params_ and id_; generation_ and tracing_ change only on reset
+    // and trace calls.
     const LatencyParams params_;
     //! Process-wide unique identity; a recycled address never matches.
     const uint64_t id_;
     std::atomic<uint64_t> generation_{1};
-    std::atomic<FlushSink *> sink_{nullptr};
-    //! Bumped on every setSink/invalidateSinkCells; threads compare it
-    //! against their cached row's epoch before trusting the pointer.
-    std::atomic<uint64_t> sink_epoch_{1};
     std::atomic<bool> tracing_{false};
 
     // Shared media bandwidth (XPBuffer drain ports): a windowed

@@ -9,10 +9,11 @@
  * every slot in one loop. Keep the enum and statCounterName() in sync
  * when adding a counter.
  *
- * Per-size-class allocation/free counts, per-arena flush-class counts
- * and failed allocations by NvStatus live in separate shard arrays
- * (they are families, not single scalars); everything else is one
- * monotonic uint64 per slot.
+ * Per-size-class allocation/free counts and failed allocations by
+ * NvStatus live in separate shard arrays (they are families, not
+ * single scalars); everything else is one monotonic uint64 per slot.
+ * Flushes and fences are counted once, by the PM model's
+ * LatencyModel, not here.
  *
  * Deliberately absent: totals the recording path can avoid
  * maintaining, and second names for an event already counted. They
@@ -22,8 +23,8 @@
  * family, stats.hardening.validated_frees is small + large frees minus
  * guard frees, stats.wal.commits sums the WAL rings' own sequence
  * counters, the slab lifecycle totals sum the arenas' own Stats, and
- * the stats.flush.* family is summed out of the per-arena attribution
- * matrix (fences come from the LatencyModel's own counter).
+ * the stats.flush.* family reads the PM model's counts minus those at
+ * heap open.
  */
 
 #ifndef NVALLOC_TELEMETRY_COUNTERS_H
@@ -140,11 +141,6 @@ enum class StatCounter : unsigned
 
 constexpr unsigned kNumStatCounters =
     static_cast<unsigned>(StatCounter::NumCounters);
-
-/** Arena dimension of the per-shard flush-class attribution array.
- *  Kept independent of nvalloc/layout.h (telemetry sits below the
- *  allocator layer); nvalloc static_asserts its kMaxArenas fits. */
-constexpr unsigned kTelemetryMaxArenas = 64;
 
 /** Reason dimension of the per-shard failed-allocation family, indexed
  *  by NvStatus code; nvalloc static_asserts its statuses fit. */

@@ -3,7 +3,7 @@
  * Dotted-name introspection registry (mallctl-style).
  *
  * Statistics are exported as a tree of dotted names —
- * "stats.arena.0.flush.reflush", "stats.tcache.hit" — each mapping to
+ * "stats.arena.0.refills", "stats.tcache.hit" — each mapping to
  * a reader function that computes the value on demand. The registry
  * is built once (by nvalloc/stats.cc for a heap) and then served
  * read-only: lookups are a map find, and the whole tree or any subtree

@@ -29,28 +29,6 @@ Telemetry::Telemetry()
 {
 }
 
-Telemetry::~Telemetry()
-{
-    // Uninstall from the model before the shards (and their cell rows)
-    // go away; the epoch bump inside setSink makes every thread drop
-    // its cached row before the next write.
-    attachSink(nullptr);
-}
-
-void
-Telemetry::attachSink(LatencyModel *model)
-{
-    // Only clear the old model's sink if it still points here — a
-    // newer heap on the same device may have replaced us already, and
-    // detaching must not clobber its installation.
-    if (sink_model_ && sink_model_ != model &&
-        sink_model_->sink() == this)
-        sink_model_->setSink(nullptr);
-    sink_model_ = model;
-    if (model)
-        model->setSink(this);
-}
-
 constinit thread_local Telemetry::FastRef Telemetry::tl_fast_{
     nullptr, 0, nullptr};
 
@@ -111,13 +89,6 @@ Telemetry::traceInto(Shard *s, TraceOp op, uint64_t arg,
     s->ring->record(e);
 }
 
-std::atomic<uint64_t> *
-Telemetry::flushCells()
-{
-    Shard *s = hot();
-    return s->arena_flush[s->bound_arena];
-}
-
 uint64_t
 Telemetry::total(StatCounter ctr) const
 {
@@ -149,19 +120,6 @@ Telemetry::classFrees(unsigned cls) const
     std::lock_guard<std::mutex> g(mutex_);
     for (const auto &s : shards_)
         sum += s->cls_free[cls].load(std::memory_order_relaxed);
-    return sum;
-}
-
-uint64_t
-Telemetry::arenaFlush(unsigned arena, FlushClass cls) const
-{
-    if (arena >= kTelemetryMaxArenas || cls >= FlushClass::NumClasses)
-        return 0;
-    uint64_t sum = 0;
-    std::lock_guard<std::mutex> g(mutex_);
-    for (const auto &s : shards_)
-        sum += s->arena_flush[arena][static_cast<unsigned>(cls)].load(
-            std::memory_order_relaxed);
     return sum;
 }
 
@@ -222,33 +180,6 @@ Telemetry::tcacheHits() const
             std::memory_order_relaxed);
     }
     return allocs > misses ? allocs - misses : 0;
-}
-
-uint64_t
-Telemetry::flushClassTotal(FlushClass cls) const
-{
-    if (cls >= FlushClass::NumClasses)
-        return 0;
-    unsigned c = static_cast<unsigned>(cls);
-    uint64_t sum = 0;
-    std::lock_guard<std::mutex> g(mutex_);
-    for (const auto &s : shards_)
-        for (unsigned a = 0; a < kTelemetryMaxArenas; ++a)
-            sum += s->arena_flush[a][c].load(std::memory_order_relaxed);
-    return sum;
-}
-
-uint64_t
-Telemetry::flushTotal() const
-{
-    uint64_t sum = 0;
-    std::lock_guard<std::mutex> g(mutex_);
-    for (const auto &s : shards_)
-        for (unsigned a = 0; a < kTelemetryMaxArenas; ++a)
-            for (unsigned c = 0; c < kNumFlushClasses; ++c)
-                sum +=
-                    s->arena_flush[a][c].load(std::memory_order_relaxed);
-    return sum;
 }
 
 uint64_t

@@ -15,19 +15,13 @@
  *  - tracing: the per-thread event rings cost nothing until
  *    startTracing() arms them;
  *  - derived totals: the hot path maintains only the per-class,
- *    per-arena, per-reason and event counters; every total that can be
- *    summed out of those (alloc.small, tcache.hit, alloc.failed,
- *    flush.*) is computed at read time instead of bumped per event.
+ *    per-reason and event counters; every total that can be summed
+ *    out of those (alloc.small, tcache.hit, alloc.failed) is computed
+ *    at read time instead of bumped per event.
  *
- * Telemetry implements FlushSink so a LatencyModel can feed it the
- * flush classification stream; flushes are attributed to the arena the
- * recording thread most recently bound (bindArena), which yields the
- * per-arena stats.arena.<i>.flush.* family. The sink protocol is
- * pull-based: the model asks flushCells() for the calling thread's
- * attribution row once per sink epoch and bumps it directly, so a
- * classified flush costs one relaxed increment, not a virtual call
- * (attachSink() remembers the model so bindArena can invalidate the
- * rows it cached).
+ * Flushes and fences are not counted here: the PM model's
+ * LatencyModel counts them in per-thread blocks of its own, and the
+ * heap reads its stats.flush.* leaves from there.
  */
 
 #ifndef NVALLOC_TELEMETRY_TELEMETRY_H
@@ -41,18 +35,16 @@
 #include <vector>
 
 #include "common/size_classes.h"
-#include "pm/latency_model.h"
 #include "pm/vclock.h"
 #include "telemetry/counters.h"
 #include "telemetry/event_ring.h"
 
 namespace nvalloc {
 
-class Telemetry final : public FlushSink
+class Telemetry final
 {
   public:
     Telemetry();
-    ~Telemetry() override;
 
     Telemetry(const Telemetry &) = delete;
     Telemetry &operator=(const Telemetry &) = delete;
@@ -147,34 +139,6 @@ class Telemetry final : public FlushSink
         traceInto(hot(), op, arg, size_class, outcome);
     }
 
-    /**
-     * Attribute this thread's subsequent flush classes to `arena`
-     * (index into stats.arena.<i>.flush.*). Out-of-range indices fall
-     * into the last bucket rather than being dropped. Invalidates the
-     * attribution row any wired model cached, so the next flush lands
-     * in the new arena's cells.
-     */
-    void
-    bindArena(unsigned arena)
-    {
-        hot()->bound_arena =
-            arena < kTelemetryMaxArenas ? arena : kTelemetryMaxArenas - 1;
-        if (sink_model_)
-            sink_model_->invalidateSinkCells();
-    }
-
-    /**
-     * Install this instance as `model`'s flush sink, replacing any
-     * model wired earlier; nullptr uninstalls. Remembering the model
-     * lets bindArena drop the per-thread attribution rows it caches
-     * (see FlushSink in pm/latency_model.h).
-     */
-    void attachSink(LatencyModel *model);
-
-    /** FlushSink: the calling thread's arena-attributed flush-class
-     *  cell row (&shard->arena_flush[bound_arena][0]). */
-    std::atomic<uint64_t> *flushCells() override;
-
     // ------------------------------------------------------------------
     // Aggregated reads (sum of relaxed loads over all shards).
     // ------------------------------------------------------------------
@@ -182,21 +146,17 @@ class Telemetry final : public FlushSink
     uint64_t total(StatCounter ctr) const;
     uint64_t classAllocs(unsigned cls) const;
     uint64_t classFrees(unsigned cls) const;
-    uint64_t arenaFlush(unsigned arena, FlushClass cls) const;
     /** Failed allocations recorded under NvStatus code `status`. */
     uint64_t failedBy(unsigned status) const;
 
     /** Derived totals the hot path does not maintain as scalars:
      *  small allocs/frees sum the per-class family, tcache hits are
-     *  small allocs minus recorded misses, failed allocs sum the
-     *  by-reason family, and the flush totals sum the per-arena
-     *  attribution matrix. */
+     *  small allocs minus recorded misses, and failed allocs sum the
+     *  by-reason family. */
     uint64_t smallAllocs() const;
     uint64_t smallFrees() const;
     uint64_t tcacheHits() const;
     uint64_t failedAllocs() const;
-    uint64_t flushClassTotal(FlushClass cls) const;
-    uint64_t flushTotal() const;
 
     /** Bytes ever handed out / taken back through the small path
      *  (computed from the per-class counts at read time, so the hot
@@ -252,12 +212,9 @@ class Telemetry final : public FlushSink
         std::atomic<uint64_t> c[kNumStatCounters] = {};
         std::atomic<uint64_t> cls_alloc[kNumSizeClasses] = {};
         std::atomic<uint64_t> cls_free[kNumSizeClasses] = {};
-        std::atomic<uint64_t>
-            arena_flush[kTelemetryMaxArenas][kNumFlushClasses] = {};
         std::atomic<uint64_t> failed_by[kTelemetryMaxStatuses] = {};
 
-        uint32_t id = 0;            //!< registration index
-        unsigned bound_arena = 0;   //!< flush attribution target
+        uint32_t id = 0; //!< registration index
 
         // Trace ring; guarded by ring_mutex (cold unless tracing).
         std::mutex ring_mutex;
@@ -310,11 +267,6 @@ class Telemetry final : public FlushSink
                    uint8_t size_class, uint16_t outcome);
 
     std::atomic<bool> tracing_{false};
-
-    //! The model this instance is installed on as flush sink (via
-    //! attachSink), kept so state changes that move attribution
-    //! targets can invalidate the cell rows the model cached.
-    LatencyModel *sink_model_ = nullptr;
 
     // Shard registry. The mutex serializes registration and trace
     // arm/disarm/drain; recording threads never take it after their
