@@ -33,6 +33,20 @@ alignUp(uint64_t v, uint64_t a)
     return (v + a - 1) & ~(a - 1);
 }
 
+// The space counters' writers all hold region_mutex_, so an update is
+// a relaxed load and store; readers load them without the lock.
+void
+add(std::atomic<size_t> &a, size_t n)
+{
+    a.store(a.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
+void
+sub(std::atomic<size_t> &a, size_t n)
+{
+    a.store(a.load(std::memory_order_relaxed) - n, std::memory_order_relaxed);
+}
+
 } // namespace
 
 PmDevice::PmDevice(PmDeviceConfig cfg)
@@ -74,7 +88,7 @@ PmDevice::tryMapRegion(size_t bytes)
             free_regions_.erase(it);
             if (rest)
                 free_regions_.emplace(off + bytes, rest);
-            mapped_bytes_ += bytes;
+            add(mapped_bytes_, bytes);
             addCommitted(bytes);
             return off;
         }
@@ -85,7 +99,7 @@ PmDevice::tryMapRegion(size_t bytes)
         return 0;
     bump_ += bytes;
     high_water_ = bump_;
-    mapped_bytes_ += bytes;
+    add(mapped_bytes_, bytes);
     addCommitted(bytes);
     return off;
 }
@@ -104,8 +118,8 @@ PmDevice::unmapRegion(uint64_t offset, size_t bytes)
     dropFaultState(offset, bytes);
 
     std::lock_guard<std::mutex> g(region_mutex_);
-    mapped_bytes_ -= bytes;
-    committed_bytes_ -= bytes;
+    sub(mapped_bytes_, bytes);
+    sub(committed_bytes_, bytes);
 
     // Coalesce with neighbours to keep the hole list small.
     auto [it, inserted] = free_regions_.emplace(offset, bytes);
@@ -191,9 +205,9 @@ PmDevice::freezeAtCrashPoint()
 void
 PmDevice::addCommitted(size_t bytes)
 {
-    committed_bytes_ += bytes;
-    if (committed_bytes_ > peak_committed_)
-        peak_committed_ = committed_bytes_;
+    add(committed_bytes_, bytes);
+    if (committedBytes() > peakCommittedBytes())
+        peak_committed_.store(committedBytes(), std::memory_order_relaxed);
 }
 
 void
@@ -204,7 +218,7 @@ PmDevice::decommit(uint64_t offset, size_t bytes)
         ::madvise(shadow_ + offset, bytes, MADV_DONTNEED);
     dropFaultState(offset, bytes);
     std::lock_guard<std::mutex> g(region_mutex_);
-    committed_bytes_ -= bytes;
+    sub(committed_bytes_, bytes);
 }
 
 void

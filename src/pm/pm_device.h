@@ -40,6 +40,7 @@
 #ifndef NVALLOC_PM_PM_DEVICE_H
 #define NVALLOC_PM_PM_DEVICE_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -138,13 +139,32 @@ class PmDevice
     void recommit(uint64_t offset, size_t bytes);
 
     /** Bytes currently mapped (virtual reservation). */
-    size_t mappedBytes() const { return mapped_bytes_; }
+    size_t
+    mappedBytes() const
+    {
+        return mapped_bytes_.load(std::memory_order_relaxed);
+    }
 
     /** Bytes currently consuming physical persistent memory; this is
      *  what the paper's space-consumption figures measure. */
-    size_t committedBytes() const { return committed_bytes_; }
-    size_t peakCommittedBytes() const { return peak_committed_; }
-    void resetPeak() { peak_committed_ = committed_bytes_; }
+    size_t
+    committedBytes() const
+    {
+        return committed_bytes_.load(std::memory_order_relaxed);
+    }
+
+    size_t
+    peakCommittedBytes() const
+    {
+        return peak_committed_.load(std::memory_order_relaxed);
+    }
+
+    void
+    resetPeak()
+    {
+        std::lock_guard<std::mutex> g(region_mutex_);
+        peak_committed_.store(committedBytes(), std::memory_order_relaxed);
+    }
 
     /** Flush every cache line overlapping [addr, addr+len): each is
      *  staged as it is now, and durable once a fence commits it. */
@@ -251,9 +271,11 @@ class PmDevice
     uint64_t bump_ = kRegionAlign;     // offset 0 holds the root area
     uint64_t high_water_ = kRegionAlign;
     std::map<uint64_t, size_t> free_regions_; // offset -> size
-    size_t mapped_bytes_ = 0;
-    size_t committed_bytes_ = 0;
-    size_t peak_committed_ = 0;
+    // Space accounting: written under region_mutex_, read lock-free by
+    // the getters above (and so by a heap's ctl tree).
+    std::atomic<size_t> mapped_bytes_{0};
+    std::atomic<size_t> committed_bytes_{0};
+    std::atomic<size_t> peak_committed_{0};
 
     // stage_mutex_ guards the staged lines and the injector's policy,
     // crash clocks and poison set.

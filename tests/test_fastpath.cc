@@ -27,23 +27,6 @@
 namespace nvalloc {
 namespace {
 
-NvAllocConfig
-fastpathConfig()
-{
-    NvAllocConfig cfg;
-    const char *env = std::getenv("NVALLOC_MAINTENANCE");
-    if (env && std::strcmp(env, "thread") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Thread;
-    else if (env && std::strcmp(env, "manual") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Manual;
-    const char *hard = std::getenv("NVALLOC_HARDENING");
-    if (hard && std::strcmp(hard, "full") == 0) {
-        cfg.redzone_canaries = true;
-        cfg.quarantine_depth = 16;
-    }
-    return cfg;
-}
-
 // ---------------------------------------------------------------------
 // The acceptance gate: zero VLock acquisitions on the alloc/free hit
 // path, plain and transactional. The thread-local acquisition counter
@@ -54,7 +37,7 @@ fastpathConfig()
 // ---------------------------------------------------------------------
 TEST(FastPath, HitPathAcquiresNoVLocks)
 {
-    NvAllocConfig cfg = fastpathConfig();
+    NvAllocConfig cfg = envConfig();
 
     PmDeviceConfig dcfg;
     dcfg.size = size_t{128} << 20;
@@ -120,7 +103,7 @@ TEST(FastPath, HitPathAcquiresNoVLocks)
 // ---------------------------------------------------------------------
 TEST(FastPath, CasRetryStormNeverDoublesABlock)
 {
-    NvAllocConfig cfg = fastpathConfig();
+    NvAllocConfig cfg = envConfig();
     PmDeviceConfig dcfg;
     dcfg.size = size_t{256} << 20;
     PmDevice dev(dcfg);
@@ -203,7 +186,7 @@ TEST(FastPath, CasRetryStormNeverDoublesABlock)
 // ---------------------------------------------------------------------
 TEST(FastPath, RegionStealServesExhaustedPeerArena)
 {
-    NvAllocConfig cfg = fastpathConfig();
+    NvAllocConfig cfg = envConfig();
     cfg.num_arenas = 2;
 
     PmDeviceConfig dcfg;
@@ -309,7 +292,7 @@ TEST_P(FastPathCrashSweep, SafeInsideReservationRefill)
     unsigned nth = 1 + 9 * GetParam();
     SCOPED_TRACE(::testing::Message() << "flush=" << nth);
 
-    NvAllocConfig cfg = fastpathConfig();
+    NvAllocConfig cfg = envConfig();
 
     PmDeviceConfig dcfg;
     dcfg.size = size_t{1} << 29;
@@ -403,7 +386,7 @@ INSTANTIATE_TEST_SUITE_P(RefillPoints, FastPathCrashSweep,
 // ---------------------------------------------------------------------
 TEST(FastPath, Larson128ThreadChurnAuditsClean)
 {
-    NvAllocConfig cfg = fastpathConfig();
+    NvAllocConfig cfg = envConfig();
     PmDeviceConfig dcfg;
     dcfg.size = size_t{1} << 29;
     PmDevice dev(dcfg);

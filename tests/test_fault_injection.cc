@@ -252,35 +252,6 @@ TEST_F(FaultDeviceFixture, PoisonReadsSentinelUntilRewritten)
 constexpr unsigned kSlots = 64;
 constexpr unsigned kMaxOps = 400;
 
-/** The sweep honours NVALLOC_MAINTENANCE=off|manual|thread (the CI
- *  matrix's background-maintenance legs): every heap below opens with
- *  that mode, so in the thread leg crash points land while a live
- *  maintenance worker races the workload, and recovery itself runs
- *  with the service restarted.
- *
- *  NVALLOC_HARDENING=full additionally turns canaries and the
- *  delayed-reuse quarantine on, so the CI hardening leg proves crash
- *  points landing inside canary stamps and quarantine traffic still
- *  recover to a clean heap. Guard sampling stays off here: guards are
- *  large extents, which would skew this sweep's small-block leak
- *  oracle (the chaos harness crash-sweeps guards instead). */
-NvAllocConfig
-sweepConfig()
-{
-    NvAllocConfig cfg;
-    const char *env = std::getenv("NVALLOC_MAINTENANCE");
-    if (env && std::strcmp(env, "thread") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Thread;
-    else if (env && std::strcmp(env, "manual") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Manual;
-    const char *hard = std::getenv("NVALLOC_HARDENING");
-    if (hard && std::strcmp(hard, "full") == 0) {
-        cfg.redzone_canaries = true;
-        cfg.quarantine_depth = 16;
-    }
-    return cfg;
-}
-
 struct PolicyCase
 {
     const char *name;
@@ -318,7 +289,7 @@ runCrashSweepPoint(const PolicyCase &pc, bool at_fence, unsigned nth)
 
     uint64_t table_off;
     {
-        auto alloc_h = NvAlloc::openOrDie(dev, sweepConfig());
+        auto alloc_h = NvAlloc::openOrDie(dev, envConfig());
         NvAlloc &alloc = *alloc_h;
         ThreadCtx *ctx = alloc.attachThread();
         alloc.mallocTo(*ctx, kSlots * 8, alloc.rootWord(0));
@@ -350,7 +321,7 @@ runCrashSweepPoint(const PolicyCase &pc, bool at_fence, unsigned nth)
         alloc.simulateCrash();
     }
 
-    auto again_h = NvAlloc::openOrDie(dev, sweepConfig());
+    auto again_h = NvAlloc::openOrDie(dev, envConfig());
     NvAlloc &again = *again_h;
     const RecoveryReport &rep = again.lastRecovery();
     EXPECT_TRUE(rep.performed);
@@ -610,7 +581,7 @@ TEST_P(DoubleRecovery, CrashDuringRecoveryIsIdempotent)
     // Phase 1: a workload crash leaves real recovery work behind.
     uint64_t table_off;
     {
-        auto alloc_h = NvAlloc::openOrDie(dev, sweepConfig());
+        auto alloc_h = NvAlloc::openOrDie(dev, envConfig());
         NvAlloc &alloc = *alloc_h;
         ThreadCtx *ctx = alloc.attachThread();
         alloc.mallocTo(*ctx, kSlots * 8, alloc.rootWord(0));
@@ -635,14 +606,14 @@ TEST_P(DoubleRecovery, CrashDuringRecoveryIsIdempotent)
     // Phase 2: the first recovery itself crashes at the nth flush.
     dev.armCrashAtFlush(nth);
     {
-        auto once_h = NvAlloc::openOrDie(dev, sweepConfig());
+        auto once_h = NvAlloc::openOrDie(dev, envConfig());
         NvAlloc &once = *once_h;
         once.simulateCrash();
     }
 
     // Phase 3: the second recovery must complete and the safety
     // properties must hold exactly as after a single recovery.
-    auto again_h = NvAlloc::openOrDie(dev, sweepConfig());
+    auto again_h = NvAlloc::openOrDie(dev, envConfig());
     NvAlloc &again = *again_h;
     const RecoveryReport &rep = again.lastRecovery();
     EXPECT_TRUE(rep.performed);

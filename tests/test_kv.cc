@@ -24,7 +24,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
@@ -35,27 +34,11 @@
 #include "kv/kv_store.h"
 #include "nvalloc/auditor.h"
 #include "nvalloc/nvalloc.h"
+#include "test_util.h"
 #include "workloads/ycsb.h"
 
 namespace nvalloc {
 namespace {
-
-NvAllocConfig
-sweepConfig()
-{
-    NvAllocConfig cfg;
-    const char *env = std::getenv("NVALLOC_MAINTENANCE");
-    if (env && std::strcmp(env, "thread") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Thread;
-    else if (env && std::strcmp(env, "manual") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Manual;
-    const char *hard = std::getenv("NVALLOC_HARDENING");
-    if (hard && std::strcmp(hard, "full") == 0) {
-        cfg.redzone_canaries = true;
-        cfg.quarantine_depth = 16;
-    }
-    return cfg;
-}
 
 uint64_t
 ctlValue(NvAlloc &alloc, const char *name)
@@ -154,7 +137,7 @@ class KvFixture : public ::testing::Test
         dcfg.size = size_t{1} << 28;
         dcfg.shadow = true;
         dev_ = std::make_unique<PmDevice>(dcfg);
-        alloc_ = NvAlloc::openOrDie(*dev_, sweepConfig());
+        alloc_ = NvAlloc::openOrDie(*dev_, envConfig());
         ctx_ = alloc_->attachThread();
         ASSERT_NE(ctx_, nullptr);
         KvOptions ko;
@@ -605,7 +588,7 @@ TEST(Ycsb, EveryWorkloadRunsCleanly)
         PmDeviceConfig dcfg;
         dcfg.size = size_t{1} << 29;
         PmDevice dev(dcfg);
-        auto alloc_h = NvAlloc::openOrDie(dev, sweepConfig());
+        auto alloc_h = NvAlloc::openOrDie(dev, envConfig());
         NvAlloc &alloc = *alloc_h;
         KvOptions ko;
         ko.buckets = 2048;
@@ -727,7 +710,7 @@ runKvCrashPoint(unsigned nth)
     bool triggered = false;
 
     {
-        auto alloc_h = NvAlloc::openOrDie(dev, sweepConfig());
+        auto alloc_h = NvAlloc::openOrDie(dev, envConfig());
         NvAlloc &alloc = *alloc_h;
         ThreadCtx *ctx = alloc.attachThread();
         if (ctx == nullptr) {
@@ -836,7 +819,7 @@ runKvCrashPoint(unsigned nth)
         alloc.simulateCrash();
     }
 
-    auto again_h = NvAlloc::openOrDie(dev, sweepConfig());
+    auto again_h = NvAlloc::openOrDie(dev, envConfig());
     NvAlloc &again = *again_h;
     EXPECT_TRUE(again.lastRecovery().performed);
     KvStatus why;
@@ -962,7 +945,7 @@ runYcsbCrashPoint(YcsbWorkload w, unsigned nth)
     spec.op_count = 1500;
     bool triggered = false;
     {
-        auto alloc_h = NvAlloc::openOrDie(dev, sweepConfig());
+        auto alloc_h = NvAlloc::openOrDie(dev, envConfig());
         NvAlloc &alloc = *alloc_h;
         KvOptions ko;
         ko.buckets = 1024;
@@ -985,7 +968,7 @@ runYcsbCrashPoint(YcsbWorkload w, unsigned nth)
         alloc.simulateCrash();
     }
 
-    auto again_h = NvAlloc::openOrDie(dev, sweepConfig());
+    auto again_h = NvAlloc::openOrDie(dev, envConfig());
     NvAlloc &again = *again_h;
     KvStatus why;
     auto store = KvStore::open(again, KvOptions{}, &why);

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -356,10 +355,7 @@ TEST_P(PatrolCrashMatrix, RecoversAuditCleanFromPatrolSliceCrash)
     const unsigned nth = GetParam();
     SCOPED_TRACE(::testing::Message() << "patrol flush=" << nth);
 
-    NvAllocConfig cfg = memberConfig();
-    const char *env = std::getenv("NVALLOC_MAINTENANCE");
-    if (env && std::strcmp(env, "thread") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Thread;
+    NvAllocConfig cfg = envConfig(memberConfig());
 
     PmDeviceConfig dcfg;
     dcfg.size = size_t{1} << 28;

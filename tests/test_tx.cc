@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <barrier>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -33,23 +32,6 @@
 
 namespace nvalloc {
 namespace {
-
-NvAllocConfig
-sweepConfig()
-{
-    NvAllocConfig cfg;
-    const char *env = std::getenv("NVALLOC_MAINTENANCE");
-    if (env && std::strcmp(env, "thread") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Thread;
-    else if (env && std::strcmp(env, "manual") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Manual;
-    const char *hard = std::getenv("NVALLOC_HARDENING");
-    if (hard && std::strcmp(hard, "full") == 0) {
-        cfg.redzone_canaries = true;
-        cfg.quarantine_depth = 16;
-    }
-    return cfg;
-}
 
 /** Is the large extent at `off` currently activated (non-slab)? */
 bool
@@ -82,7 +64,7 @@ class TxFixture : public ::testing::Test
         dcfg.size = size_t{1} << 28;
         dcfg.shadow = true;
         dev_ = std::make_unique<PmDevice>(dcfg);
-        alloc_ = NvAlloc::openOrDie(*dev_, sweepConfig());
+        alloc_ = NvAlloc::openOrDie(*dev_, envConfig());
         ctx_ = alloc_->attachThread();
         ASSERT_NE(ctx_, nullptr);
     }
@@ -338,7 +320,7 @@ TEST(TxConcurrent, EightThreadRoundTripsCountExactly)
     PmDeviceConfig dcfg;
     dcfg.size = size_t{1} << 28;
     PmDevice dev(dcfg);
-    auto alloc = NvAlloc::openOrDie(dev, sweepConfig());
+    auto alloc = NvAlloc::openOrDie(dev, envConfig());
 
     // Each thread owns one persistent word; every round replaces the
     // block it names in one transaction: allocate the new block,
@@ -397,7 +379,7 @@ TEST(TxConcurrent, RacingTxFreesOfOneBlockStageItOnce)
     PmDeviceConfig dcfg;
     dcfg.size = size_t{1} << 28;
     PmDevice dev(dcfg);
-    auto alloc = NvAlloc::openOrDie(dev, sweepConfig());
+    auto alloc = NvAlloc::openOrDie(dev, envConfig());
     ThreadCtx *owner = alloc->attachThread();
     ASSERT_NE(owner, nullptr);
 
@@ -481,7 +463,7 @@ TEST_F(TxFixture, DegradedHeapRejectsTx)
     // Corrupt the superblock body so the reopen degrades.
     auto *sb_bytes = static_cast<uint8_t *>(dev_->at(0));
     sb_bytes[16] ^= 0xff;
-    auto degraded_h = NvAlloc::openOrDie(*dev_, sweepConfig());
+    auto degraded_h = NvAlloc::openOrDie(*dev_, envConfig());
     NvAlloc &degraded = *degraded_h;
     ASSERT_EQ(degraded.openStatus(), NvStatus::CorruptMetadata);
     EXPECT_EQ(degraded.txRejected(), NvStatus::InvalidArgument);
@@ -667,7 +649,7 @@ runTxCrashPoint(TxShape shape, bool at_fence, unsigned nth)
     bool triggered = false;
 
     {
-        auto alloc_h = NvAlloc::openOrDie(dev, sweepConfig());
+        auto alloc_h = NvAlloc::openOrDie(dev, envConfig());
         NvAlloc &alloc = *alloc_h;
         ThreadCtx *ctx = alloc.attachThread();
         if (ctx == nullptr) {
@@ -787,7 +769,7 @@ runTxCrashPoint(TxShape shape, bool at_fence, unsigned nth)
         alloc.simulateCrash();
     }
 
-    auto again_h = NvAlloc::openOrDie(dev, sweepConfig());
+    auto again_h = NvAlloc::openOrDie(dev, envConfig());
     NvAlloc &again = *again_h;
     const RecoveryReport &rec = again.lastRecovery();
     EXPECT_TRUE(rec.performed);

@@ -8,9 +8,37 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+
 #include "nvalloc/nvalloc.h"
 
 namespace nvalloc {
+
+/**
+ * `cfg` with the CI matrix's environment applied, so one test binary
+ * serves every leg: NVALLOC_MAINTENANCE=off|manual|thread picks the
+ * maintenance mode (in the thread legs a live worker races the
+ * workload, and recovery runs with the service restarted), and
+ * NVALLOC_HARDENING=full turns redzone canaries and the delayed-reuse
+ * quarantine on. Guard sampling stays off: guards are large extents,
+ * which would skew small-block leak oracles.
+ */
+inline NvAllocConfig
+envConfig(NvAllocConfig cfg = {})
+{
+    const char *maint = std::getenv("NVALLOC_MAINTENANCE");
+    if (maint && std::strcmp(maint, "thread") == 0)
+        cfg.maintenance_mode = MaintenanceMode::Thread;
+    else if (maint && std::strcmp(maint, "manual") == 0)
+        cfg.maintenance_mode = MaintenanceMode::Manual;
+    const char *hard = std::getenv("NVALLOC_HARDENING");
+    if (hard && std::strcmp(hard, "full") == 0) {
+        cfg.redzone_canaries = true;
+        cfg.quarantine_depth = 16;
+    }
+    return cfg;
+}
 
 /** Read one ctl leaf, failing the test if the name is unknown. */
 inline uint64_t
