@@ -31,8 +31,7 @@ Arena::Arena(unsigned id, PmDevice *dev, const NvAllocConfig *cfg,
       slab_radix_(slab_radix),
       gc_mode_(cfg->consistency == Consistency::Gc),
       stripes_(cfg->interleaved_bitmap ? cfg->bit_stripes : 1),
-      total_threads_(total_threads),
-      core_cache_(cfg->fastpath_regions)
+      total_threads_(total_threads)
 {
 }
 

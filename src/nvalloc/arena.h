@@ -101,8 +101,10 @@ class Arena
     unsigned
     fastReserve(TCache &tcache, unsigned cls)
     {
-        return core_cache_.reserve(cls, tcache, cfg_->fastpath_batch,
-                                   tel_);
+        // Blocks claimed per reservation round: the tcache is topped
+        // up at most this much per miss before the caller escalates.
+        constexpr unsigned kFastReserveBatch = 24;
+        return core_cache_.reserve(cls, tcache, kFastReserveBatch, tel_);
     }
 
     /**

@@ -773,8 +773,7 @@ HeapAuditor::checkWalRings()
             unsigned op = unsigned(e.block_op & 3);
             if (op == kWalNone)
                 continue;
-            bool bad =
-                dev.isPoisoned(&e, sizeof(e)) || e.crc != walEntryCrc(e);
+            bool bad = !walEntryIntact(dev, e);
             if (!bad) {
                 // Structural rules per entry flavour. kWalTxData exists
                 // only inside a transaction: a word-write op (offset
@@ -848,20 +847,29 @@ HeapAuditor::checkTxRecords()
             bool abort = false;
         };
         std::unordered_map<uint32_t, TxRun> runs;
-        for (unsigned s = 0; s < kWalRingBytes / sizeof(WalEntry); ++s) {
-            WalEntry &e = ring[s];
-            if ((e.block_op & 3) == kWalNone || e.tx_id == 0)
-                continue;
-            if (dev.isPoisoned(&e, sizeof(e)) || e.crc != walEntryCrc(e))
-                continue; // checkWalRings already counted/repaired it
+        // Torn entries are skipped: checkWalRings counted/repaired them.
+        Wal::forEachIntact(&dev, ring_off, [&](const WalEntry &e) {
+            if (e.tx_id == 0)
+                return;
             TxRun &r = runs[e.tx_id];
-            if (e.tx_mark == kWalTxCommit ||
-                e.tx_mark == kWalTxApplied)
+            if (e.tx_mark == kWalTxCommit || e.tx_mark == kWalTxApplied)
                 r.commit = true;
             else if (e.tx_mark == kWalTxAbort)
                 r.abort = true;
             else
-                r.op_slots.push_back(s);
+                r.op_slots.push_back(unsigned(&e - ring));
+        });
+        if (runs.empty())
+            continue;
+
+        // Open transactions live in the attached threads' contexts
+        // (id 0: none open); read them after the scan, so a tx counts
+        // as open if it still is once its entries were seen.
+        std::unordered_set<uint32_t> open;
+        {
+            std::lock_guard<std::mutex> g(a_.attach_mutex_);
+            for (const ThreadCtx *ctx : a_.ctxs_)
+                open.insert(ctx->tx.id());
         }
 
         for (auto &[id, r] : runs) {
@@ -873,7 +881,7 @@ HeapAuditor::checkTxRecords()
                 continue;
             }
             if (r.op_slots.empty() || r.commit || r.abort ||
-                a_.tx_mgr_.isOpen(id))
+                open.count(id))
                 continue;
             ++rep_.tx_orphan_entries;
             note(fmt("wal ring %llu: orphaned entries of tx %llu", slot,

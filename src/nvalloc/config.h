@@ -35,12 +35,13 @@ enum class Consistency
 /**
  * Where heap housekeeping (bookkeeping-log GC, extent decay, poison
  * scrubbing, tcache trimming) runs; see maintenance.h and DESIGN.md §8.
+ * The values are the ones stats.maintenance.mode reports, and the C
+ * API's NvMaintenanceMode codes.
  */
 enum class MaintenanceMode : uint8_t
 {
-    Off,    //!< all housekeeping inline on the mutator slow paths
-    Manual, //!< only explicit step() calls — deterministic under test
-    Thread, //!< a per-heap background thread, woken on pressure
+    Off = 0,    //!< no thread: slices run on step() and on exhaustion
+    Thread = 2, //!< a per-heap background thread, woken on pressure
 };
 
 /**
@@ -88,17 +89,9 @@ struct NvAllocConfig
      *  per socket and one arena per core. */
     unsigned num_arenas = 20;
 
-    // ---- lock-free fast path (core_cache.h, DESIGN.md §14) ----------
-
-    /** Per-arena, per-class region slots in the CoreCache: slabs
-     *  pinned for lock-free reservation. More slots spread CAS traffic
-     *  at the cost of pinned slab memory. In [1, 8]. */
-    unsigned fastpath_regions = 2;
-
-    /** Blocks claimed per lock-free reservation round (the tcache is
-     *  topped up at most this much per miss before falling back to the
-     *  locked refill search). In [1, 512]. */
-    unsigned fastpath_batch = 24;
+    // The lock-free fast path (core_cache.h, DESIGN.md §14) has no
+    // knob: two region slots per class (CoreCache::kRegions) and a
+    // 24-block reservation batch (Arena::fastReserve).
 
     /** Bookkeeping log file size (paper: 100 MB; scaled default). */
     size_t log_file_bytes = 4 * 1024 * 1024;
@@ -106,9 +99,8 @@ struct NvAllocConfig
     /** Slow-GC trigger: live log bytes / log file bytes. */
     double log_gc_threshold = 0.5;
 
-    /** Decay window for reclaimed/retained extents, virtual ns
-     *  (paper/jemalloc: 50 ms epochs). */
-    uint64_t decay_window_ns = 50'000'000;
+    // The extent decay window is fixed at the paper's (jemalloc's)
+    // 50 ms epochs: LargeAllocator::kDecayWindowNs.
 
     // Runtime statistics have no knob: every heap counts each event
     // once, in its telemetry shards (DESIGN.md §7), and maintenance
@@ -133,19 +125,10 @@ struct NvAllocConfig
     bool verify_recovery_checksums = true;
 
     // ---- background maintenance (maintenance.h, DESIGN.md §8) -------
+    // A slice's budget (200 virtual µs) and the wake level (0.75 ×
+    // log_gc_threshold) are constants of MaintenanceService.
 
     MaintenanceMode maintenance_mode = MaintenanceMode::Off;
-
-    /** Virtual-ns budget of one maintenance slice: the slice stops
-     *  starting new work units once the budget is spent (a unit in
-     *  flight — one slow GC, one decay tick — always completes). */
-    uint64_t maintenance_slice_ns = 200'000;
-
-    /** Wake/slow-GC level as a fraction of log_gc_threshold: the
-     *  service compacts the log once occupancy reaches
-     *  wake_fraction * gc_threshold, i.e. *before* the append path's
-     *  own inline trigger would fire. Must be in (0, 1]. */
-    double maintenance_wake_fraction = 0.75;
 
     /** Thread mode: host-time poll cadence between slices when no
      *  wake arrives; 0 busy-polls (benchmarks forcing background GC
@@ -217,23 +200,15 @@ struct NvAllocConfig
             return "bit_stripes must be in [1, 32]";
         if (num_arenas < 1)
             return "num_arenas must be >= 1";
-        if (fastpath_regions < 1 || fastpath_regions > 8)
-            return "fastpath_regions must be in [1, 8]";
-        if (fastpath_batch < 1 || fastpath_batch > 512)
-            return "fastpath_batch must be in [1, 512]";
         if (!(morph_threshold >= 0.0 && morph_threshold <= 1.0))
             return "morph_threshold must be in [0, 1]";
         if (!(log_gc_threshold > 0.0))
             return "log_gc_threshold must be > 0";
         if (log_bookkeeping && log_file_bytes < 4096)
             return "log_file_bytes must be >= 4096";
-        if (maintenance_mode > MaintenanceMode::Thread)
+        if (maintenance_mode != MaintenanceMode::Off &&
+            maintenance_mode != MaintenanceMode::Thread)
             return "maintenance_mode out of range";
-        if (maintenance_slice_ns == 0)
-            return "maintenance_slice_ns must be > 0";
-        if (!(maintenance_wake_fraction > 0.0 &&
-              maintenance_wake_fraction <= 1.0))
-            return "maintenance_wake_fraction must be in (0, 1]";
         if (hardening_policy > HardeningPolicy::Abort)
             return "hardening_policy out of range";
         if (capacity_quota_bytes != 0 &&

@@ -8,7 +8,7 @@ CoreCache::reserve(unsigned cls, TCache &tcache, unsigned batch,
 {
     unsigned reserved = 0;
     uint64_t retries = 0;
-    for (unsigned r = 0; r < nregions_ && reserved < batch; ++r) {
+    for (unsigned r = 0; r < kRegions && reserved < batch; ++r) {
         VSlab *slab = slots_[cls][r].load(std::memory_order_acquire);
         if (!slab)
             continue;
@@ -43,7 +43,7 @@ void
 CoreCache::install(unsigned cls, VSlab *slab)
 {
     unsigned r = rotor_[cls];
-    rotor_[cls] = (r + 1) % nregions_;
+    rotor_[cls] = (r + 1) % kRegions;
     // Pin before publish: a reserve() that loads the pointer must
     // never see a slab maybeRelease could take away.
     slab->pinRegion();
@@ -62,7 +62,7 @@ void
 CoreCache::dropRegions()
 {
     for (unsigned cls = 0; cls < kNumSizeClasses; ++cls) {
-        for (unsigned r = 0; r < kMaxRegions; ++r) {
+        for (unsigned r = 0; r < kRegions; ++r) {
             VSlab *old =
                 slots_[cls][r].exchange(nullptr,
                                         std::memory_order_acq_rel);

@@ -34,16 +34,9 @@ namespace nvalloc {
 class CoreCache
 {
   public:
-    static constexpr unsigned kMaxRegions = 8;
-
-    explicit CoreCache(unsigned nregions)
-        : nregions_(nregions < 1 ? 1
-                    : nregions > kMaxRegions ? kMaxRegions
-                                             : nregions)
-    {
-    }
-
-    unsigned regions() const { return nregions_; }
+    /** Region slots per size class. More slots spread CAS traffic at
+     *  the cost of pinned slab memory. */
+    static constexpr unsigned kRegions = 2;
 
     /**
      * Lock-free: claim up to `batch` blocks of `cls` from the region
@@ -65,8 +58,7 @@ class CoreCache
     void dropRegions();
 
   private:
-    unsigned nregions_;
-    std::atomic<VSlab *> slots_[kNumSizeClasses][kMaxRegions] = {};
+    std::atomic<VSlab *> slots_[kNumSizeClasses][kRegions] = {};
     unsigned rotor_[kNumSizeClasses] = {}; //!< install cursor (locked)
 };
 

@@ -441,15 +441,6 @@ LargeAllocator::free(uint64_t off)
     decayTick();
 }
 
-void
-LargeAllocator::reclaim()
-{
-    VLockGuard guard(lock_);
-    if (log_)
-        (void)log_->slowGc();
-    decayTick();
-}
-
 bool
 LargeAllocator::maintainLog(bool want_slow, bool *ran_slow,
                             uint64_t *gc_ns)
@@ -601,10 +592,10 @@ LargeAllocator::decayTick()
     // short grace period keeps whole-extent demotion granularity from
     // firing the instant the limit dips epsilon below the pool size.
     uint64_t elapsed = now - decay_epoch_start_;
-    if (elapsed < cfg_.decay_window_ns / 16)
+    if (elapsed < kDecayWindowNs / 16)
         elapsed = 0;
     double frac = decayLimitFraction(double(elapsed),
-                                     double(cfg_.decay_window_ns));
+                                     double(kDecayWindowNs));
     auto limit = uint64_t(double(reclaimed_peak_) * frac);
     while (reclaimed_bytes_ > limit) {
         Veh *oldest = reclaimed_list_.front();
@@ -620,7 +611,7 @@ LargeAllocator::decayTick()
     Veh *veh = retained_list_.front();
     while (veh) {
         Veh *next = retained_list_.next(veh);
-        if (now - veh->freed_at > 2 * cfg_.decay_window_ns) {
+        if (now - veh->freed_at > 2 * kDecayWindowNs) {
             uint64_t region = regionOf(veh->off);
             uint64_t total = regions_.at(region);
             if (veh->off == region + kRegionHeaderSize &&

@@ -78,6 +78,10 @@ struct Veh
 class LargeAllocator
 {
   public:
+    /** The decay window for reclaimed and retained extents, virtual
+     *  ns: the paper's 50 ms epochs (jemalloc's decay parameters). */
+    static constexpr uint64_t kDecayWindowNs = 50'000'000;
+
     LargeAllocator() = default;
     ~LargeAllocator();
 
@@ -124,17 +128,10 @@ class LargeAllocator
     /** Run decay demotions now (also runs opportunistically). */
     void decayTick();
 
-    /**
-     * Exhaustion slow path: force a bookkeeping-log slow GC (log mode)
-     * and a decay pass under the allocator lock, so a retry can reuse
-     * whatever space tombstoned entries and demoted extents pin.
-     */
-    void reclaim();
-
     // ---- maintenance hooks (maintenance.h) ------------------------
-    // Granular versions of reclaim()'s work, each taking the
-    // allocator lock itself so the maintenance service can run them
-    // from any thread in bounded units.
+    // Each takes the allocator lock itself, so the maintenance
+    // service can run them from any thread in bounded units; its
+    // forced slice is also the exhaustion slow path's reclaim.
 
     /**
      * One log-GC unit under the lock: a fast-GC pass always, plus a

@@ -224,6 +224,15 @@ walEntryCrc(const WalEntry &e)
     return crc32(&e, offsetof(WalEntry, crc));
 }
 
+/** The intact-entry rule replay and the auditor share: a used slot's
+ *  entry is trusted only when its line is not media-poisoned and its
+ *  crc matches. */
+inline bool
+walEntryIntact(const PmDevice &dev, const WalEntry &e)
+{
+    return !dev.isPoisoned(&e, sizeof(e)) && e.crc == walEntryCrc(e);
+}
+
 enum WalOp : uint64_t
 {
     kWalNone = 0,

@@ -93,7 +93,7 @@ MaintenanceService::wake(MaintWakeReason reason)
     if (w_.tel)
         w_.tel->event(TraceOp::MaintWake, uint64_t(reason));
     if (mode_ != MaintenanceMode::Thread)
-        return; // Manual mode: the harness drives step() itself
+        return; // Off mode: the harness drives step() itself
     {
         std::lock_guard<std::mutex> l(mu_);
         ++wake_pending_;
@@ -125,8 +125,8 @@ MaintenanceService::reclaimSync()
         }
     }
 
-    // Manual mode (and Thread mode before start / after shutdown):
-    // the deterministic path — one forced slice, caller's clock.
+    // Off mode (and Thread mode before start / after shutdown): the
+    // deterministic path — one forced slice, caller's clock.
     runSlice(/*forced=*/true);
 }
 
@@ -142,7 +142,7 @@ MaintenanceService::logOccupancy() const
 double
 MaintenanceService::wakeLevel() const
 {
-    return cfg_.maintenance_wake_fraction * cfg_.log_gc_threshold;
+    return kWakeFraction * cfg_.log_gc_threshold;
 }
 
 bool
@@ -215,8 +215,7 @@ MaintenanceService::runSlice(bool forced)
     count(StatCounter::MaintSlice);
 
     const uint64_t t0 = VClock::now();
-    const uint64_t budget = cfg_.maintenance_slice_ns;
-    auto budget_left = [&] { return VClock::now() - t0 < budget; };
+    auto budget_left = [&] { return VClock::now() - t0 < kSliceBudgetNs; };
     bool did = false;
 
     // 1. Bookkeeping-log GC, paced by occupancy against the wake

@@ -11,20 +11,20 @@
  * *slices* that run off the hot path, jemalloc-background-thread
  * style.
  *
- * Three modes (NvAllocConfig::maintenance_mode):
- *  - Off:    nothing here runs; the mutator slow paths keep doing the
- *            work inline exactly as before.
- *  - Manual: slices run only when step() is called — by a test, the
- *            bench harness, or the ctl surface — on the calling
- *            thread's virtual clock, so runs are bit-reproducible.
- *            The exhaustion slow path still runs one forced slice
- *            synchronously (the deterministic analogue of a wake).
+ * Two modes (NvAllocConfig::maintenance_mode):
+ *  - Off:    no thread. Slices run when step() is called — by a
+ *            test, the bench harness, or the ctl surface — and on
+ *            exhaustion, on the calling thread's virtual clock, so
+ *            runs are bit-reproducible; the append path keeps its
+ *            inline slow GC trigger.
  *  - Thread: a real background thread runs slices, paced by a host
- *            timer and woken early by pressure: log occupancy
- *            crossing wake_fraction * gc_threshold (pollLogPressure
- *            on the large-object paths) and the exhaustion slow path
- *            (reclaimSync, which hands the caller back only after a
- *            forced slice completed).
+ *            timer and woken early by log occupancy crossing the wake
+ *            level, kWakeFraction * gc_threshold (pollLogPressure on
+ *            the large-object paths).
+ *
+ * Exhaustion has one reclaim path in both modes: reclaimSync() runs a
+ * forced slice, inline in Off mode; in Thread mode it hands the slice
+ * to the worker and returns only once it completed.
  *
  * Pacing inputs: log occupancy vs. gc_threshold, the device's
  * poisoned-line count plus the persistent quarantine depth, and the
@@ -109,7 +109,7 @@ class MaintenanceService
     void init(Wiring wiring, const NvAllocConfig &cfg);
 
     /** Spawn the background thread (Thread mode only; no-op in Off
-     *  and Manual modes, and after shutdown()). */
+     *  mode and after shutdown()). */
     void start();
 
     /** Stop and join the background thread; releases any reclaimSync
@@ -119,7 +119,7 @@ class MaintenanceService
 
     /**
      * Run one bounded maintenance slice on the calling thread (the
-     * Manual-mode driver; also serves ctl "maintenance.step").
+     * Off-mode driver; also serves ctl "maintenance.step").
      * Returns true if the slice did any work. Respects pause().
      */
     bool step() { return runSlice(/*forced=*/false); }
@@ -143,7 +143,7 @@ class MaintenanceService
     void wake(MaintWakeReason reason);
 
     /**
-     * The exhaustion slow path's entry point. Manual mode (or Thread
+     * The exhaustion slow path's one entry point. Off mode (or Thread
      * mode with no live worker): runs one forced slice inline on the
      * calling thread. Thread mode: wakes the worker and blocks until
      * a forced slice completed, so the caller's retry observes the
@@ -187,7 +187,6 @@ class MaintenanceService
     // ---- introspection ----------------------------------------------
 
     MaintenanceMode mode() const { return mode_; }
-    bool active() const { return wired_ && mode_ != MaintenanceMode::Off; }
     bool
     threadRunning() const
     {
@@ -196,6 +195,16 @@ class MaintenanceService
     }
 
   private:
+    /** Virtual-ns budget of one slice: it stops starting new work
+     *  units once the budget is spent (a unit in flight — one slow GC,
+     *  one decay tick — always completes). */
+    static constexpr uint64_t kSliceBudgetNs = 200'000;
+
+    /** The wake and slow-GC level, as a share of log_gc_threshold:
+     *  the service compacts the log *before* the append path's own
+     *  inline trigger would fire. */
+    static constexpr double kWakeFraction = 0.75;
+
     bool runSlice(bool forced);
     void threadMain();
     double logOccupancy() const;

@@ -487,9 +487,9 @@ void
 NvAlloc::reclaimMemory(ThreadCtx &ctx)
 {
     // Exhaustion slow path: give back everything this thread pins
-    // (lent tcache blocks keep otherwise-free slabs alive), then force
-    // the large allocator's log GC and decay pass so tombstoned log
-    // entries and demoted extents stop holding space.
+    // (lent tcache blocks keep otherwise-free slabs alive), then run
+    // a forced maintenance slice so tombstoned log entries and
+    // demoted extents stop holding space.
     setMode(HeapMode::Reclaiming);
     tel_.add(StatCounter::ReclaimAttempts);
     tel_.event(TraceOp::Reclaim, 0);
@@ -504,10 +504,7 @@ NvAlloc::reclaimMemory(ThreadCtx &ctx)
     // retry.
     hardening_.drainQuarantine();
     hardening_.sweepGuardWatch();
-    if (maint_.active())
-        maint_.reclaimSync(); // forced slice: log GC + decay + scrub
-    else
-        large_.reclaim();
+    maint_.reclaimSync();
 }
 
 /**

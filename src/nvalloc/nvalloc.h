@@ -396,7 +396,7 @@ class NvAlloc
 
     // ---- maintenance ------------------------------------------------
 
-    /** The background maintenance service (DESIGN.md §8). In Manual
+    /** The background maintenance service (DESIGN.md §8). In Off
      *  mode, drive it with maintenance().step(); pin()/PinGuard defer
      *  slow GC while a log-entry reference is held. */
     MaintenanceService &maintenance() { return maint_; }

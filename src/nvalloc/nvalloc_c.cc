@@ -85,10 +85,8 @@ optionsToConfig(const nvalloc_options *opts, NvAllocConfig &cfg)
     cfg.slab_morphing = opts->slab_morphing != 0;
     switch (opts->maintenance_mode) {
     case NVALLOC_MAINT_OFF:
+    case NVALLOC_MAINT_MANUAL: // retired: Off already steps on demand
         cfg.maintenance_mode = MaintenanceMode::Off;
-        break;
-    case NVALLOC_MAINT_MANUAL:
-        cfg.maintenance_mode = MaintenanceMode::Manual;
         break;
     case NVALLOC_MAINT_THREAD:
         cfg.maintenance_mode = MaintenanceMode::Thread;
@@ -96,8 +94,6 @@ optionsToConfig(const nvalloc_options *opts, NvAllocConfig &cfg)
     default:
         return NVALLOC_EINVAL;
     }
-    cfg.maintenance_slice_ns = opts->maintenance_slice_ns;
-    cfg.maintenance_wake_fraction = opts->maintenance_wake_fraction;
 
     if (opts->version >= 2) {
         cfg.guard_sample_rate = opts->guard_sample_rate;
@@ -129,8 +125,6 @@ optionsToConfig(const nvalloc_options *opts, NvAllocConfig &cfg)
         if (opts->fastpath != NVALLOC_FASTPATH_LOCKED &&
             opts->fastpath != NVALLOC_FASTPATH_LOCKFREE)
             return NVALLOC_EINVAL;
-        cfg.fastpath_regions = opts->fastpath_regions;
-        cfg.fastpath_batch = opts->fastpath_batch;
     }
     return NVALLOC_OK;
 }

@@ -58,11 +58,14 @@ enum NvHardeningPolicy
     NVALLOC_HARDEN_ABORT = 2,      //!< abort() on first detection
 };
 
-/** Maintenance modes for nvalloc_options.maintenance_mode. */
+/** Maintenance modes for nvalloc_options.maintenance_mode. The
+ *  manual mode is retired and kept only so existing callers still
+ *  validate: it opens the default mode, which already runs a slice
+ *  per "step" (and on exhaustion) and nothing on its own. */
 enum NvMaintenanceMode
 {
-    NVALLOC_MAINT_OFF = 0,    //!< no background work (default)
-    NVALLOC_MAINT_MANUAL = 1, //!< slices run only via "step"
+    NVALLOC_MAINT_OFF = 0,    //!< no background thread (default)
+    NVALLOC_MAINT_MANUAL = 1, //!< retired: opens NVALLOC_MAINT_OFF
     NVALLOC_MAINT_THREAD = 2, //!< dedicated background thread
 };
 
@@ -81,9 +84,8 @@ struct nvalloc_options
     unsigned bit_stripes;   //!< interleaved bitmap stripes [1,32]
     int slab_morphing;      //!< enable slab morphing (§5.2)
     int maintenance_mode;   //!< an NvMaintenanceMode value
-    uint64_t maintenance_slice_ns;    //!< slice budget, virtual ns
-    double maintenance_wake_fraction; //!< wake at this share of the
-                                      //!< log GC threshold, (0,1]
+    uint64_t maintenance_slice_ns;    //!< ignored (fixed at 200 µs)
+    double maintenance_wake_fraction; //!< ignored (fixed at 0.75)
     unsigned maintenance_scrub_lines; //!< ignored (fixed at 8)
     /* -- version 2 fields (hardening, PR 5) ------------------------ */
     unsigned guard_sample_rate;  //!< redirect 1-in-N small allocs to a
@@ -103,10 +105,8 @@ struct nvalloc_options
     /* -- version 4 fields (lock-free fast path, PR 9) -------------- */
     int fastpath;                //!< an NvFastPathMode value; both
                                  //!< select the lock-free engine
-    unsigned fastpath_regions;   //!< per-core region slots per size
-                                 //!< class, [1,8]
-    unsigned fastpath_batch;     //!< blocks claimed per lock-free
-                                 //!< reservation, [1,512]
+    unsigned fastpath_regions;   //!< ignored (fixed at 2)
+    unsigned fastpath_batch;     //!< ignored (fixed at 24)
 };
 
 /** Fill `o` with the defaults of this header revision. */
@@ -159,14 +159,14 @@ NvInstance *nvalloc_init(PmDevice *dev,
  *
  *  - NVALLOC_EINVAL: `dev`, `opts` or `out` is null, opts->version is
  *    0 or newer than this library, or an option value fails
- *    validation (bad bit_stripes, maintenance knobs out of range, an
- *    unknown fastpath mode, fastpath_regions outside [1,8], or
- *    fastpath_batch outside [1,512]). *out is untouched and the
- *    device was not modified. Callers compiled against v1/v2/v3
- *    headers are still accepted: fields their revision did not define
- *    are never read and take this library's defaults.
- *    maintenance_scrub_lines, patrol_scrub, patrol_items and
- *    patrol_retries are never validated or read.
+ *    validation (bad bit_stripes, an unknown maintenance, hardening
+ *    or fastpath mode). *out is untouched and the device was not
+ *    modified. Callers compiled against v1/v2/v3 headers are still
+ *    accepted: fields their revision did not define are never read
+ *    and take this library's defaults. maintenance_slice_ns,
+ *    maintenance_wake_fraction, maintenance_scrub_lines,
+ *    patrol_scrub, patrol_items, patrol_retries, fastpath_regions
+ *    and fastpath_batch are never validated or read.
  *  - NVALLOC_ECORRUPT: the heap image failed validation. *out
  *    receives a *degraded* instance: allocation calls fail with
  *    NVALLOC_ECORRUPT, but nvalloc_ctl / nvalloc_stats_json /
@@ -219,7 +219,7 @@ int nvalloc_restore_health(NvInstance *inst);
 /**
  * Drive the maintenance service: `action` is one of "pause",
  * "resume", "step" (run one bounded slice on the calling thread —
- * the Manual-mode pacing hook), or "wake" (nudge the background
+ * the Off-mode pacing hook), or "wake" (nudge the background
  * thread). Returns NVALLOC_OK or NVALLOC_EINVAL for an unknown
  * action. Also reachable as nvalloc_ctl("maintenance.<action>").
  */

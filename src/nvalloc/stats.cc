@@ -81,6 +81,16 @@ NvAlloc::buildCtlRegistry()
         return frees > guard ? frees - guard : 0;
     });
 
+    // Every begun transaction ends in one commit or abort (detach and
+    // shutdown abort an open one). Reading the ends first means a
+    // racing begin can only raise the difference.
+    ctl_.registerName("stats.tx.open", [tel] {
+        uint64_t ended = tel->total(StatCounter::TxCommit) +
+                         tel->total(StatCounter::TxAbort);
+        uint64_t begun = tel->total(StatCounter::TxBegin);
+        return begun > ended ? begun - ended : 0;
+    });
+
     // Flushes by class, and fences: the PM model counts them for the
     // device's whole life, and this heap's leaves read what it has
     // counted since the heap opened (clamped at zero, should a
@@ -240,7 +250,7 @@ NvAlloc::buildCtlRegistry()
 
     // Live state of the maintenance service, the health machine, the
     // hardening containers (those three take the hardening mutex
-    // briefly) and the transaction layer.
+    // briefly) and the transaction layer's staged registry.
     ctl_.registerName("stats.maintenance.mode", [this] {
         return uint64_t(maint_.mode());
     });
@@ -259,8 +269,6 @@ NvAlloc::buildCtlRegistry()
     ctl_.registerName("stats.hardening.guard_watched", [this] {
         return uint64_t(hardening_.guardWatched());
     });
-    ctl_.registerName("stats.tx.open",
-                      [this] { return tx_mgr_.openCount(); });
     ctl_.registerName("stats.tx.staged_blocks",
                       [this] { return tx_mgr_.stagedCount(); });
 

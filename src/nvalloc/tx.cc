@@ -46,7 +46,7 @@ NvAlloc::txBegin(ThreadCtx &ctx)
     }
     if (ctx.tx.open())
         return txRejected(); // nested begin
-    ctx.tx.id = tx_mgr_.beginTx();
+    ctx.tx.begin(tx_mgr_.nextId());
     ctx.tx.ops.reserve(kTxMaxOps);
     // Hold a maintenance pin for the whole tx lifetime: background
     // slow GC relocates bookkeeping-log entries, and an uncommitted
@@ -54,7 +54,7 @@ NvAlloc::txBegin(ThreadCtx &ctx)
     // commit or abort resolves them.
     maint_.pin();
     tel_.add(StatCounter::TxBegin);
-    tel_.event(TraceOp::TxBegin, ctx.tx.id);
+    tel_.event(TraceOp::TxBegin, ctx.tx.id());
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
 }
@@ -82,7 +82,7 @@ NvAlloc::txAlloc(ThreadCtx &ctx, size_t size, uint64_t *where)
     // WAL append tx-tagged. Guard sampling is deliberately bypassed:
     // guard registrations are volatile and a sampled tx alloc would
     // lose its redzone contract across the crash the tx exists for.
-    ctx.journal_tx_id = ctx.tx.id;
+    ctx.journal_tx_id = ctx.tx.id();
     uint64_t off = size <= smallLimit()
                        ? allocSmall(ctx, size, where_off)
                        : allocLarge(ctx, size, where_off);
@@ -134,7 +134,7 @@ NvAlloc::txFree(ThreadCtx &ctx, uint64_t off)
     // Journal the deferred free (one flush, tagged). No attach word is
     // cleared here — pair the free with a txWrite of the owning
     // pointer word to clear it in the same atomic unit.
-    ctx.wal.append(kWalFree, off, kWalNoWhere, 0, ctx.tx.id);
+    ctx.wal.append(kWalFree, off, kWalNoWhere, 0, ctx.tx.id());
     TxOp op;
     op.kind = TxOp::Kind::Free;
     op.off = off;
@@ -165,7 +165,7 @@ NvAlloc::txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value)
     // Journal undo (where_off) + redo (size) before the in-place
     // write: crash before the entry = word untouched; crash after =
     // the entry restores or re-applies it either way.
-    ctx.wal.append(kWalTxData, woff, old, value, ctx.tx.id);
+    ctx.wal.append(kWalTxData, woff, old, value, ctx.tx.id());
     *word = value;
     dev_.persistFence(word, sizeof(uint64_t), TimeKind::FlushData);
 
@@ -192,9 +192,9 @@ NvAlloc::txCommit(ThreadCtx &ctx)
     dev_.fence();
     // The append's own persist+fence is the commit point: ONE flush
     // publishes the whole transaction.
-    ctx.wal.appendTxMark(ctx.tx.id, kWalTxCommit,
+    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxCommit,
                          uint64_t(ctx.tx.ops.size()));
-    tel_.event(TraceOp::TxCommit, ctx.tx.id);
+    tel_.event(TraceOp::TxCommit, ctx.tx.id());
 
     // Apply phase — deliberately journal-free: another WAL append here
     // would displace the commit record as the ring's newest entry, and
@@ -223,7 +223,7 @@ NvAlloc::txCommit(ThreadCtx &ctx)
     // implies no later conflicting transaction could have started, so
     // the redo recovery performs instead is safe.
     dev_.fence();
-    ctx.wal.appendTxMark(ctx.tx.id, kWalTxApplied,
+    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxApplied,
                          uint64_t(ctx.tx.ops.size()));
 
     finishTx(ctx, /*committed=*/true);
@@ -259,9 +259,9 @@ NvAlloc::txAbort(ThreadCtx &ctx)
     }
 
     dev_.fence();
-    ctx.wal.appendTxMark(ctx.tx.id, kWalTxAbort,
+    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxAbort,
                          uint64_t(ctx.tx.ops.size()));
-    tel_.event(TraceOp::TxAbort, ctx.tx.id);
+    tel_.event(TraceOp::TxAbort, ctx.tx.id());
     finishTx(ctx, /*committed=*/false);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
@@ -274,7 +274,6 @@ NvAlloc::finishTx(ThreadCtx &ctx, bool committed)
         if (op.kind != TxOp::Kind::Write)
             tx_mgr_.unstage(op.off);
     }
-    tx_mgr_.endTx(ctx.tx.id);
     tel_.add(committed ? StatCounter::TxCommit : StatCounter::TxAbort);
     ctx.tx.reset();
     maint_.unpin();
@@ -300,22 +299,17 @@ NvAlloc::resolveTxRun(uint64_t ring_off, uint32_t tx_id)
     std::vector<WalEntry> run;
     bool committed = false;
     bool resolved_live = false;
-    unsigned rejected = 0;
-    Wal::forEachIntact(
-        &dev_, ring_off,
-        [&](const WalEntry &e) {
-            if (e.tx_id != tx_id)
-                return;
-            if (e.tx_mark == kWalTxCommit)
-                committed = true;
-            else if (e.tx_mark == kWalTxApplied ||
-                     e.tx_mark == kWalTxAbort)
-                resolved_live = true;
-            else if (e.tx_mark == kWalTxOp)
-                run.push_back(e);
-        },
-        &rejected);
-    (void)rejected; // newestEntry already counted the ring's rejects
+    // newestEntry already counted the ring's rejects.
+    Wal::forEachIntact(&dev_, ring_off, [&](const WalEntry &e) {
+        if (e.tx_id != tx_id)
+            return;
+        if (e.tx_mark == kWalTxCommit)
+            committed = true;
+        else if (e.tx_mark == kWalTxApplied || e.tx_mark == kWalTxAbort)
+            resolved_live = true;
+        else if (e.tx_mark == kWalTxOp)
+            run.push_back(e);
+    });
     if (resolved_live)
         return; // completed before the crash; nothing in flight
     std::sort(run.begin(), run.end(),

@@ -84,30 +84,41 @@ struct TxOp
  *  is the bounded undo buffer: it can never exceed kTxMaxOps. */
 struct TxContext
 {
-    uint32_t id = 0; //!< 0 = no open transaction
     std::vector<TxOp> ops;
 
-    bool open() const { return id != 0; }
+    /** The open transaction's id, 0 when none is open: the heap's one
+     *  record of open transactions. */
+    uint32_t id() const { return id_.load(std::memory_order_relaxed); }
+    bool open() const { return id() != 0; }
+
+    void begin(uint32_t id) { id_.store(id, std::memory_order_relaxed); }
 
     void
     reset()
     {
-        id = 0;
+        id_.store(0, std::memory_order_relaxed);
         ops.clear();
     }
+
+  private:
+    /** Written only by the owning thread; atomic because the auditor
+     *  reads it from another thread (under the attach mutex). */
+    std::atomic<uint32_t> id_{0};
 };
 
 /**
- * A set of keys split into 64 shards by key hash, each with its
- * own cache-line-aligned mutex, set and size count. Every operation
- * touches one shard, so transactions on unrelated keys never meet on
- * a lock or a written cache line. `size()`, and `contains()` on an
- * empty shard, take no lock: they read the shard counts.
+ * A set of block offsets split into 64 shards by key hash, each with
+ * its own cache-line-aligned mutex, set and size count. Every
+ * operation touches one shard, so transactions on unrelated blocks
+ * never meet on a lock or a written cache line. `size()`, and
+ * `contains()` on an empty shard, take no lock: they read the shard
+ * counts.
  */
-template <class Key>
 class ShardedKeySet
 {
   public:
+    using Key = uint64_t;
+
     /** Insert `key`; false if it was already present. */
     bool
     insert(Key key)
@@ -171,12 +182,12 @@ class ShardedKeySet
         std::atomic<uint64_t> count{0};
     };
 
-    // Fibonacci hashing: block offsets share their low bits and tx
-    // ids are consecutive; the multiply spreads both over the shards.
+    // Fibonacci hashing: block offsets share their low bits; the
+    // multiply spreads them over the shards.
     static unsigned
     shardIndex(Key key)
     {
-        return unsigned((uint64_t(key) * 0x9E3779B97F4A7C15ull) >>
+        return unsigned((key * 0x9E3779B97F4A7C15ull) >>
                         (64 - kShardBits));
     }
 
@@ -187,15 +198,16 @@ class ShardedKeySet
 };
 
 /**
- * Heap-wide transaction bookkeeping: id allocation, the set of open
- * ids, and the staged-offset registry consulted by the ordered free
- * validator. All volatile — a crash forgets it, and recovery clears
+ * Heap-wide transaction bookkeeping: id allocation and the
+ * staged-offset registry consulted by the ordered free validator.
+ * Open transactions are not recorded here: each lives in its thread's
+ * TxContext. All volatile — a crash forgets it, and recovery clears
  * the rings it mirrors.
  *
- * Both sets are sharded by key hash (ShardedKeySet), so a put's six
- * registry calls (begin, two stages, two unstages, end) lock shards
- * that concurrent puts on other keys almost never share. The id
- * counter stays one atomic: recovery resolves crashed runs in id
+ * The staged set is sharded by key hash (ShardedKeySet), so a
+ * replacing put's four registry calls (two stages, two unstages) lock
+ * shards that concurrent puts on other keys almost never share. The
+ * id counter stays one atomic: recovery resolves crashed runs in id
  * order, which is the commit order of conflicting transactions only
  * because every id comes from one sequence (DESIGN.md §11).
  *
@@ -206,13 +218,11 @@ class ShardedKeySet
 class TxManager
 {
   public:
-    /** Open a new transaction; returns its nonzero id. */
+    /** A fresh nonzero transaction id. */
     uint32_t
-    beginTx()
+    nextId()
     {
-        uint32_t id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-        open_.insert(id);
-        return id;
+        return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
     }
 
     /** Recovery-time floor for id allocation: ids are volatile (they
@@ -231,13 +241,6 @@ class TxManager
         }
     }
 
-    /** Close an id (commit, abort, or recovery cleanup). */
-    void endTx(uint32_t id) { open_.erase(id); }
-
-    bool isOpen(uint32_t id) const { return open_.contains(id); }
-
-    uint64_t openCount() const { return open_.size(); }
-
     /** Register `off` as staged by an open tx (a tx-allocated block
      *  awaiting publish, or a tx-freed block awaiting its deferred
      *  free). False if some tx already staged it. */
@@ -254,8 +257,7 @@ class TxManager
     uint64_t stagedCount() const { return staged_.size(); }
 
   private:
-    ShardedKeySet<uint32_t> open_;
-    ShardedKeySet<uint64_t> staged_;
+    ShardedKeySet staged_;
     std::atomic<uint32_t> next_id_{0};
 };
 

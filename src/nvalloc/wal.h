@@ -111,54 +111,21 @@ class Wal
     }
 
     /**
-     * Replay helper: the newest *intact* entry of the ring at
-     * `ring_off`, or nullptr if the ring holds none. Static because
-     * replay runs before any Wal is attached.
-     *
-     * With `verify` on, an entry whose crc does not match or whose
-     * line is media-poisoned is skipped and counted in `*rejected`. A
-     * torn entry can only be the newest append (older entries were
-     * implicitly committed by later ones), so skipping it means the
-     * half-journaled operation is treated as never-started — exactly
-     * the undo semantics replay needs.
-     */
-    static const WalEntry *
-    newestEntry(PmDevice *dev, uint64_t ring_off,
-                unsigned *rejected = nullptr, bool verify = true)
-    {
-        auto *ring = static_cast<const WalEntry *>(dev->at(ring_off));
-        const WalEntry *best = nullptr;
-        unsigned n = kWalRingBytes / sizeof(WalEntry);
-        for (unsigned i = 0; i < n; ++i) {
-            const WalEntry &e = ring[i];
-            if ((e.block_op & 3) == kWalNone)
-                continue;
-            if (verify) {
-                // One crc over a cached line: a handful of cycles on
-                // real hardware, charged as part of the ring read.
-                if (dev->isPoisoned(&e, sizeof(e)) ||
-                    e.crc != walEntryCrc(e)) {
-                    if (rejected)
-                        ++*rejected;
-                    continue;
-                }
-            }
-            if (!best || e.seq > best->seq)
-                best = &e;
-        }
-        return best;
-    }
-
-    /**
      * Replay helper: call `fn(const WalEntry &)` for every intact
-     * entry of the ring at `ring_off`, in no particular order. Same
-     * verification rules as newestEntry(). Transaction resolution uses
-     * this to gather a tx's whole run; callers sort by seq themselves.
+     * entry of the ring at `ring_off`, in no particular order. Static
+     * because replay runs before any Wal is attached. Transaction
+     * resolution uses this to gather a tx's whole run; callers sort by
+     * seq themselves.
+     *
+     * With `verify` on, a used slot that fails walEntryIntact() is
+     * skipped and counted in `*rejected`; with it off, every used slot
+     * is passed on. One crc over a cached line costs a handful of
+     * cycles on real hardware, charged as part of the ring read.
      */
     template <typename Fn>
     static void
     forEachIntact(PmDevice *dev, uint64_t ring_off, Fn &&fn,
-                  unsigned *rejected = nullptr)
+                  unsigned *rejected = nullptr, bool verify = true)
     {
         auto *ring = static_cast<const WalEntry *>(dev->at(ring_off));
         unsigned n = kWalRingBytes / sizeof(WalEntry);
@@ -166,14 +133,37 @@ class Wal
             const WalEntry &e = ring[i];
             if ((e.block_op & 3) == kWalNone)
                 continue;
-            if (dev->isPoisoned(&e, sizeof(e)) ||
-                e.crc != walEntryCrc(e)) {
+            if (verify && !walEntryIntact(*dev, e)) {
                 if (rejected)
                     ++*rejected;
                 continue;
             }
             fn(e);
         }
+    }
+
+    /**
+     * Replay helper: the newest intact entry of the ring at
+     * `ring_off`, or nullptr if the ring holds none; `rejected` and
+     * `verify` as in forEachIntact(). A torn entry can only be the
+     * newest append (older entries were implicitly committed by later
+     * ones), so skipping it means the half-journaled operation is
+     * treated as never-started — exactly the undo semantics replay
+     * needs.
+     */
+    static const WalEntry *
+    newestEntry(PmDevice *dev, uint64_t ring_off,
+                unsigned *rejected = nullptr, bool verify = true)
+    {
+        const WalEntry *best = nullptr;
+        forEachIntact(
+            dev, ring_off,
+            [&](const WalEntry &e) {
+                if (!best || e.seq > best->seq)
+                    best = &e;
+            },
+            rejected, verify);
+        return best;
     }
 
   private:

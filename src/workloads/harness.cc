@@ -92,7 +92,54 @@ makeAllocator(AllocKind kind, PmDevice &dev, const MakeOptions &opts)
 }
 
 namespace {
+
 std::atomic<uint64_t> g_failed_allocs{0};
+
+/** Accumulates benchJsonPoint records; written as one JSON document at
+ *  process exit, so every figure section of a bench binary lands in a
+ *  single BENCH_<prog>.json, next to the process's failed-allocation
+ *  total. */
+struct BenchJsonSink
+{
+    struct Point
+    {
+        std::string section, series, x;
+        double value;
+    };
+
+    std::string path;    //!< empty = emission disabled
+    std::string section; //!< most recent printSeriesHeader figure
+    std::vector<unsigned> xs;
+    std::vector<Point> points;
+
+    ~BenchJsonSink()
+    {
+        if (path.empty() || points.empty())
+            return;
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        if (!f) {
+            std::fprintf(stderr, "bench: cannot write %s\n",
+                         path.c_str());
+            return;
+        }
+        std::fprintf(f, "{\"failed_allocs\":%llu,\"points\":[",
+                     (unsigned long long)g_failed_allocs.load(
+                         std::memory_order_relaxed));
+        for (size_t i = 0; i < points.size(); ++i) {
+            const Point &p = points[i];
+            std::fprintf(f,
+                         "%s\n {\"section\":\"%s\",\"series\":\"%s\","
+                         "\"x\":\"%s\",\"value\":%.6f}",
+                         i ? "," : "", p.section.c_str(),
+                         p.series.c_str(), p.x.c_str(), p.value);
+        }
+        std::fprintf(f, "\n]}\n");
+        std::fclose(f);
+    }
+};
+
+BenchJsonSink g_bench_json;
+
 } // namespace
 
 void
@@ -147,6 +194,12 @@ runWorkers(unsigned threads, VtimeEpoch &epoch,
     RunResult out;
     out.failed_allocs =
         g_failed_allocs.load(std::memory_order_relaxed) - failed_base;
+    if (out.failed_allocs != 0) {
+        std::fprintf(stderr, "bench: %s: %u-thread run: %llu failed "
+                             "allocations\n",
+                     g_bench_json.section.c_str(), threads,
+                     (unsigned long long)out.failed_allocs);
+    }
     for (const PerThread &r : results) {
         out.total_ops += r.ops;
         if (r.elapsed > out.makespan_ns)
@@ -172,52 +225,6 @@ benchThreadCountsSmallPath(bool quick)
         return {1, 4, 16, 64, 128};
     return {1, 2, 4, 8, 16, 32, 64, 128};
 }
-
-namespace {
-
-/** Accumulates benchJsonPoint records; written as one JSON document at
- *  process exit, so every figure section of a bench binary lands in a
- *  single BENCH_<prog>.json. */
-struct BenchJsonSink
-{
-    struct Point
-    {
-        std::string section, series, x;
-        double value;
-    };
-
-    std::string path;    //!< empty = emission disabled
-    std::string section; //!< most recent printSeriesHeader figure
-    std::vector<unsigned> xs;
-    std::vector<Point> points;
-
-    ~BenchJsonSink()
-    {
-        if (path.empty() || points.empty())
-            return;
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "bench: cannot write %s\n",
-                         path.c_str());
-            return;
-        }
-        std::fprintf(f, "{\"points\":[");
-        for (size_t i = 0; i < points.size(); ++i) {
-            const Point &p = points[i];
-            std::fprintf(f,
-                         "%s\n {\"section\":\"%s\",\"series\":\"%s\","
-                         "\"x\":\"%s\",\"value\":%.6f}",
-                         i ? "," : "", p.section.c_str(),
-                         p.series.c_str(), p.x.c_str(), p.value);
-        }
-        std::fprintf(f, "\n]}\n");
-        std::fclose(f);
-    }
-};
-
-BenchJsonSink g_bench_json;
-
-} // namespace
 
 void
 benchJsonPoint(const std::string &section, const std::string &series,

@@ -87,7 +87,9 @@ struct RunResult
 {
     uint64_t total_ops = 0;
     uint64_t makespan_ns = 0;
-    /** allocTo calls that returned 0 (exhaustion); see noteFailedAlloc. */
+    /** allocTo calls that returned 0 (exhaustion); see noteFailedAlloc.
+     *  runWorkers prints one stderr line for a run where it is
+     *  non-zero. */
     uint64_t failed_allocs = 0;
     std::array<uint64_t, kNumTimeKinds> breakdown{};
 
@@ -144,8 +146,10 @@ void printSeriesRow(const char *name,
  * set, every printSeriesHeader/printSeriesRow pair also records its
  * points, and the accumulated document is written to
  * $NVALLOC_BENCH_JSON_DIR/BENCH_<prog>.json at process exit (<prog> is
- * the basename of argv[0], stamped by BenchArgs::parse). Figures with
- * bespoke tables record through benchJsonPoint directly. The virtual
+ * the basename of argv[0], stamped by BenchArgs::parse), with the
+ * process's total of noted failed allocations as a top-level
+ * "failed_allocs" key. Figures with bespoke tables record through
+ * benchJsonPoint directly. The virtual
  * clock makes single-thread numbers exactly reproducible for a given
  * seed (multi-thread rows jitter a few percent with host scheduling),
  * so CI compares whole runs against a committed baseline

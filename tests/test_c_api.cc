@@ -196,9 +196,6 @@ TEST(CApiOpenEx, EinvalContractLeavesOutUntouched)
     opts.bit_stripes = 6;
     opts.maintenance_mode = 42; // not an NvMaintenanceMode
     EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
-    opts.maintenance_mode = NVALLOC_MAINT_MANUAL;
-    opts.maintenance_wake_fraction = 2.0;
-    EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
 
     EXPECT_EQ(out, sentinel) << "*out must be untouched on EINVAL";
 }
@@ -208,14 +205,14 @@ TEST(CApiOpenEx, OkPathDrivesMaintenanceByAction)
     PmDevice dev;
     nvalloc_options opts;
     nvalloc_options_init(&opts);
-    opts.maintenance_mode = NVALLOC_MAINT_MANUAL;
+    opts.maintenance_mode = NVALLOC_MAINT_OFF;
 
     NvInstance *inst = nullptr;
     ASSERT_EQ(nvalloc_open_ex(&dev, &opts, &inst), NVALLOC_OK);
     ASSERT_NE(inst, nullptr);
     EXPECT_EQ(nvalloc_errno(inst), NVALLOC_OK);
     EXPECT_EQ(nvalloc_impl(inst)->config().maintenance_mode,
-              MaintenanceMode::Manual);
+              MaintenanceMode::Off);
 
     uint64_t *root = nvalloc_root(inst, 0);
     ASSERT_NE(nvalloc_malloc_to(inst, 128, root), nullptr);
@@ -267,32 +264,18 @@ TEST(CApiOpenEx, FastPathOptionsV4Contract)
     NvInstance *sentinel = reinterpret_cast<NvInstance *>(0x1);
     NvInstance *out = sentinel;
 
-    // v4 misuse: unknown mode and out-of-range knobs are EINVAL.
+    // v4 misuse: an unknown mode is EINVAL.
     opts.fastpath = 7; // not an NvFastPathMode
-    EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
-    nvalloc_options_init(&opts);
-    opts.fastpath_regions = 0;
-    EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
-    opts.fastpath_regions = 9;
-    EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
-    nvalloc_options_init(&opts);
-    opts.fastpath_batch = 0;
-    EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
-    opts.fastpath_batch = 513;
     EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
     EXPECT_EQ(out, sentinel) << "*out must be untouched on EINVAL";
 
     // A v3 caller's struct carries garbage where v4 added fields;
-    // those bytes must never be read — the library's defaults apply.
+    // those bytes must never be read.
     nvalloc_options_init(&opts);
     opts.version = 3;
     opts.fastpath = 99;
-    opts.fastpath_regions = 0;
-    opts.fastpath_batch = 0;
     NvInstance *inst = nullptr;
     ASSERT_EQ(nvalloc_open_ex(&dev, &opts, &inst), NVALLOC_OK);
-    EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_regions, 2u);
-    EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_batch, 24u);
     nvalloc_exit(inst);
 
     // The retired locked mode still validates and opens the lock-free
@@ -301,12 +284,8 @@ TEST(CApiOpenEx, FastPathOptionsV4Contract)
     PmDevice dev2;
     nvalloc_options_init(&opts);
     opts.fastpath = NVALLOC_FASTPATH_LOCKED;
-    opts.fastpath_regions = 4;
-    opts.fastpath_batch = 64;
     inst = nullptr;
     ASSERT_EQ(nvalloc_open_ex(&dev2, &opts, &inst), NVALLOC_OK);
-    EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_regions, 4u);
-    EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_batch, 64u);
     uint64_t *root = nvalloc_root(inst, 0);
     ASSERT_NE(nvalloc_malloc_to(inst, 96, root), nullptr);
     EXPECT_EQ(nvalloc_free_from(inst, root), NVALLOC_OK);
@@ -321,20 +300,28 @@ TEST(CApiOpenEx, FastPathOptionsV4Contract)
 
 TEST(CApiOpenEx, RetiredTuningFieldsAreIgnored)
 {
-    // maintenance_scrub_lines, patrol_scrub, patrol_items and
-    // patrol_retries stay in the layout but are fixed inside the
-    // library: values that once failed validation, or switched the
-    // patrol off, now open with the patrol running.
+    // maintenance_slice_ns, maintenance_wake_fraction,
+    // maintenance_scrub_lines, patrol_scrub, patrol_items,
+    // patrol_retries, fastpath_regions and fastpath_batch stay in the
+    // layout but are fixed inside the library: values that once failed
+    // validation, or switched the patrol off, now open with the patrol
+    // running. The retired manual mode opens the default mode.
     PmDevice dev;
     nvalloc_options opts;
     nvalloc_options_init(&opts);
     opts.maintenance_mode = NVALLOC_MAINT_MANUAL;
+    opts.maintenance_slice_ns = 0;
+    opts.maintenance_wake_fraction = 2.0;
     opts.patrol_scrub = 0;
     opts.patrol_items = 0;
     opts.patrol_retries = 0;
     opts.maintenance_scrub_lines = 0;
+    opts.fastpath_regions = 0;
+    opts.fastpath_batch = 513;
     NvInstance *inst = nullptr;
     ASSERT_EQ(nvalloc_open_ex(&dev, &opts, &inst), NVALLOC_OK);
+    EXPECT_EQ(nvalloc_impl(inst)->config().maintenance_mode,
+              MaintenanceMode::Off);
     uint64_t *root = nvalloc_root(inst, 0);
     ASSERT_NE(nvalloc_malloc_to(inst, 64, root), nullptr);
     EXPECT_EQ(nvalloc_free_from(inst, root), NVALLOC_OK);

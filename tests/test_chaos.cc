@@ -9,7 +9,7 @@
  * seeded trouble event, and asserts detection (the matching
  * stats.hardening.* counter moved, with the documented status) plus
  * containment (audit clean, repairable damage repaired, recovery
- * converged after crashes). Manual maintenance keeps every run
+ * converged after crashes). With no maintenance thread, every run is
  * deterministic for its seed.
  */
 

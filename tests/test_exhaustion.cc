@@ -64,6 +64,11 @@ TEST(Exhaustion, LargeAllocExhaustsGracefullyAndRecovers)
     EXPECT_EQ(alloc.mode(), HeapMode::Exhausted);
     EXPECT_GE(readCtl(alloc, "stats.degraded.failed_allocs"), 1u);
     EXPECT_GE(readCtl(alloc, "stats.degraded.reclaim_attempts"), 1u);
+    // One reclaim path in every mode: the default mode ran one forced
+    // maintenance slice per reclaim attempt.
+    EXPECT_EQ(readCtl(alloc, "stats.maintenance.mode"), 0u);
+    EXPECT_EQ(readCtl(alloc, "stats.maintenance.slices"),
+              readCtl(alloc, "stats.degraded.reclaim_attempts"));
 
     // The heap stays usable for frees...
     for (uint64_t off : offs)
@@ -214,19 +219,26 @@ TEST(Exhaustion, ReclaimThenRetrySucceedsViaTcacheDrain)
     cfg.slab_morphing = false; // frees park in the tcache (lent)
     auto alloc_h = NvAlloc::openOrDie(dev, cfg);
     NvAlloc &alloc = *alloc_h;
-    ThreadCtx *ctx = alloc.attachThread();
-    ASSERT_NE(ctx, nullptr);
+    ThreadCtx *filler = alloc.attachThread();
+    ASSERT_NE(filler, nullptr);
 
     // Fill the device with one size class.
     std::vector<uint64_t> offs;
     for (unsigned i = 0; i < 100000; ++i) {
-        uint64_t off = alloc.allocOffset(*ctx, 16 * 1024, nullptr);
+        uint64_t off = alloc.allocOffset(*filler, 16 * 1024, nullptr);
         if (off == 0)
             break;
         offs.push_back(off);
     }
     ASSERT_GT(offs.size(), 16u);
     ASSERT_LT(offs.size(), 100000u) << "device never exhausted";
+
+    // The exhaustion's forced maintenance slice asked every attached
+    // thread for a cooperative tcache trim. A thread attached after it
+    // has none pending, so only the reclaim path drains its tcache.
+    alloc.detachThread(filler);
+    ThreadCtx *ctx = alloc.attachThread();
+    ASSERT_NE(ctx, nullptr);
 
     // Return the last batch of blocks. With morphing disabled they
     // sit *lent* in this thread's tcache, pinning their slabs: the

@@ -313,7 +313,7 @@ TEST_P(FastPathCrashSweep, SafeInsideReservationRefill)
 
         dev.armCrashAtFlush(nth);
 
-        // Burst pattern: fill every slot (> fastpath_batch, so the
+        // Burst pattern: fill every slot (> the reservation batch, so the
         // tcache refills mid-burst), then clear every slot (draining
         // into pending stacks), repeat.
         auto *slots = static_cast<uint64_t *>(alloc.at(table_off));

@@ -20,7 +20,7 @@ class LargeFixture : public ::testing::Test
 {
   protected:
     void
-    init(bool log_mode, uint64_t decay_ns = 50'000'000)
+    init(bool log_mode)
     {
         PmDeviceConfig dcfg;
         dcfg.size = size_t{1} << 28;
@@ -28,7 +28,6 @@ class LargeFixture : public ::testing::Test
         table_off_ = dev_->mapRegion(4096);
         table_ = static_cast<uint64_t *>(dev_->at(table_off_));
 
-        cfg_.decay_window_ns = decay_ns;
         if (log_mode) {
             log_ = std::make_unique<BookkeepingLog>();
             log_region_ = dev_->mapRegion(256 * 1024);
@@ -138,17 +137,18 @@ TEST_F(LargeFixture, DirectRegionForHugeAllocations)
 
 TEST_F(LargeFixture, DecayDemotesAndEvicts)
 {
-    init(true, /*decay_ns=*/100'000); // short window for the test
+    init(true);
     uint64_t a = large_->allocate(64 * 1024, false);
     large_->free(a);
     ASSERT_GT(large_->reclaimedBytes(), 0u);
 
-    // Let virtual time pass well beyond two windows, then tick.
-    VClock::advance(200'000, TimeKind::Other);
+    // Let virtual time pass two windows (100 ms), then tick.
+    const uint64_t kWindow = LargeAllocator::kDecayWindowNs;
+    VClock::advance(2 * kWindow, TimeKind::Other);
     large_->decayTick();
     EXPECT_EQ(large_->reclaimedBytes(), 0u) << "demoted";
 
-    VClock::advance(200'000, TimeKind::Other);
+    VClock::advance(2 * kWindow, TimeKind::Other);
     large_->decayTick();
     // The whole region became one retained extent and went to the OS.
     EXPECT_EQ(large_->retainedBytes(), 0u) << "evicted";
@@ -157,12 +157,13 @@ TEST_F(LargeFixture, DecayDemotesAndEvicts)
 
 TEST_F(LargeFixture, RetainedExtentIsRecommittedOnReuse)
 {
-    init(true, 100'000);
+    init(true);
     uint64_t a = large_->allocate(64 * 1024, false);
     uint64_t b = large_->allocate(64 * 1024, false);
     (void)b; // keeps the region alive (no whole-region eviction)
     large_->free(a);
-    VClock::advance(150'000, TimeKind::Other);
+    VClock::advance(3 * LargeAllocator::kDecayWindowNs / 2,
+                    TimeKind::Other);
     large_->decayTick();
     ASSERT_GT(large_->retainedBytes(), 0u);
     size_t committed = dev_->committedBytes();

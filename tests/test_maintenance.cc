@@ -3,7 +3,7 @@
  * Tests of the background maintenance subsystem (maintenance.h,
  * DESIGN.md §8) and the redesigned construction surface around it:
  *
- *  - Manual mode is deterministic: two identical runs stepping the
+ *  - Off mode is deterministic: two identical runs stepping the
  *    service at the same points produce identical counters;
  *  - epoch pins defer slow GC (the only stage that relocates live log
  *    entries) and the deferral is accounted;
@@ -76,7 +76,7 @@ struct LargeChurn
 };
 
 // ---------------------------------------------------------------------
-// Manual mode: determinism.
+// Off mode, stepped by hand: determinism.
 // ---------------------------------------------------------------------
 
 struct CounterSnapshot
@@ -103,15 +103,14 @@ snapshot(NvAlloc &alloc)
 }
 
 CounterSnapshot
-manualRun()
+steppedRun()
 {
     PmDeviceConfig dcfg;
     dcfg.size = size_t{64} << 20;
     PmDevice dev(dcfg);
-    NvAllocConfig cfg = maintConfig(MaintenanceMode::Manual);
+    NvAllocConfig cfg = maintConfig(MaintenanceMode::Off);
     cfg.log_file_bytes = 32 * 1024;
     cfg.log_gc_threshold = 0.9; // keep the inline append trigger out
-    cfg.maintenance_wake_fraction = 0.3;
 
     OpenResult r = NvAlloc::open(dev, cfg);
     EXPECT_EQ(r.status, NvStatus::Ok);
@@ -133,23 +132,23 @@ manualRun()
     return snap;
 }
 
-TEST(Maintenance, ManualModeIsDeterministic)
+TEST(Maintenance, SteppedOffModeIsDeterministic)
 {
-    CounterSnapshot a = manualRun();
-    CounterSnapshot b = manualRun();
+    CounterSnapshot a = steppedRun();
+    CounterSnapshot b = steppedRun();
     EXPECT_GE(a.slices, 26u) << "every step() ran a slice";
     EXPECT_GE(a.fast, 1u);
     EXPECT_TRUE(a == b)
-        << "identical Manual runs diverged: slices " << a.slices << "/"
+        << "identical stepped runs diverged: slices " << a.slices << "/"
         << b.slices << ", virtual_ns " << a.vns << "/" << b.vns;
 }
 
-TEST(Maintenance, ManualWithoutStepRunsNothing)
+TEST(Maintenance, OffWithoutStepRunsNothing)
 {
     PmDeviceConfig dcfg;
     dcfg.size = size_t{64} << 20;
     PmDevice dev(dcfg);
-    OpenResult r = NvAlloc::open(dev, maintConfig(MaintenanceMode::Manual));
+    OpenResult r = NvAlloc::open(dev, maintConfig(MaintenanceMode::Off));
     ASSERT_TRUE(r);
     ThreadCtx *ctx = r.heap->attachThread();
     ASSERT_NE(ctx, nullptr);
@@ -160,7 +159,7 @@ TEST(Maintenance, ManualWithoutStepRunsNothing)
     churn.drain();
 
     EXPECT_EQ(readCtl(*r.heap, "stats.maintenance.slices"), 0u)
-        << "Manual mode must not run slices on its own";
+        << "Off mode must not run slices on its own";
     EXPECT_FALSE(r.heap->maintenance().threadRunning());
     r.heap->detachThread(ctx);
 }
@@ -174,10 +173,9 @@ TEST(Maintenance, PinsDeferSlowGcUntilUnpin)
     PmDeviceConfig dcfg;
     dcfg.size = size_t{64} << 20;
     PmDevice dev(dcfg);
-    NvAllocConfig cfg = maintConfig(MaintenanceMode::Manual);
+    NvAllocConfig cfg = maintConfig(MaintenanceMode::Off);
     cfg.log_file_bytes = 32 * 1024;
     cfg.log_gc_threshold = 0.9; // inline trigger never fires
-    cfg.maintenance_wake_fraction = 0.3;
 
     OpenResult r = NvAlloc::open(dev, cfg);
     ASSERT_TRUE(r);
@@ -185,13 +183,13 @@ TEST(Maintenance, PinsDeferSlowGcUntilUnpin)
     ThreadCtx *ctx = alloc.attachThread();
     ASSERT_NE(ctx, nullptr);
 
-    // Drive log occupancy past the wake level (0.27) with a live/dead
-    // mix, so the pressure stage wants a slow GC and has tombstones to
-    // drop when it runs.
+    // Drive log occupancy past the wake level (0.75 × 0.9 = 0.675)
+    // with a live/dead mix, so the pressure stage wants a slow GC and
+    // has tombstones to drop when it runs.
     BookkeepingLog &log = alloc.bookkeepingLog();
     LargeChurn churn(alloc, *ctx);
     for (unsigned i = 0;
-         log.activeChunks() < (log.maxChunks() * 35) / 100; ++i) {
+         log.activeChunks() < (log.maxChunks() * 70) / 100; ++i) {
         ASSERT_LT(i, 100000u) << "log never reached the wake level";
         churn.step(i);
     }
@@ -222,7 +220,7 @@ TEST(Maintenance, ForcedSliceIgnoresPause)
     PmDeviceConfig dcfg;
     dcfg.size = size_t{64} << 20;
     PmDevice dev(dcfg);
-    OpenResult r = NvAlloc::open(dev, maintConfig(MaintenanceMode::Manual));
+    OpenResult r = NvAlloc::open(dev, maintConfig(MaintenanceMode::Off));
     ASSERT_TRUE(r);
     MaintenanceService &m = r.heap->maintenance();
 
@@ -372,7 +370,7 @@ TEST(Maintenance, CtlActionsAndCounters)
     PmDeviceConfig dcfg;
     dcfg.size = size_t{64} << 20;
     PmDevice dev(dcfg);
-    OpenResult r = NvAlloc::open(dev, maintConfig(MaintenanceMode::Manual));
+    OpenResult r = NvAlloc::open(dev, maintConfig(MaintenanceMode::Off));
     ASSERT_TRUE(r);
     NvAlloc &alloc = *r.heap;
 
@@ -396,7 +394,7 @@ TEST(Maintenance, CtlActionsAndCounters)
               NvStatus::InvalidArgument);
 
     EXPECT_EQ(alloc.ctlRead("stats.maintenance.mode", &v), NvStatus::Ok);
-    EXPECT_EQ(v, uint64_t(MaintenanceMode::Manual));
+    EXPECT_EQ(v, uint64_t(MaintenanceMode::Off));
     EXPECT_EQ(alloc.ctlRead("stats.maintenance.virtual_ns", &v),
               NvStatus::Ok);
 }
@@ -418,14 +416,7 @@ TEST(OpenFactory, RejectsInvalidConfigWithoutTouchingDevice)
     EXPECT_EQ(r.heap, nullptr);
     EXPECT_FALSE(r);
 
-    bad = NvAllocConfig{};
-    bad.maintenance_wake_fraction = 0.0;
-    EXPECT_EQ(NvAlloc::open(dev, bad).status, NvStatus::InvalidArgument);
-    bad = NvAllocConfig{};
-    bad.maintenance_slice_ns = 0;
-    EXPECT_EQ(NvAlloc::open(dev, bad).status, NvStatus::InvalidArgument);
-
-    // The rejected opens never formatted the device: a good open still
+    // The rejected open never formatted the device: a good open still
     // takes the create path, not recovery.
     OpenResult ok = NvAlloc::open(dev, NvAllocConfig{});
     ASSERT_TRUE(ok);
@@ -504,7 +495,7 @@ TEST(Registry, TweakReachesNvAllocConfig)
     PmDevice dev(dcfg);
     MakeOptions opts;
     opts.tweak_nvalloc = [](NvAllocConfig &c) {
-        c.maintenance_mode = MaintenanceMode::Manual;
+        c.maintenance_mode = MaintenanceMode::Thread;
     };
     std::unique_ptr<PmAllocator> a =
         PmAllocatorRegistry::instance().make("nvalloc", dev, opts);
@@ -512,7 +503,7 @@ TEST(Registry, TweakReachesNvAllocConfig)
     auto *adapter = dynamic_cast<NvAllocAdapter *>(a.get());
     ASSERT_NE(adapter, nullptr);
     EXPECT_EQ(adapter->impl().config().maintenance_mode,
-              MaintenanceMode::Manual);
+              MaintenanceMode::Thread);
     EXPECT_TRUE(a->stronglyConsistent());
 }
 

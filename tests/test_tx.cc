@@ -483,12 +483,15 @@ TEST_F(TxFixture, LiveOpenTransactionAuditsClean)
     ASSERT_EQ(alloc_->txWrite(*ctx_, alloc_->rootWord(1), 7),
               NvStatus::Ok);
 
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tx.open"), 1u);
+
     HeapAuditor auditor(*alloc_);
     AuditReport rep = auditor.audit();
     EXPECT_EQ(rep.violations(), 0u)
         << "open tx must not read as an orphan\n"
         << rep.summary();
     ASSERT_EQ(alloc_->txCommit(*ctx_), NvStatus::Ok);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tx.open"), 0u);
     rep = auditor.audit();
     EXPECT_EQ(rep.violations(), 0u) << rep.summary();
 }

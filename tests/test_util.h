@@ -17,12 +17,12 @@ namespace nvalloc {
 
 /**
  * `cfg` with the CI matrix's environment applied, so one test binary
- * serves every leg: NVALLOC_MAINTENANCE=off|manual|thread picks the
- * maintenance mode (in the thread legs a live worker races the
- * workload, and recovery runs with the service restarted), and
- * NVALLOC_HARDENING=full turns redzone canaries and the delayed-reuse
- * quarantine on. Guard sampling stays off: guards are large extents,
- * which would skew small-block leak oracles.
+ * serves every leg: NVALLOC_MAINTENANCE=thread picks the thread mode
+ * (a live worker races the workload, and recovery runs with the
+ * service restarted; off, and manual, the retired mode's name, keep
+ * the default), and NVALLOC_HARDENING=full turns redzone canaries and
+ * the delayed-reuse quarantine on. Guard sampling stays off: guards
+ * are large extents, which would skew small-block leak oracles.
  */
 inline NvAllocConfig
 envConfig(NvAllocConfig cfg = {})
@@ -30,8 +30,6 @@ envConfig(NvAllocConfig cfg = {})
     const char *maint = std::getenv("NVALLOC_MAINTENANCE");
     if (maint && std::strcmp(maint, "thread") == 0)
         cfg.maintenance_mode = MaintenanceMode::Thread;
-    else if (maint && std::strcmp(maint, "manual") == 0)
-        cfg.maintenance_mode = MaintenanceMode::Manual;
     const char *hard = std::getenv("NVALLOC_HARDENING");
     if (hard && std::strcmp(hard, "full") == 0) {
         cfg.redzone_canaries = true;

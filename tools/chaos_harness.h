@@ -2,7 +2,7 @@
  * @file
  * Chaos soak harness for the hardening subsystem (DESIGN.md §9).
  *
- * A seeded, deterministic (under Manual maintenance) loop that
+ * A seeded, deterministic (no maintenance thread) loop that
  * interleaves a mutator workload with two kinds of trouble:
  *
  *  - fault-injector events: mid-operation crashes at arbitrary flush
@@ -143,9 +143,8 @@ class ChaosHarness
         NvAllocConfig cfg;
         cfg.consistency =
             opt_.gc ? Consistency::Gc : Consistency::Log;
-        // Manual maintenance keeps the run single-threaded, hence
-        // deterministic for a given seed.
-        cfg.maintenance_mode = MaintenanceMode::Manual;
+        // The default maintenance mode starts no thread, so the run
+        // stays single-threaded, hence deterministic for a given seed.
         cfg.redzone_canaries = true;
         cfg.quarantine_depth = 16;
         cfg.guard_sample_rate = 32;

@@ -49,6 +49,7 @@ struct Options
     size_t device_mb = 256;
     unsigned ops = 20000;
     MaintenanceMode maintenance = MaintenanceMode::Off;
+    bool step_maintenance = false; //!< a slice every 512 workload ops
     std::vector<std::string> ctls; //!< --ctl leaves/prefixes, in order
     std::vector<std::string> maint_actions; //!< --maint, in order
 };
@@ -135,12 +136,12 @@ parseArgs(int argc, char **argv, Options &o)
             const char *v = next();
             if (!v)
                 return false;
-            if (std::strcmp(v, "off") == 0)
-                o.maintenance = MaintenanceMode::Off;
-            else if (std::strcmp(v, "manual") == 0)
-                o.maintenance = MaintenanceMode::Manual;
-            else if (std::strcmp(v, "thread") == 0)
+            // manual: the default mode, stepped by the tool itself.
+            o.step_maintenance = std::strcmp(v, "manual") == 0;
+            if (std::strcmp(v, "thread") == 0)
                 o.maintenance = MaintenanceMode::Thread;
+            else if (o.step_maintenance || std::strcmp(v, "off") == 0)
+                o.maintenance = MaintenanceMode::Off;
             else
                 return false;
         } else if (a == "--maint") {
@@ -172,15 +173,17 @@ makeConfig(const Options &o)
     return cfg;
 }
 
-/** Mixed small/large churn (same shape as nvalloc_fsck's). In Manual
- *  maintenance mode a slice is stepped every 512 operations, so the
- *  stats.maintenance.* family is populated deterministically. With
- *  `tx` on, every 256th operation runs as a small transaction
+/** Mixed small/large churn (same shape as nvalloc_fsck's). Under
+ *  --maintenance manual a slice is stepped every 512 operations, so
+ *  the stats.maintenance.* family is populated deterministically.
+ *  With --tx, every 256th operation runs as a small transaction
  *  (alternating commit and abort) so the stats.tx.* family is
  *  populated. */
 void
-runWorkload(NvAlloc &alloc, ThreadCtx &ctx, unsigned ops, bool tx)
+runWorkload(NvAlloc &alloc, ThreadCtx &ctx, const Options &o)
 {
+    const unsigned ops = o.ops;
+    const bool tx = o.tx;
     std::vector<uint64_t> live;
     uint64_t rng = 0x9e3779b97f4a7c15ULL;
     auto rnd = [&]() {
@@ -193,8 +196,7 @@ runWorkload(NvAlloc &alloc, ThreadCtx &ctx, unsigned ops, bool tx)
                                    80 * 1024};
     bool hostile = alloc.config().quarantine_depth > 0;
     for (unsigned i = 0; i < ops; ++i) {
-        if (i % 512 == 511 &&
-            alloc.config().maintenance_mode == MaintenanceMode::Manual)
+        if (i % 512 == 511 && o.step_maintenance)
             alloc.maintenance().step();
         if (tx && i % 256 == 255) {
             alloc.txBegin(ctx);
@@ -279,7 +281,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "stat: could not attach build thread\n");
             return 2;
         }
-        runWorkload(first, *ctx, o.ops, o.tx);
+        runWorkload(first, *ctx, o);
         first.dirtyRestart();
     }
 
@@ -296,7 +298,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "stat: could not attach thread\n");
             return 2;
         }
-        runWorkload(alloc, *ctx, o.ops, o.tx);
+        runWorkload(alloc, *ctx, o);
         alloc.detachThread(ctx);
     }
 
