@@ -72,19 +72,6 @@ class LruList
         ++size_;
     }
 
-    /** Insert at the LRU end. */
-    void
-    pushFront(T *obj)
-    {
-        LruLink *l = linkOf(obj);
-        NV_ASSERT(!l->linked());
-        l->next = head_.next;
-        l->prev = &head_;
-        head_.next->prev = l;
-        head_.next = l;
-        ++size_;
-    }
-
     void
     remove(T *obj)
     {

@@ -193,12 +193,12 @@ HeapAuditor::run(bool repair)
     log_chunks_.clear();
 
     checkSuperblock();
-    if (a_.open_failed_) {
+    if (a_.open_status_ != NvStatus::Ok) {
         // Nothing below the root was adopted. The checks name a bad
         // superblock, else a bad region table; a clean root means the
         // refusal came from the log root.
         if (rep_.clean()) {
-            for (unsigned i = 0; i < a_.region_slots_; ++i)
+            for (unsigned i = 0; i < kRegionTableSlots; ++i)
                 checkRegionSlot(i);
         }
         if (rep_.clean()) {
@@ -229,7 +229,7 @@ HeapAuditor::patrolStep(PatrolCursor &cur, unsigned max_items,
     rep_ = AuditReport{};
     slice_ = PatrolSliceResult{};
     tallied_ = 0;
-    if (a_.open_failed_)
+    if (a_.open_status_ != NvStatus::Ok)
         return slice_; // degraded open: nothing below the root adopted
     live_ = true;
     max_retries_ = max_retries;
@@ -245,12 +245,12 @@ HeapAuditor::patrolStep(PatrolCursor &cur, unsigned max_items,
             tally();
             break;
         case 1:
-            for (; cur.pos < a_.region_slots_ && slice_.items < budget;
+            for (; cur.pos < kRegionTableSlots && slice_.items < budget;
                  ++cur.pos) {
                 checkRegionSlot(unsigned(cur.pos));
                 tally();
             }
-            done = cur.pos >= a_.region_slots_;
+            done = cur.pos >= kRegionTableSlots;
             break;
         case 2: {
             uint64_t ord = 0;
@@ -343,7 +343,7 @@ HeapAuditor::checkSuperblock()
 std::pair<uint64_t, uint64_t>
 HeapAuditor::checkRegionSlot(unsigned i)
 {
-    uint64_t e = loadRegionWord(a_.region_table_[i]);
+    uint64_t e = loadRegionWord(regionTable(a_.dev_)[i]);
     if (e == 0)
         return {0, 0};
     uint64_t off = regionEntryOff(e);
@@ -374,7 +374,7 @@ HeapAuditor::checkRegionsAndExtents()
 
     // Region table (persistent) vs the volatile region map.
     std::unordered_map<uint64_t, uint64_t> table;
-    for (unsigned i = 0; i < a_.region_slots_; ++i) {
+    for (unsigned i = 0; i < kRegionTableSlots; ++i) {
         auto [off, size] = checkRegionSlot(i);
         if (size && !table.emplace(off, size).second) {
             ++rep_.region_table_bad;

@@ -123,13 +123,11 @@ class BookkeepingLog
     /** Region capacity in chunks (fixed after attach). */
     size_t maxChunks() const { return max_chunks_; }
 
-    double gcThreshold() const { return gc_threshold_; }
-
     /** Run one fast-GC pass (free chunks whose bitmap is empty; no PM
      *  reads, never relocates an entry). Must be called under the
      *  owner's lock, like append/tombstone — the maintenance service
      *  reaches it through LargeAllocator::maintainLog. */
-    void collectFast() { fastGc(); }
+    void fastGc();
 
     /** Count append/tombstone/GC events (stats.log.*) into the heap's
      *  telemetry; unset, they go uncounted. */
@@ -182,7 +180,6 @@ class BookkeepingLog
     VChunk *activateChunk(VChunk *list_tail, uint32_t list);
     VChunk *takeFreeChunk();
     void releaseChunk(VChunk *vc, VChunk *prev);
-    void fastGc();
     void writeEntry(VChunk &vc, unsigned slot, uint64_t packed);
     void persistLine(const void *addr, size_t len);
     void freeAllVChunks();

@@ -36,14 +36,11 @@ LargeAllocator::~LargeAllocator()
 
 void
 LargeAllocator::init(PmDevice *dev, const NvAllocConfig &cfg,
-                     BookkeepingLog *log, uint64_t *region_table,
-                     unsigned region_slots)
+                     BookkeepingLog *log)
 {
     dev_ = dev;
     cfg_ = cfg;
     log_ = log;
-    region_table_ = region_table;
-    region_slots_ = region_slots;
     if (log_) {
         log_->setRelocateFn([](void *owner, LogEntryRef ref) {
             static_cast<Veh *>(owner)->log_ref = ref;
@@ -87,13 +84,31 @@ LargeAllocator::largestFreeExtent() const
 }
 
 bool
+LargeAllocator::spansRegion(const Veh *veh) const
+{
+    uint64_t region = regionOf(veh->off);
+    return veh->off == region + kRegionHeaderSize &&
+           veh->size == regions_.at(region) - kRegionHeaderSize;
+}
+
+bool
+LargeAllocator::overQuota(uint64_t bytes)
+{
+    if (cfg_.capacity_quota_bytes == 0 ||
+        activated_bytes_ + bytes <= cfg_.capacity_quota_bytes)
+        return false;
+    setFailure(NvStatus::QuotaExceeded);
+    return true;
+}
+
+bool
 LargeAllocator::regionTableAdd(uint64_t region_off, uint64_t size)
 {
-    for (unsigned i = 0; i < region_slots_; ++i) {
-        if (loadRegionWord(region_table_[i]) == 0) {
-            storeRegionWord(region_table_[i],
-                            packRegionEntry(region_off, size));
-            dev_->persistFence(&region_table_[i], sizeof(uint64_t),
+    uint64_t *table = regionTable(*dev_);
+    for (unsigned i = 0; i < kRegionTableSlots; ++i) {
+        if (loadRegionWord(table[i]) == 0) {
+            storeRegionWord(table[i], packRegionEntry(region_off, size));
+            dev_->persistFence(&table[i], sizeof(uint64_t),
                                TimeKind::FlushMeta);
             regions_[region_off] = size;
             return true;
@@ -106,11 +121,12 @@ void
 LargeAllocator::regionTableRemove(uint64_t region_off)
 {
     regions_.erase(region_off);
-    for (unsigned i = 0; i < region_slots_; ++i) {
-        uint64_t e = loadRegionWord(region_table_[i]);
+    uint64_t *table = regionTable(*dev_);
+    for (unsigned i = 0; i < kRegionTableSlots; ++i) {
+        uint64_t e = loadRegionWord(table[i]);
         if (e != 0 && regionEntryOff(e) == region_off) {
-            storeRegionWord(region_table_[i], 0);
-            dev_->persistFence(&region_table_[i], sizeof(uint64_t),
+            storeRegionWord(table[i], 0);
+            dev_->persistFence(&table[i], sizeof(uint64_t),
                                TimeKind::FlushMeta);
             return;
         }
@@ -119,33 +135,51 @@ LargeAllocator::regionTableRemove(uint64_t region_off)
 }
 
 Veh *
-LargeAllocator::newRegion()
+LargeAllocator::openRegion(uint64_t total)
 {
-    uint64_t off = dev_->tryMapRegion(kRegionSize);
+    uint64_t off = dev_->tryMapRegion(total);
     if (off == 0) {
-        last_failure_.store(NvStatus::OutOfMemory,
-                            std::memory_order_relaxed);
+        setFailure(NvStatus::OutOfMemory);
         return nullptr;
     }
-    if (!regionTableAdd(off, kRegionSize)) {
-        dev_->unmapRegion(off, kRegionSize);
-        last_failure_.store(NvStatus::RegionTableFull,
-                            std::memory_order_relaxed);
+    if (!regionTableAdd(off, total)) {
+        dev_->unmapRegion(off, total);
+        setFailure(NvStatus::RegionTableFull);
         return nullptr;
     }
     count(StatCounter::LargeRegionsMapped);
-
-    auto &slots = desc_free_[off];
-    slots.clear();
-    for (unsigned i = kDescsPerRegion; i-- > 0;)
-        slots.push_back(i);
-
+    if (!log_) {
+        auto &slots = desc_free_[off];
+        for (unsigned i = kDescsPerRegion; i-- > 0;)
+            slots.push_back(i);
+    }
     Veh *veh = new Veh;
     veh->off = off + kRegionHeaderSize;
-    veh->size = kRegionSize - kRegionHeaderSize;
-    veh->state = Veh::State::Reclaimed;
-    veh->freed_at = VClock::now();
+    veh->size = total - kRegionHeaderSize;
     rtree_.setRange(veh->off, veh->size, veh);
+    return veh;
+}
+
+void
+LargeAllocator::closeRegion(Veh *veh)
+{
+    NV_ASSERT(spansRegion(veh));
+    uint64_t region = veh->off - kRegionHeaderSize;
+    rtree_.setRange(veh->off, veh->size, nullptr);
+    regionTableRemove(region);
+    desc_free_.erase(region);
+    dev_->unmapRegion(region, veh->size + kRegionHeaderSize);
+    count(StatCounter::LargeRegionsUnmapped);
+    delete veh;
+}
+
+Veh *
+LargeAllocator::newRegion()
+{
+    Veh *veh = openRegion(kRegionSize);
+    if (!veh)
+        return nullptr;
+    veh->freed_at = VClock::now();
     insertFree(veh, Veh::State::Reclaimed);
     if (!log_)
         descriptorWrite(veh, 2);
@@ -225,8 +259,7 @@ LargeAllocator::activate(Veh *veh, bool is_slab,
         LogEntryRef ref = log_->append(is_slab ? kLogSlab : kLogNormal,
                                        veh->off, veh->size, veh);
         if (!ref.valid()) {
-            last_failure_.store(NvStatus::LogExhausted,
-                                std::memory_order_relaxed);
+            setFailure(NvStatus::LogExhausted);
             return false;
         }
         veh->log_ref = ref;
@@ -264,49 +297,20 @@ LargeAllocator::allocateDirect(uint64_t size,
         alignUp(size + kRegionHeaderSize, PmDevice::kRegionAlign);
     if (total - kRegionHeaderSize >= (uint64_t{1} << 26)) {
         // Unrepresentable in the log entry's size field.
-        last_failure_.store(NvStatus::InvalidArgument,
-                            std::memory_order_relaxed);
+        setFailure(NvStatus::InvalidArgument);
         return 0;
     }
     // Re-check the quota against the full direct-mapping footprint,
     // which exceeds the caller's rounded request by the region header
     // and region-alignment padding.
-    if (cfg_.capacity_quota_bytes != 0 &&
-        activated_bytes_ + (total - kRegionHeaderSize) >
-            cfg_.capacity_quota_bytes) {
-        last_failure_.store(NvStatus::QuotaExceeded,
-                            std::memory_order_relaxed);
+    if (overQuota(total - kRegionHeaderSize))
         return 0;
-    }
-    uint64_t off = dev_->tryMapRegion(total);
-    if (off == 0) {
-        last_failure_.store(NvStatus::OutOfMemory,
-                            std::memory_order_relaxed);
+    Veh *veh = openRegion(total);
+    if (!veh)
         return 0;
-    }
-    if (!regionTableAdd(off, total)) {
-        dev_->unmapRegion(off, total);
-        last_failure_.store(NvStatus::RegionTableFull,
-                            std::memory_order_relaxed);
-        return 0;
-    }
-    count(StatCounter::LargeRegionsMapped);
-    auto &slots = desc_free_[off];
-    for (unsigned i = kDescsPerRegion; i-- > 0;)
-        slots.push_back(i);
-
-    Veh *veh = new Veh;
-    veh->off = off + kRegionHeaderSize;
-    veh->size = total - kRegionHeaderSize;
     veh->is_direct = true;
-    rtree_.setRange(veh->off, veh->size, veh);
     if (!activate(veh, false, pre_log)) {
-        rtree_.setRange(veh->off, veh->size, nullptr);
-        regionTableRemove(off);
-        desc_free_.erase(off);
-        dev_->unmapRegion(off, total);
-        count(StatCounter::LargeRegionsUnmapped);
-        delete veh;
+        closeRegion(veh);
         return 0;
     }
     return veh->off;
@@ -321,17 +325,8 @@ LargeAllocator::allocate(uint64_t size, bool is_slab,
     count(StatCounter::LargeAllocations);
     size = alignUp(size, kExtentAlign);
 
-    // Per-tenant capacity quota (pool containment, DESIGN.md §12):
-    // every byte a tenant holds is an activated extent here — slabs
-    // included — so this single check bounds the whole heap. Checked
-    // against the post-allocation total so a tenant can always use its
-    // full quota but never cross it.
-    if (cfg_.capacity_quota_bytes != 0 &&
-        activated_bytes_ + size > cfg_.capacity_quota_bytes) {
-        last_failure_.store(NvStatus::QuotaExceeded,
-                            std::memory_order_relaxed);
+    if (overQuota(size))
         return 0;
-    }
 
     if (size > kLargeMax)
         return allocateDirect(size, pre_log);
@@ -421,14 +416,7 @@ LargeAllocator::free(uint64_t off)
     retire(veh);
 
     if (veh->is_direct) {
-        uint64_t region = regionOf(off);
-        uint64_t total = regions_.at(region);
-        rtree_.setRange(veh->off, veh->size, nullptr);
-        regionTableRemove(region);
-        desc_free_.erase(region);
-        dev_->unmapRegion(region, total);
-        count(StatCounter::LargeRegionsUnmapped);
-        delete veh;
+        closeRegion(veh);
         return;
     }
 
@@ -454,7 +442,7 @@ LargeAllocator::maintainLog(bool want_slow, bool *ran_slow,
     VLockGuard guard(lock_);
     size_t before = log_->activeChunks();
     const uint64_t t0 = VClock::now();
-    log_->collectFast();
+    log_->fastGc();
     bool did = log_->activeChunks() != before;
     if (want_slow && log_->slowGc()) {
         did = true;
@@ -557,24 +545,12 @@ LargeAllocator::demote(Veh *veh)
 void
 LargeAllocator::evict(Veh *veh)
 {
-    // Only whole-region extents can be returned to the OS; partial
-    // extents stay retained (their region is still live).
-    uint64_t region = regionOf(veh->off);
-    uint64_t total = regions_.at(region);
-    NV_ASSERT(veh->off == region + kRegionHeaderSize &&
-              veh->size == total - kRegionHeaderSize);
     count(StatCounter::LargeEvictions);
-    count(StatCounter::LargeRegionsUnmapped);
-
     removeFree(veh);
-    rtree_.setRange(veh->off, veh->size, nullptr);
-    regionTableRemove(region);
-    desc_free_.erase(region);
-    // The header area's committed bytes: decommit happened for the
-    // data part already; unmap the whole region.
-    dev_->recommit(veh->off, veh->size); // rebalance before unmap
-    dev_->unmapRegion(region, total);
-    delete veh;
+    // Demotion decommitted the data area; recommit it so the unmap
+    // releases the whole region's committed bytes once.
+    dev_->recommit(veh->off, veh->size);
+    closeRegion(veh);
 }
 
 void
@@ -607,18 +583,13 @@ LargeAllocator::decayTick()
         reclaimed_peak_ = 0;
 
     // Retained list: whole-region extents older than two windows go
-    // back to the OS.
+    // back to the OS; partial extents stay retained (their region is
+    // still live).
     Veh *veh = retained_list_.front();
     while (veh) {
         Veh *next = retained_list_.next(veh);
-        if (now - veh->freed_at > 2 * kDecayWindowNs) {
-            uint64_t region = regionOf(veh->off);
-            uint64_t total = regions_.at(region);
-            if (veh->off == region + kRegionHeaderSize &&
-                veh->size == total - kRegionHeaderSize) {
-                evict(veh);
-            }
-        }
+        if (now - veh->freed_at > 2 * kDecayWindowNs && spansRegion(veh))
+            evict(veh);
         veh = next;
     }
 }
@@ -683,8 +654,9 @@ bool
 LargeAllocator::adoptRegionTable()
 {
     regions_.clear();
-    for (unsigned i = 0; i < region_slots_; ++i) {
-        uint64_t e = region_table_[i];
+    const uint64_t *table = regionTable(*dev_);
+    for (unsigned i = 0; i < kRegionTableSlots; ++i) {
+        uint64_t e = table[i];
         if (e == 0)
             continue;
         if (!regionEntryValid(e, dev_->size())) {
@@ -711,12 +683,6 @@ LargeAllocator::rebuildFreeSpace()
         uint64_t end = region + total;
         uint64_t cursor = data;
         bool any_active = false;
-
-        auto &slots = desc_free_[region];
-        slots.clear();
-        for (unsigned i = kDescsPerRegion; i-- > 0;)
-            slots.push_back(i);
-
         while (cursor < end) {
             Veh *veh = findVeh(cursor);
             if (veh && veh->off == cursor) {
@@ -742,18 +708,9 @@ LargeAllocator::rebuildFreeSpace()
     // Regions with no live extent at all (including crashed direct
     // regions) are compacted away immediately.
     for (uint64_t region : to_unmap) {
-        uint64_t total = regions_.at(region);
-        uint64_t data = region + kRegionHeaderSize;
-        Veh *veh = findVeh(data);
-        NV_ASSERT(veh && veh->off == data &&
-                  veh->size == total - kRegionHeaderSize);
+        Veh *veh = findVeh(region + kRegionHeaderSize);
         removeFree(veh);
-        rtree_.setRange(veh->off, veh->size, nullptr);
-        delete veh;
-        regionTableRemove(region);
-        desc_free_.erase(region);
-        dev_->unmapRegion(region, total);
-        count(StatCounter::LargeRegionsUnmapped);
+        closeRegion(veh);
     }
     return true;
 }

@@ -19,6 +19,13 @@
  * the OS entirely when they span a whole region (paper §2.2, 50 ms
  * epochs, jemalloc parameters).
  *
+ * Regions: the heap grows one 4 MB region (or one direct mapping)
+ * at a time. openRegion maps a region, records it in the persistent
+ * region table (layout.h, regionTable()) and returns a VEH over its
+ * data area; closeRegion undoes all of it for a VEH that spans a
+ * whole region. They are the only code that maps, records, unmaps or
+ * forgets a region; recovery adopts the table's regions as they are.
+ *
  * Persistence of extent state is pluggable:
  *  - log-structured bookkeeping (paper §5.3): allocations append to
  *    the BookkeepingLog, frees tombstone; free space is re-derived
@@ -85,13 +92,9 @@ class LargeAllocator
     LargeAllocator() = default;
     ~LargeAllocator();
 
-    /**
-     * @param log      bookkeeping log, or nullptr for in-place mode
-     * @param region_table persistent array of region offsets (in the
-     *                 superblock) with `region_slots` entries
-     */
-    void init(PmDevice *dev, const NvAllocConfig &cfg, BookkeepingLog *log,
-              uint64_t *region_table, unsigned region_slots);
+    /** @param log bookkeeping log, or nullptr for in-place mode. The
+     *  region table is the device's (regionTable()). */
+    void init(PmDevice *dev, const NvAllocConfig &cfg, BookkeepingLog *log);
 
     /**
      * Pre-durability hook for allocate(): invoked with the chosen
@@ -251,7 +254,7 @@ class LargeAllocator
     uint64_t reclaimedBytes() const { return reclaimed_bytes_; }
     uint64_t retainedBytes() const { return retained_bytes_; }
     uint64_t regionSlotsUsed() const { return regions_.size(); }
-    uint64_t regionSlotsTotal() const { return region_slots_; }
+    uint64_t regionSlotsTotal() const { return kRegionTableSlots; }
     /** Size of the largest free (reclaimed or retained) extent. */
     uint64_t largestFreeExtent() const;
 
@@ -276,13 +279,10 @@ class LargeAllocator
     uint64_t reclaimed_peak_ = 0;
     uint64_t decay_epoch_start_ = 0;
 
-    uint64_t *region_table_ = nullptr;
-    unsigned region_slots_ = 0;
-
     /** Live regions: start offset -> total size (incl. header area). */
     std::map<uint64_t, uint64_t> regions_;
 
-    // In-place mode: free descriptor slots per region.
+    // In-place mode only: free descriptor slots per region.
     std::unordered_map<uint64_t, std::vector<unsigned>> desc_free_;
 
     VLock lock_;
@@ -297,6 +297,29 @@ class LargeAllocator
         if (tel_)
             tel_->add(c);
     }
+    void
+    setFailure(NvStatus why)
+    {
+        last_failure_.store(why, std::memory_order_relaxed);
+    }
+
+    /** Map a `total`-byte region, record it in the region table, count
+     *  it and, in in-place mode, free its descriptor slots. Returns a
+     *  VEH over the data area, indexed by address and on no list, or
+     *  nullptr with the failure recorded (nothing left mapped). */
+    Veh *openRegion(uint64_t total);
+    /** Undo openRegion for `veh`, which spans its region's whole data
+     *  area and is on no list: unindex it, remove the table word, drop
+     *  the descriptor slots, unmap, count, delete the VEH. */
+    void closeRegion(Veh *veh);
+    /** `veh` covers its region's whole data area. */
+    bool spansRegion(const Veh *veh) const;
+    /** Per-tenant capacity quota (pool containment, DESIGN.md §12):
+     *  every byte a tenant holds is an activated extent here, slabs
+     *  included, so this one check bounds the whole heap. True, with
+     *  the failure recorded, when `bytes` more would cross the quota;
+     *  a tenant can always use its full quota. */
+    bool overQuota(uint64_t bytes);
 
     Veh *bestFit(SizeTree &tree, uint64_t size);
     Veh *newRegion();
@@ -310,7 +333,6 @@ class LargeAllocator
     void removeFree(Veh *veh);
     void insertFree(Veh *veh, Veh::State state);
 
-    void persistState(Veh *veh);
     void descriptorWrite(Veh *veh, uint32_t state);
     void descriptorRelease(Veh *veh);
     uint64_t regionOf(uint64_t off) const;

@@ -11,7 +11,6 @@ namespace nvalloc {
 
 namespace {
 
-constexpr uint64_t kRegionTableOffset = 512; // within the root area
 constexpr uint64_t kMallocCpuNs = 40;
 constexpr uint64_t kFreeCpuNs = 40;
 
@@ -24,8 +23,6 @@ constexpr uint64_t kFreeCpuNs = 40;
  * path's modeled win.
  */
 constexpr uint64_t kFastOpNs = 12;
-/** Extra serialized ns per CAS loss in a reservation's claim loop. */
-constexpr uint64_t kCasRetryNs = 25;
 /** Serialized cost of one region-batch reservation (many claims). */
 constexpr uint64_t kFastReserveNs = 60;
 
@@ -62,11 +59,7 @@ NvAlloc::openOrDie(PmDevice &dev, const NvAllocConfig &cfg)
 
 NvAlloc::NvAlloc(PmDevice &dev, NvAllocConfig cfg)
     : dev_(dev), cfg_(cfg),
-      sb_(static_cast<NvSuperblock *>(dev.root())),
-      region_table_(reinterpret_cast<uint64_t *>(
-          static_cast<char *>(dev.root()) + kRegionTableOffset)),
-      region_slots_(unsigned((PmDevice::kRootSize - kRegionTableOffset) /
-                             sizeof(uint64_t)))
+      sb_(static_cast<NvSuperblock *>(dev.root()))
 {
     NV_ASSERT(cfg_.num_arenas >= 1 && cfg_.num_arenas <= kMaxArenas);
     NV_ASSERT(cfg_.bit_stripes >= 1 && cfg_.bit_stripes <= 32);
@@ -89,7 +82,7 @@ NvAlloc::NvAlloc(PmDevice &dev, NvAllocConfig cfg)
     else
         createHeap();
 
-    if (open_failed_) {
+    if (open_status_ != NvStatus::Ok) {
         // Failed open: root metadata could not be trusted. Touch no PM
         // (the corrupt image must stay inspectable), hand out no
         // threads, start no maintenance thread, and behave like a
@@ -259,8 +252,7 @@ NvAlloc::createHeap()
                     cfg_.interleaved_log, cfg_.log_gc_threshold,
                     /*create=*/true);
     }
-    large_.init(&dev_, cfg_, usesBookkeepingLog() ? &log_ : nullptr,
-                region_table_, region_slots_);
+    large_.init(&dev_, cfg_, usesBookkeepingLog() ? &log_ : nullptr);
 
     for (unsigned i = 0; i < cfg_.num_arenas; ++i) {
         arenas_.push_back(std::make_unique<Arena>(
@@ -324,7 +316,7 @@ NvAlloc::attachThread()
 {
     std::lock_guard<std::mutex> g(attach_mutex_);
 
-    if (open_failed_) {
+    if (open_status_ != NvStatus::Ok) {
         failOp(open_status_);
         tel_.add(StatCounter::FailedAttaches);
         return nullptr;
@@ -712,7 +704,7 @@ NvAlloc::escalateHealth(HeapHealth to, const char *reason)
 NvStatus
 NvAlloc::restoreHealth()
 {
-    if (open_failed_)
+    if (open_status_ != NvStatus::Ok)
         return failOp(open_status_); // nothing to audit against
     HeapAuditor aud(*this);
     AuditReport rep = aud.audit();
@@ -728,7 +720,7 @@ NvAlloc::restoreHealth()
 unsigned
 NvAlloc::patrolSlice()
 {
-    if (open_failed_)
+    if (open_status_ != NvStatus::Ok)
         return 0; // a failed open trusts nothing; fsck owns the image
     std::lock_guard<std::mutex> g(patrol_mu_);
 

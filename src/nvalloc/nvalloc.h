@@ -505,8 +505,6 @@ class NvAlloc
     PmDevice &dev_;
     NvAllocConfig cfg_;
     NvSuperblock *sb_;
-    uint64_t *region_table_;
-    unsigned region_slots_;
 
     // Declared before every subsystem that records into it so it is
     // destroyed last.
@@ -534,7 +532,6 @@ class NvAlloc
     std::atomic<NvStatus> last_status_{NvStatus::Ok};
     std::atomic<HeapMode> mode_{HeapMode::Normal};
     NvStatus open_status_ = NvStatus::Ok;
-    bool open_failed_ = false;
 
     // Health machine + patrol scrub state (DESIGN.md §12). The cursor
     // is guarded by patrol_mu_: stage 5 runs under the maintenance

@@ -46,7 +46,6 @@ NvAlloc::recoverHeap()
     // guessed at.
     auto refuse = [&](const char *why) {
         NV_WARN(why);
-        open_failed_ = true;
         open_status_ = NvStatus::CorruptMetadata;
         last_status_.store(NvStatus::CorruptMetadata,
                            std::memory_order_relaxed);
@@ -84,8 +83,7 @@ NvAlloc::recoverHeap()
     cfg_.redzone_canaries =
         (sb_->hardening_flags & kHardeningFlagCanaries) != 0;
 
-    large_.init(&dev_, cfg_, usesBookkeepingLog() ? &log_ : nullptr,
-                region_table_, region_slots_);
+    large_.init(&dev_, cfg_, usesBookkeepingLog() ? &log_ : nullptr);
     for (unsigned i = 0; i < cfg_.num_arenas; ++i) {
         arenas_.push_back(std::make_unique<Arena>(
             i, &dev_, &cfg_, &large_, &slab_radix_,

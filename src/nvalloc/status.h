@@ -102,18 +102,6 @@ enum class HeapMode : int {
     Failed,
 };
 
-inline const char *
-heapModeName(HeapMode m)
-{
-    switch (m) {
-    case HeapMode::Normal: return "normal";
-    case HeapMode::Reclaiming: return "reclaiming";
-    case HeapMode::Exhausted: return "exhausted";
-    case HeapMode::Failed: return "failed";
-    }
-    return "unknown";
-}
-
 } // namespace nvalloc
 
 #endif // NVALLOC_NVALLOC_STATUS_H

@@ -30,7 +30,7 @@ NvAlloc::txRejected()
 NvStatus
 NvAlloc::txBegin(ThreadCtx &ctx)
 {
-    if (open_failed_ || mode() == HeapMode::Failed)
+    if (open_status_ != NvStatus::Ok)
         return txRejected();
     // Containment: a Degraded/Quarantined heap refuses new
     // transactions like it refuses plain mutations (an already-open tx

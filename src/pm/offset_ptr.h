@@ -76,8 +76,6 @@ class OffsetPtr
     bool operator==(const OffsetPtr &o) const { return get() == o.get(); }
     bool operator==(const T *p) const { return get() == p; }
 
-    int64_t rawOffset() const { return off_; }
-
   private:
     int64_t off_ = 0;
 };

@@ -195,8 +195,6 @@ class PmDevice
         fence();
     }
 
-    bool shadowEnabled() const { return shadow_ != nullptr; }
-
     /**
      * Simulate a power failure: discard all stores that were never
      * persisted. Region bookkeeping is untouched (the heap file keeps

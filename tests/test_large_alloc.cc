@@ -25,8 +25,7 @@ class LargeFixture : public ::testing::Test
         PmDeviceConfig dcfg;
         dcfg.size = size_t{1} << 28;
         dev_ = std::make_unique<PmDevice>(dcfg);
-        table_off_ = dev_->mapRegion(4096);
-        table_ = static_cast<uint64_t *>(dev_->at(table_off_));
+        table_ = regionTable(*dev_);
 
         if (log_mode) {
             log_ = std::make_unique<BookkeepingLog>();
@@ -35,7 +34,7 @@ class LargeFixture : public ::testing::Test
                          true);
         }
         large_ = std::make_unique<LargeAllocator>();
-        large_->init(dev_.get(), cfg_, log_.get(), table_, 256);
+        large_->init(dev_.get(), cfg_, log_.get());
         large_->setTelemetry(&tel_);
         VClock::reset();
     }
@@ -45,8 +44,8 @@ class LargeFixture : public ::testing::Test
     std::unique_ptr<PmDevice> dev_;
     std::unique_ptr<BookkeepingLog> log_;
     std::unique_ptr<LargeAllocator> large_;
-    uint64_t table_off_ = 0, log_region_ = 0;
-    uint64_t *table_ = nullptr;
+    uint64_t log_region_ = 0;
+    uint64_t *table_ = nullptr; //!< the device's region table
 };
 
 TEST_F(LargeFixture, AllocateFindFree)
@@ -178,13 +177,13 @@ TEST_F(LargeFixture, RegionTablePersistsLiveRegions)
     init(true);
     large_->allocate(64 * 1024, false);
     unsigned populated = 0;
-    for (unsigned i = 0; i < 256; ++i)
+    for (unsigned i = 0; i < kRegionTableSlots; ++i)
         populated += table_[i] != 0;
     EXPECT_EQ(populated, 1u);
 
     large_->allocate(5 * 1024 * 1024, false); // direct region
     populated = 0;
-    for (unsigned i = 0; i < 256; ++i)
+    for (unsigned i = 0; i < kRegionTableSlots; ++i)
         populated += table_[i] != 0;
     EXPECT_EQ(populated, 2u);
 }
@@ -201,7 +200,7 @@ TEST_F(LargeFixture, GapRecoveryRebuildsFreeSpace)
     BookkeepingLog log2;
     log2.attach(dev_.get(), log_region_, 256 * 1024, true, 0.5, false);
     LargeAllocator fresh;
-    fresh.init(dev_.get(), cfg_, &log2, table_, 256);
+    fresh.init(dev_.get(), cfg_, &log2);
     log2.replay([&](LogType type, uint64_t off, uint64_t size,
                     LogEntryRef ref) {
         fresh.adoptActivated(off, size, type == kLogSlab, ref);
@@ -229,7 +228,7 @@ TEST_F(LargeFixture, InPlaceDescriptorModeRecovers)
     large_->free(b);
 
     LargeAllocator fresh;
-    fresh.init(dev_.get(), cfg_, nullptr, table_, 256);
+    fresh.init(dev_.get(), cfg_, nullptr);
     unsigned slabs_seen = 0;
     EXPECT_TRUE(fresh.recoverFromDescriptors([&](uint64_t off, uint64_t size) {
         EXPECT_EQ(off, slab);

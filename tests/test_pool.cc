@@ -477,10 +477,8 @@ TEST_P(PatrolAgreesWithAudit, OnePassFindsWhatAuditReports)
         counter = &AuditReport::superblock_bad;
         break;
     case Damage::RegionEntry: {
-        // The region table follows the superblock at root offset 512
-        // (layout.h); publish an entry that ends past the device.
-        auto *table = reinterpret_cast<uint64_t *>(
-            static_cast<char *>(dev.root()) + 512);
+        // Publish a region-table entry that ends past the device.
+        uint64_t *table = regionTable(dev);
         unsigned i = 0;
         while (table[i] != 0)
             ++i;

@@ -312,7 +312,7 @@ TEST(Recovery, EadrHeapReopensCleanWithoutAnyFlush)
 
 TEST(Recovery, BadRegionTableWordFailsTheOpen)
 {
-    // The region table (root offset 512) lies outside every crc. A
+    // The region table (layout.h) lies outside every crc. A
     // poisoned table line must fail the open, not abort recovery, after
     // a clean shutdown and after a crash alike.
     for (bool crash : {false, true}) {
@@ -328,7 +328,7 @@ TEST(Recovery, BadRegionTableWordFailsTheOpen)
             if (crash)
                 alloc.simulateCrash();
         }
-        dev.poisonLine(512);
+        dev.poisonLine(kRegionTableOffset);
 
         OpenResult r = NvAlloc::open(dev);
         EXPECT_EQ(r.status, NvStatus::CorruptMetadata);
