@@ -161,6 +161,16 @@ MaintenanceService::logHasGarbage() const
     return slots != 0 && w_.log->liveEntries() * 2 <= slots;
 }
 
+bool
+MaintenanceService::slowGcFreesChunk() const
+{
+    // Slow GC packs the live entries into ceil(live / chunk) chunks;
+    // a log already that small would be copied for nothing.
+    size_t live = w_.log->liveEntries();
+    return (live + kLogEntriesPerChunk - 1) / kLogEntriesPerChunk <
+           w_.log->activeChunks();
+}
+
 void
 MaintenanceService::pollLogPressure()
 {
@@ -222,11 +232,12 @@ MaintenanceService::runSlice(bool forced)
     //    level (a fraction of the append path's own inline trigger,
     //    so background compaction normally wins the race). Fast GC is
     //    free of PM reads and always worth a pass; slow GC relocates
-    //    live entries and therefore honours the pin epoch.
+    //    live entries and therefore honours the pin epoch. A forced
+    //    slice wants it whenever it can free a chunk.
     if (w_.log) {
         bool want_slow =
-            forced ||
-            (logOccupancy() >= wakeLevel() && logHasGarbage());
+            forced ? slowGcFreesChunk()
+                   : logOccupancy() >= wakeLevel() && logHasGarbage();
         if (want_slow && pins_.load(std::memory_order_acquire) != 0) {
             count(StatCounter::MaintDeferred);
             want_slow = false;

@@ -148,7 +148,9 @@ class MaintenanceService
      * calling thread. Thread mode: wakes the worker and blocks until
      * a forced slice completed, so the caller's retry observes the
      * reclaimed space. Forced slices ignore pause() — the caller is
-     * out of memory *now*.
+     * out of memory *now* — and ask for a slow log GC only when it
+     * can free a chunk (slowGcFreesChunk), so back-to-back failures
+     * do not recopy an already compact log.
      */
     void reclaimSync();
 
@@ -210,6 +212,7 @@ class MaintenanceService
     double logOccupancy() const;
     double wakeLevel() const;
     bool logHasGarbage() const;
+    bool slowGcFreesChunk() const;
 
     Wiring w_;
     NvAllocConfig cfg_;
