@@ -14,6 +14,8 @@
 
 #include <cstdio>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "workloads/workloads.h"
 
@@ -74,6 +76,104 @@ runOn(AllocKind kind, const MakeOptions &opts,
     auto alloc = makeAllocator(kind, *dev, opts);
     VtimeEpoch epoch;
     return body(*alloc, epoch);
+}
+
+/** One workload of a throughput figure, run at a thread count. */
+struct FigureBench
+{
+    const char *name;
+    std::function<RunResult(PmAllocator &, VtimeEpoch &, unsigned)> run;
+};
+
+/** The small-allocation figures' workloads (Figs. 9, 10, 20). */
+inline std::vector<FigureBench>
+smallBenches(const BenchArgs &args)
+{
+    BenchParams p{args.quick};
+    uint64_t seed = args.seed;
+    return {
+        {"Threadtest",
+         [p](PmAllocator &a, VtimeEpoch &e, unsigned t) {
+             return threadtest(a, e, t, p.tt_iters(), p.tt_objs(),
+                               p.tt_size());
+         }},
+        {"Prod-con",
+         [p](PmAllocator &a, VtimeEpoch &e, unsigned t) {
+             return prodcon(a, e, t, p.prodcon_objs(t / 2), 64);
+         }},
+        {"Shbench",
+         [p, seed](PmAllocator &a, VtimeEpoch &e, unsigned t) {
+             return shbench(a, e, t, p.sh_iters(), seed);
+         }},
+        {"Larson-small",
+         [p, seed](PmAllocator &a, VtimeEpoch &e, unsigned t) {
+             return larson(a, e, t, 64, 256, p.larson_small_slots(),
+                           p.larson_rounds(), p.larson_small_ops(), seed);
+         }},
+    };
+}
+
+/** The large-allocation figures' workloads (Figs. 12, 21):
+ *  Larson-large with 32-512 KB objects, and DBMStest. */
+inline std::vector<FigureBench>
+largeBenches(const BenchArgs &args)
+{
+    BenchParams p{args.quick};
+    uint64_t seed = args.seed;
+    return {
+        {"Larson-large",
+         [p, seed](PmAllocator &a, VtimeEpoch &e, unsigned t) {
+             return larson(a, e, t, 32 * 1024, 512 * 1024,
+                           p.larson_large_slots(), p.larson_rounds(),
+                           p.larson_large_ops(), seed);
+         }},
+        {"DBMStest",
+         [p, seed](PmAllocator &a, VtimeEpoch &e, unsigned t) {
+             return dbmstest(a, e, t, p.dbms_iters(), p.dbms_objs(t), seed);
+         }},
+    };
+}
+
+/** The large-allocation figures' allocators: Ralloc is excluded
+ *  (broken for large objects) and NVAlloc-GC equals NVAlloc-LOG on
+ *  this path, both as in the paper. */
+inline std::vector<AllocKind>
+largeGroup()
+{
+    return {AllocKind::Pmdk, AllocKind::NvmMalloc, AllocKind::PAllocator,
+            AllocKind::Makalu, AllocKind::NvAllocLog};
+}
+
+/**
+ * The throughput figures' one body: per bench, a table titled
+ * "<figure> <bench><suffix>" with a row per allocator and a column
+ * per thread count, every point on a fresh device (eADR if asked).
+ */
+inline void
+runThroughputFigure(const char *figure, const char *suffix,
+                    const std::vector<FigureBench> &benches,
+                    const std::vector<AllocKind> &kinds,
+                    const std::vector<unsigned> &threads, bool eadr)
+{
+    for (const FigureBench &bench : benches) {
+        printSeriesHeader(
+            (std::string(figure) + " " + bench.name + suffix).c_str(),
+            "throughput (Mops/s) vs threads", threads);
+        for (AllocKind kind : kinds) {
+            std::vector<double> row;
+            for (unsigned t : threads) {
+                RunResult r = runOn(
+                    kind, {},
+                    [&](PmAllocator &a, VtimeEpoch &e) {
+                        return bench.run(a, e, t);
+                    },
+                    eadr);
+                row.push_back(r.mops());
+            }
+            printSeriesRow(allocName(kind), row);
+        }
+        std::printf("\n");
+    }
 }
 
 } // namespace nvalloc

@@ -18,54 +18,10 @@ int
 main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
-    BenchParams p{args.quick};
     // Fig 9 runs the wide ladder: 64 and 128 threads are where the
     // lock-free small path separates from the mutex-based designs.
-    auto threads = benchThreadCountsSmallPath(args.quick);
-
-    struct Bench
-    {
-        const char *name;
-        std::function<RunResult(PmAllocator &, VtimeEpoch &, unsigned)>
-            run;
-    };
-    const Bench benches[] = {
-        {"Threadtest",
-         [&](PmAllocator &a, VtimeEpoch &e, unsigned t) {
-             return threadtest(a, e, t, p.tt_iters(), p.tt_objs(),
-                               p.tt_size());
-         }},
-        {"Prod-con",
-         [&](PmAllocator &a, VtimeEpoch &e, unsigned t) {
-             return prodcon(a, e, t, p.prodcon_objs(t / 2), 64);
-         }},
-        {"Shbench",
-         [&](PmAllocator &a, VtimeEpoch &e, unsigned t) {
-             return shbench(a, e, t, p.sh_iters(), args.seed);
-         }},
-        {"Larson-small",
-         [&](PmAllocator &a, VtimeEpoch &e, unsigned t) {
-             return larson(a, e, t, 64, 256, p.larson_small_slots(),
-                           p.larson_rounds(), p.larson_small_ops(),
-                           args.seed);
-         }},
-    };
-
-    for (const Bench &bench : benches) {
-        printSeriesHeader((std::string("Fig 9 ") + bench.name).c_str(),
-                          "throughput (Mops/s) vs threads", threads);
-        for (AllocKind kind : strongGroup()) {
-            std::vector<double> row;
-            for (unsigned t : threads) {
-                RunResult r = runOn(kind, {},
-                                    [&](PmAllocator &a, VtimeEpoch &e) {
-                                        return bench.run(a, e, t);
-                                    });
-                row.push_back(r.mops());
-            }
-            printSeriesRow(allocName(kind), row);
-        }
-        std::printf("\n");
-    }
+    runThroughputFigure("Fig 9", "", smallBenches(args), strongGroup(),
+                        benchThreadCountsSmallPath(args.quick),
+                        /*eadr=*/false);
     return 0;
 }

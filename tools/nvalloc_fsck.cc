@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "churn.h"
 #include "common/json.h"
 #include "nvalloc/auditor.h"
 #include "nvalloc/nvalloc.h"
@@ -139,47 +140,6 @@ parseArgs(int argc, char **argv, Options &o)
     return o.device_mb >= 16;
 }
 
-NvAllocConfig
-makeConfig(const Options &o)
-{
-    NvAllocConfig cfg;
-    cfg.consistency = o.gc ? Consistency::Gc : Consistency::Log;
-    cfg.log_bookkeeping = !o.base;
-    return cfg;
-}
-
-/** Mixed small/large churn so the audit walks non-trivial state. */
-void
-runWorkload(NvAlloc &alloc, ThreadCtx &ctx, unsigned ops)
-{
-    std::vector<uint64_t> live;
-    uint64_t rng = 0x9e3779b97f4a7c15ULL;
-    auto rnd = [&]() {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return rng;
-    };
-    static const size_t sizes[] = {16, 48, 256, 1024, 4096, 24 * 1024,
-                                   80 * 1024};
-    for (unsigned i = 0; i < ops; ++i) {
-        if (live.empty() || rnd() % 3 != 0) {
-            size_t size = sizes[rnd() % (sizeof(sizes) / sizeof(*sizes))];
-            uint64_t off = alloc.allocOffset(ctx, size, nullptr);
-            if (off != 0)
-                live.push_back(off);
-        } else {
-            size_t pick = rnd() % live.size();
-            alloc.freeOffset(ctx, live[pick], nullptr);
-            live[pick] = live.back();
-            live.pop_back();
-        }
-    }
-    // Leave roughly half the objects live for the audit to cover.
-    for (size_t i = 0; i + 1 < live.size(); i += 2)
-        alloc.freeOffset(ctx, live[i], nullptr);
-}
-
 /**
  * Pool mode: three tenant heaps behind one HeapPool. Damage flags hit
  * tenant0 only; the patrol scrubber is stepped so detection and the
@@ -202,7 +162,7 @@ poolMain(const Options &o)
     for (const char *name : kNames) {
         devs.emplace_back(new PmDevice(dcfg));
         HeapPool::MemberResult r = pool.open(name, *devs.back(),
-                                             makeConfig(o));
+                                             toolConfig(o.gc, o.base));
         if (!r.heap) {
             std::fprintf(stderr, "fsck: pool open %s failed: %s\n",
                          name, nvStatusName(r.status));
@@ -214,7 +174,7 @@ poolMain(const Options &o)
         ThreadCtx *ctx = h->attachThread();
         if (!ctx)
             return 2;
-        runWorkload(*h, *ctx, o.ops / 4);
+        runChurn(*h, *ctx, o.ops / 4);
         h->detachThread(ctx);
     }
 
@@ -326,14 +286,14 @@ main(int argc, char **argv)
 
     // Phase 1: build a heap with real history on the device.
     {
-        auto alloc_h = NvAlloc::openOrDie(dev, makeConfig(o));
+        auto alloc_h = NvAlloc::openOrDie(dev, toolConfig(o.gc, o.base));
         NvAlloc &alloc = *alloc_h;
         ThreadCtx *ctx = alloc.attachThread();
         if (!ctx) {
             std::fprintf(stderr, "fsck: could not attach build thread\n");
             return 2;
         }
-        runWorkload(alloc, *ctx, o.ops);
+        runChurn(alloc, *ctx, o.ops);
         if (o.crash)
             alloc.dirtyRestart(); // next open takes failure recovery
         else
@@ -342,7 +302,7 @@ main(int argc, char **argv)
     }
 
     // Phase 2: reopen (runs recovery) and inject the requested damage.
-    auto alloc_h = NvAlloc::openOrDie(dev, makeConfig(o));
+    auto alloc_h = NvAlloc::openOrDie(dev, toolConfig(o.gc, o.base));
     NvAlloc &alloc = *alloc_h;
     if (alloc.openStatus() != NvStatus::Ok) {
         std::fprintf(stderr, "fsck: heap failed to open: %s\n",

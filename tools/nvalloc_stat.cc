@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "churn.h"
 #include "kv/kv_store.h"
 #include "nvalloc/nvalloc.h"
 
@@ -160,9 +161,7 @@ parseArgs(int argc, char **argv, Options &o)
 NvAllocConfig
 makeConfig(const Options &o)
 {
-    NvAllocConfig cfg;
-    cfg.consistency = o.gc ? Consistency::Gc : Consistency::Log;
-    cfg.log_bookkeeping = !o.base;
+    NvAllocConfig cfg = toolConfig(o.gc, o.base);
     cfg.trace_ring_capacity = o.trace;
     cfg.maintenance_mode = o.maintenance;
     if (o.hardening) {
@@ -173,66 +172,41 @@ makeConfig(const Options &o)
     return cfg;
 }
 
-/** Mixed small/large churn (same shape as nvalloc_fsck's). Under
- *  --maintenance manual a slice is stepped every 512 operations, so
- *  the stats.maintenance.* family is populated deterministically.
- *  With --tx, every 256th operation runs as a small transaction
- *  (alternating commit and abort) so the stats.tx.* family is
- *  populated. */
+/** The tools' churn (churn.h). Under --maintenance manual a slice is
+ *  stepped every 512 operations, so the stats.maintenance.* family is
+ *  populated deterministically. With --tx, every 256th operation runs
+ *  as a small transaction (alternating commit and abort) so the
+ *  stats.tx.* family is populated. */
 void
 runWorkload(NvAlloc &alloc, ThreadCtx &ctx, const Options &o)
 {
-    const unsigned ops = o.ops;
-    const bool tx = o.tx;
-    std::vector<uint64_t> live;
-    uint64_t rng = 0x9e3779b97f4a7c15ULL;
-    auto rnd = [&]() {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return rng;
-    };
-    static const size_t sizes[] = {16, 48, 256, 1024, 4096, 24 * 1024,
-                                   80 * 1024};
     bool hostile = alloc.config().quarantine_depth > 0;
-    for (unsigned i = 0; i < ops; ++i) {
+    runChurn(alloc, ctx, o.ops, [&](unsigned i, Churn &c) {
         if (i % 512 == 511 && o.step_maintenance)
             alloc.maintenance().step();
-        if (tx && i % 256 == 255) {
+        if (o.tx && i % 256 == 255) {
             alloc.txBegin(ctx);
             uint64_t off = alloc.txAlloc(ctx, 64 + (i & 0xc0), nullptr);
             if (i % 512 == 255 && off != 0) {
                 alloc.txCommit(ctx);
-                live.push_back(off);
+                c.live.push_back(off);
             } else {
                 alloc.txAbort(ctx);
             }
-            continue;
+            return true;
         }
-        if (hostile && i % 1024 == 1023 && !live.empty()) {
+        if (hostile && i % 1024 == 1023 && !c.live.empty()) {
             // Hostile-free traffic (--hardening): a double free and an
             // interior-pointer free, both rejected and counted.
-            uint64_t off = live[rnd() % live.size()];
+            uint64_t off = c.live[c.rnd() % c.live.size()];
             alloc.freeOffset(ctx, off + 1, nullptr);
             alloc.freeOffset(ctx, off, nullptr);
             alloc.freeOffset(ctx, off, nullptr);
-            live.erase(std::find(live.begin(), live.end(), off));
-            continue;
+            c.live.erase(std::find(c.live.begin(), c.live.end(), off));
+            return true;
         }
-        if (live.empty() || rnd() % 3 != 0) {
-            size_t size = sizes[rnd() % (sizeof(sizes) / sizeof(*sizes))];
-            uint64_t off = alloc.allocOffset(ctx, size, nullptr);
-            if (off != 0)
-                live.push_back(off);
-        } else {
-            size_t pick = rnd() % live.size();
-            alloc.freeOffset(ctx, live[pick], nullptr);
-            live[pick] = live.back();
-            live.pop_back();
-        }
-    }
-    for (size_t i = 0; i + 1 < live.size(); i += 2)
-        alloc.freeOffset(ctx, live[i], nullptr);
+        return false;
+    });
 }
 
 void
