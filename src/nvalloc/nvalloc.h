@@ -254,8 +254,10 @@ class NvAlloc
 
     /** Allocate inside the open tx. The block is durable immediately
      *  but unreachable — its offset is published into `where` only at
-     *  commit; a crash before the commit record rolls it back. Returns
-     *  0 on failure (exhaustion, no open tx, tx full). */
+     *  commit; a crash before the commit record rolls it back. `where`
+     *  is null or a word inside the device: the WAL entry is its only
+     *  record, so a volatile word is refused (InvalidArgument). Returns
+     *  0 on failure (exhaustion, no open tx, tx full, bad `where`). */
     uint64_t txAlloc(ThreadCtx &ctx, size_t size, uint64_t *where);
 
     /** Stage a free inside the open tx: validated now (same ordered
@@ -270,12 +272,12 @@ class NvAlloc
     NvStatus txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value);
 
     /** Commit: one epoch-separated commit record + flush, then apply
-     *  (publish attach words, perform deferred frees). After the
-     *  record's flush returns, the tx is durable — a crash mid-apply
-     *  redoes the remainder on recovery. */
+     *  (redo the run's entries: publish attach words, perform deferred
+     *  frees). After the record's flush returns, the tx is durable — a
+     *  crash mid-apply redoes the remainder on recovery. */
     NvStatus txCommit(ThreadCtx &ctx);
 
-    /** Abort: roll every staged op back (restore words, free staged
+    /** Abort: undo the run newest-first (restore words, free staged
      *  allocations), then journal an abort record. */
     NvStatus txAbort(ThreadCtx &ctx);
 
@@ -583,6 +585,10 @@ class NvAlloc
     void recoverHeap();
     void quarantineSlab(uint64_t off);
     void replayWals();
+    bool redoEntry(const WalEntry &e);
+    bool undoEntry(const WalEntry &e);
+    uint64_t *journaledWord(uint64_t off);
+    void landWord(uint64_t *w, uint64_t value);
     bool rollForwardAlloc(uint64_t block);
     void conservativeGc();
     void clearWalRings();
@@ -661,8 +667,6 @@ class NvAlloc
     // Transaction internals (tx.cc).
     void finishTx(ThreadCtx &ctx, bool committed);
     void resolveTxRun(uint64_t ring_off, uint32_t tx_id);
-    void txRedoRun(const std::vector<WalEntry> &run);
-    void txUndoRun(const std::vector<WalEntry> &run);
 
     void publish(uint64_t *where, uint64_t value);
     void reclaimMemory(ThreadCtx &ctx);

@@ -258,8 +258,9 @@ int nvalloc_errno(NvInstance *inst);
  *
  * Error contract (all calls): NVALLOC_EINVAL — with nvalloc_errno set
  * and the heap untouched — for a nested begin, any op/commit/abort
- * without an open transaction, a txWrite target outside the device or
- * misaligned, more than NVALLOC_TX_MAX_OPS staged ops, or any call on
+ * without an open transaction, a tx_alloc `where` outside the device,
+ * a tx_write target outside the device or misaligned, more than
+ * NVALLOC_TX_MAX_OPS staged ops, or any call on
  * a degraded (ECORRUPT-opened) instance; NVALLOC_EAGAIN when the
  * calling thread cannot be attached.
  */
@@ -273,7 +274,9 @@ int nvalloc_tx_begin(NvInstance *inst);
 /** Stage an allocation of `size` bytes inside the open transaction.
  *  Returns the mapped address (or nullptr; nvalloc_errno says why).
  *  The offset is published into `*where` at commit — until then the
- *  block is invisible to recovery and rolled back on abort/crash. */
+ *  block is invisible to recovery and rolled back on abort/crash.
+ *  `where` is null or a persistent word inside the heap: the journal
+ *  records it by offset, so a volatile word fails with NVALLOC_EINVAL. */
 void *nvalloc_tx_alloc(NvInstance *inst, size_t size, uint64_t *where);
 
 /** Stage a free of the block whose offset `*where` holds. The block

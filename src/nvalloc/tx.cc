@@ -1,9 +1,9 @@
 /**
  * @file
  * Transaction layer implementation (tx.h, DESIGN.md §11): the
- * txBegin/txAlloc/txFree/txWrite/txCommit/txAbort surface, the
- * commit/abort apply paths, and the recovery-side run resolution
- * called from replayWals.
+ * txBegin/txAlloc/txFree/txWrite/txCommit/txAbort surface and the
+ * recovery-side run resolution called from replayWals. Both resolve
+ * the run's entries with redoEntry/undoEntry (recovery.cc).
  */
 
 #include <algorithm>
@@ -17,6 +17,14 @@ namespace nvalloc {
 namespace {
 
 constexpr uint64_t kTxCpuNs = 20; //!< modeled per-tx-call CPU cost
+
+/** Ops the open transaction has journaled: its run is the thread's WAL
+ *  entries after the sequence number txBegin recorded. */
+uint64_t
+runLength(const ThreadCtx &ctx)
+{
+    return ctx.wal.sequence() - ctx.tx.start;
+}
 
 } // namespace
 
@@ -46,8 +54,7 @@ NvAlloc::txBegin(ThreadCtx &ctx)
     }
     if (ctx.tx.open())
         return txRejected(); // nested begin
-    ctx.tx.begin(tx_mgr_.nextId());
-    ctx.tx.ops.reserve(kTxMaxOps);
+    ctx.tx.begin(tx_mgr_.nextId(), ctx.wal.sequence());
     // Hold a maintenance pin for the whole tx lifetime: background
     // slow GC relocates bookkeeping-log entries, and an uncommitted
     // tx's large allocations must keep their log refs stable until
@@ -66,17 +73,18 @@ NvAlloc::txAlloc(ThreadCtx &ctx, size_t size, uint64_t *where)
         txRejected();
         return 0;
     }
-    if (ctx.tx.ops.size() >= kTxMaxOps) {
+    if (runLength(ctx) >= kTxMaxOps) {
         tel_.add(StatCounter::TxOversize);
         failOp(NvStatus::InvalidArgument);
         return 0;
     }
-    if (size == 0) {
+    // The entry is the attach word's only record, so the word must be
+    // one an offset can name: a persistent word inside the device.
+    if (size == 0 || (where && !dev_.contains(where))) {
         txRejected();
         return 0;
     }
-    uint64_t where_off =
-        where && dev_.contains(where) ? dev_.offsetOf(where) : kWalNoWhere;
+    uint64_t where_off = where ? dev_.offsetOf(where) : kWalNoWhere;
 
     // Reuse the plain small/large paths; journal_tx_id makes their one
     // WAL append tx-tagged. Guard sampling is deliberately bypassed:
@@ -93,12 +101,6 @@ NvAlloc::txAlloc(ThreadCtx &ctx, size_t size, uint64_t *where)
     // The block is allocated and journaled but unpublished: stage it
     // so plain free() rejects it until commit publishes the offset.
     tx_mgr_.stage(off);
-    TxOp op;
-    op.kind = TxOp::Kind::Alloc;
-    op.off = off;
-    op.where = where;
-    op.size = size;
-    ctx.tx.ops.push_back(op);
     tel_.add(StatCounter::TxOpAlloc);
     return off;
 }
@@ -108,7 +110,7 @@ NvAlloc::txFree(ThreadCtx &ctx, uint64_t off)
 {
     if (!ctx.tx.open())
         return txRejected();
-    if (ctx.tx.ops.size() >= kTxMaxOps) {
+    if (runLength(ctx) >= kTxMaxOps) {
         tel_.add(StatCounter::TxOversize);
         return failOp(NvStatus::InvalidArgument);
     }
@@ -135,10 +137,6 @@ NvAlloc::txFree(ThreadCtx &ctx, uint64_t off)
     // cleared here — pair the free with a txWrite of the owning
     // pointer word to clear it in the same atomic unit.
     ctx.wal.append(kWalFree, off, kWalNoWhere, 0, ctx.tx.id());
-    TxOp op;
-    op.kind = TxOp::Kind::Free;
-    op.off = off;
-    ctx.tx.ops.push_back(op);
     tel_.add(StatCounter::TxOpFree);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
@@ -149,7 +147,7 @@ NvAlloc::txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value)
 {
     if (!ctx.tx.open())
         return txRejected();
-    if (ctx.tx.ops.size() >= kTxMaxOps) {
+    if (runLength(ctx) >= kTxMaxOps) {
         tel_.add(StatCounter::TxOversize);
         return failOp(NvStatus::InvalidArgument);
     }
@@ -168,13 +166,6 @@ NvAlloc::txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value)
     ctx.wal.append(kWalTxData, woff, old, value, ctx.tx.id());
     *word = value;
     dev_.persistFence(word, sizeof(uint64_t), TimeKind::FlushData);
-
-    TxOp op;
-    op.kind = TxOp::Kind::Write;
-    op.off = woff;
-    op.old_value = old;
-    op.new_value = value;
-    ctx.tx.ops.push_back(op);
     tel_.add(StatCounter::TxOpWrite);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
@@ -185,6 +176,7 @@ NvAlloc::txCommit(ThreadCtx &ctx)
 {
     if (!ctx.tx.open())
         return txRejected();
+    uint64_t ops = runLength(ctx);
 
     // Epoch separation: every op entry is already individually fenced,
     // but this fence guarantees the commit record can only become
@@ -192,26 +184,18 @@ NvAlloc::txCommit(ThreadCtx &ctx)
     dev_.fence();
     // The append's own persist+fence is the commit point: ONE flush
     // publishes the whole transaction.
-    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxCommit,
-                         uint64_t(ctx.tx.ops.size()));
+    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxCommit, ops);
     tel_.event(TraceOp::TxCommit, ctx.tx.id());
 
     // Apply phase — deliberately journal-free: another WAL append here
     // would displace the commit record as the ring's newest entry, and
     // a crash mid-apply would then lose the not-yet-applied remainder.
-    // Recovery redoes this loop idempotently instead.
-    for (const TxOp &op : ctx.tx.ops) {
-        switch (op.kind) {
-        case TxOp::Kind::Alloc:
-            publish(op.where, op.off);
-            break;
-        case TxOp::Kind::Free:
-            settleFree(op.off);
-            break;
-        case TxOp::Kind::Write:
-            break; // landed in place at txWrite time
-        }
-    }
+    // Recovery redoes the run idempotently instead. Word writes landed
+    // in place at txWrite time.
+    ctx.wal.forEachSince(ctx.tx.start, false, [&](const WalEntry &e) {
+        if (WalOp(e.block_op & 3) != kWalTxData)
+            redoEntry(e);
+    });
 
     // Seal: every applied effect is individually persisted above, so
     // this record makes "the apply phase completed" durable — recovery
@@ -223,8 +207,7 @@ NvAlloc::txCommit(ThreadCtx &ctx)
     // implies no later conflicting transaction could have started, so
     // the redo recovery performs instead is safe.
     dev_.fence();
-    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxApplied,
-                         uint64_t(ctx.tx.ops.size()));
+    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxApplied, ops);
 
     finishTx(ctx, /*committed=*/true);
     VClock::advance(kTxCpuNs, TimeKind::Other);
@@ -236,31 +219,17 @@ NvAlloc::txAbort(ThreadCtx &ctx)
 {
     if (!ctx.tx.open())
         return txRejected();
+    uint64_t ops = runLength(ctx);
 
     // Roll back newest-first so overlapping word updates unwind in
     // reverse order. Crash-safe at every point: until the abort record
     // below lands, recovery sees a recordless run and performs this
     // same (idempotent) undo itself.
-    for (auto it = ctx.tx.ops.rbegin(); it != ctx.tx.ops.rend(); ++it) {
-        switch (it->kind) {
-        case TxOp::Kind::Write: {
-            auto *word = static_cast<uint64_t *>(dev_.at(it->off));
-            *word = it->old_value;
-            dev_.persistFence(word, sizeof(uint64_t),
-                              TimeKind::FlushData);
-            break;
-        }
-        case TxOp::Kind::Alloc:
-            settleFree(it->off);
-            break;
-        case TxOp::Kind::Free:
-            break; // nothing was mutated at stage time
-        }
-    }
+    ctx.wal.forEachSince(ctx.tx.start, true,
+                         [&](const WalEntry &e) { undoEntry(e); });
 
     dev_.fence();
-    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxAbort,
-                         uint64_t(ctx.tx.ops.size()));
+    ctx.wal.appendTxMark(ctx.tx.id(), kWalTxAbort, ops);
     tel_.event(TraceOp::TxAbort, ctx.tx.id());
     finishTx(ctx, /*committed=*/false);
     VClock::advance(kTxCpuNs, TimeKind::Other);
@@ -270,10 +239,10 @@ NvAlloc::txAbort(ThreadCtx &ctx)
 void
 NvAlloc::finishTx(ThreadCtx &ctx, bool committed)
 {
-    for (const TxOp &op : ctx.tx.ops) {
-        if (op.kind != TxOp::Kind::Write)
-            tx_mgr_.unstage(op.off);
-    }
+    ctx.wal.forEachSince(ctx.tx.start, false, [&](const WalEntry &e) {
+        if (WalOp(e.block_op & 3) != kWalTxData)
+            tx_mgr_.unstage(e.block_op >> 2);
+    });
     tel_.add(committed ? StatCounter::TxCommit : StatCounter::TxAbort);
     ctx.tx.reset();
     maint_.unpin();
@@ -317,94 +286,17 @@ NvAlloc::resolveTxRun(uint64_t ring_off, uint32_t tx_id)
                   return a.seq < b.seq;
               });
     if (committed) {
-        txRedoRun(run);
+        for (const WalEntry &e : run)
+            redoEntry(e);
+        recovery_.wal_completions += run.size();
         ++recovery_.tx_committed;
     } else {
-        txUndoRun(run);
+        for (auto it = run.rbegin(); it != run.rend(); ++it) {
+            undoEntry(*it);
+            if (WalOp(it->block_op & 3) != kWalFree)
+                ++recovery_.wal_undos;
+        }
         ++recovery_.tx_rolled_back;
-    }
-}
-
-void
-NvAlloc::txRedoRun(const std::vector<WalEntry> &run)
-{
-    for (const WalEntry &e : run) {
-        WalOp op = WalOp(e.block_op & 3);
-        uint64_t block = e.block_op >> 2;
-        if (op == kWalAlloc) {
-            // Re-claim defensively, then finish the publish the apply
-            // phase may not have reached — only when the block
-            // demonstrably exists: a torn-line crash can durably commit
-            // the record while the extent's own log entry was dropped,
-            // and an attach word must never point at space recovery
-            // just returned to the free pool.
-            if (rollForwardAlloc(block) && e.where_off != kWalNoWhere &&
-                e.where_off + sizeof(uint64_t) <= dev_.size()) {
-                auto *w =
-                    static_cast<uint64_t *>(dev_.at(e.where_off));
-                if (*w != block) {
-                    *w = block;
-                    dev_.persistFence(w, sizeof(uint64_t),
-                                      TimeKind::FlushData);
-                }
-            }
-            ++recovery_.wal_completions;
-        } else if (op == kWalFree) {
-            settleFree(block);
-            ++recovery_.wal_completions;
-        } else if (op == kWalTxData) {
-            // Word update: re-apply the redo value.
-            if (block + sizeof(uint64_t) <= dev_.size() &&
-                (block & 7) == 0) {
-                auto *w = static_cast<uint64_t *>(dev_.at(block));
-                if (*w != e.size) {
-                    *w = e.size;
-                    dev_.persistFence(w, sizeof(uint64_t),
-                                      TimeKind::FlushData);
-                }
-            }
-            ++recovery_.wal_completions;
-        }
-    }
-}
-
-void
-NvAlloc::txUndoRun(const std::vector<WalEntry> &run)
-{
-    for (auto it = run.rbegin(); it != run.rend(); ++it) {
-        const WalEntry &e = *it;
-        WalOp op = WalOp(e.block_op & 3);
-        uint64_t block = e.block_op >> 2;
-        if (op == kWalAlloc) {
-            settleFree(block);
-            // The publish only happens after the commit record, so the
-            // attach word cannot hold the block — but scrub it
-            // defensively against torn-entry replay with verify off.
-            if (e.where_off != kWalNoWhere &&
-                e.where_off + sizeof(uint64_t) <= dev_.size()) {
-                auto *w =
-                    static_cast<uint64_t *>(dev_.at(e.where_off));
-                if (*w == block) {
-                    *w = 0;
-                    dev_.persistFence(w, sizeof(uint64_t),
-                                      TimeKind::FlushData);
-                }
-            }
-            ++recovery_.wal_undos;
-        } else if (op == kWalTxData) {
-            // Word update: restore the undo value.
-            if (block + sizeof(uint64_t) <= dev_.size() &&
-                (block & 7) == 0) {
-                auto *w = static_cast<uint64_t *>(dev_.at(block));
-                if (*w != e.where_off) {
-                    *w = e.where_off;
-                    dev_.persistFence(w, sizeof(uint64_t),
-                                      TimeKind::FlushData);
-                }
-            }
-            ++recovery_.wal_undos;
-        }
-        // kWalFree: staged only — nothing was mutated, nothing to undo.
     }
 }
 
