@@ -168,7 +168,9 @@ LargeAllocator::closeRegion(Veh *veh)
     rtree_.setRange(veh->off, veh->size, nullptr);
     regionTableRemove(region);
     desc_free_.erase(region);
-    dev_->unmapRegion(region, veh->size + kRegionHeaderSize);
+    // A retained data area was decommitted when it was demoted.
+    dev_->unmapRegion(region, veh->size + kRegionHeaderSize,
+                      veh->state == Veh::State::Retained ? veh->size : 0);
     count(StatCounter::LargeRegionsUnmapped);
     delete veh;
 }
@@ -547,9 +549,6 @@ LargeAllocator::evict(Veh *veh)
 {
     count(StatCounter::LargeEvictions);
     removeFree(veh);
-    // Demotion decommitted the data area; recommit it so the unmap
-    // releases the whole region's committed bytes once.
-    dev_->recommit(veh->off, veh->size);
     closeRegion(veh);
 }
 

@@ -105,7 +105,7 @@ PmDevice::tryMapRegion(size_t bytes)
 }
 
 void
-PmDevice::unmapRegion(uint64_t offset, size_t bytes)
+PmDevice::unmapRegion(uint64_t offset, size_t bytes, size_t decommitted)
 {
     bytes = alignUp(bytes, kRegionAlign);
     NV_ASSERT(offset % kRegionAlign == 0 && offset + bytes <= cfg_.size);
@@ -119,7 +119,7 @@ PmDevice::unmapRegion(uint64_t offset, size_t bytes)
 
     std::lock_guard<std::mutex> g(region_mutex_);
     sub(mapped_bytes_, bytes);
-    sub(committed_bytes_, bytes);
+    sub(committed_bytes_, bytes - decommitted);
 
     // Coalesce with neighbours to keep the hole list small.
     auto [it, inserted] = free_regions_.emplace(offset, bytes);

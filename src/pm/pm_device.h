@@ -123,9 +123,10 @@ class PmDevice
      * Return a region to the device (analogue of munmap +
      * fallocate(PUNCH_HOLE)): the physical pages are released and the
      * range becomes reusable by later mapRegion calls. Contents are
-     * zero if re-mapped.
+     * zero if re-mapped. `decommitted` bytes of the range were already
+     * released by decommit() and no longer count as committed.
      */
-    void unmapRegion(uint64_t offset, size_t bytes);
+    void unmapRegion(uint64_t offset, size_t bytes, size_t decommitted = 0);
 
     /**
      * Release the physical pages of a still-mapped range (analogue of

@@ -154,6 +154,27 @@ TEST_F(LargeFixture, DecayDemotesAndEvicts)
     EXPECT_GE(tel_.total(StatCounter::LargeEvictions), 1u);
 }
 
+TEST_F(LargeFixture, EvictionKeepsPeakCommittedBytes)
+{
+    init(false);
+    uint64_t a = large_->allocate(2 << 20, false);
+    ASSERT_NE(a, 0u);
+    large_->free(a); // its 4 MiB region is whole again
+    const uint64_t kWindow = LargeAllocator::kDecayWindowNs;
+    VClock::advance(3 * kWindow / 2, TimeKind::Other);
+    large_->decayTick();
+    ASSERT_GT(large_->retainedBytes(), 0u) << "demoted";
+
+    ASSERT_NE(large_->allocate(5 << 20, false), 0u); // a direct region
+    size_t peak = dev_->peakCommittedBytes();
+    VClock::advance(2 * kWindow, TimeKind::Other);
+    large_->decayTick();
+    ASSERT_EQ(tel_.total(StatCounter::LargeEvictions), 1u);
+    // The demoted data area holds no pages: releasing the region must
+    // not count them as committed on the way out.
+    EXPECT_EQ(dev_->peakCommittedBytes(), peak);
+}
+
 TEST_F(LargeFixture, RetainedExtentIsRecommittedOnReuse)
 {
     init(true);
