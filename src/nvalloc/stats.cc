@@ -358,25 +358,6 @@ NvAlloc::ctlRead(const char *name, uint64_t *out)
             *out = tel_.total(StatCounter::MaintSlice);
         return s == NvStatus::Ok ? NvStatus::Ok : NvStatus::UnknownCtl;
     }
-    // "health.restore" is the ctl spelling of restoreHealth(): audit,
-    // and return to Serving only when clean. Like the maintenance
-    // commands it is dispatched, never registered. The out-param
-    // reports the post-call state so callers see where they landed.
-    if (name && std::strcmp(name, "health.restore") == 0) {
-        NvStatus s = restoreHealth();
-        if (out)
-            *out = uint64_t(health_.load(std::memory_order_relaxed));
-        return s == NvStatus::Ok ? NvStatus::Ok : NvStatus::UnknownCtl;
-    }
-    // "health.patrol" runs one patrol batch on the caller's thread
-    // (tests and tools without a maintenance thread drive the scrubber
-    // through this); reads back the items examined.
-    if (name && std::strcmp(name, "health.patrol") == 0) {
-        uint64_t items = patrolSlice();
-        if (out)
-            *out = items;
-        return NvStatus::Ok;
-    }
     uint64_t v = 0;
     if (ctl_.read(name, v) != CtlStatus::Ok)
         return NvStatus::UnknownCtl;
