@@ -175,7 +175,8 @@ makeConfig(const Options &o)
 /** The tools' churn (churn.h). Under --maintenance manual a slice is
  *  stepped every 512 operations, so the stats.maintenance.* family is
  *  populated deterministically. With --tx, every 256th operation runs
- *  as a small transaction (alternating commit and abort) so the
+ *  as a small transaction (alternating commit and abort) that
+ *  allocates, frees a live object and writes a root word, so the
  *  stats.tx.* family is populated. */
 void
 runWorkload(NvAlloc &alloc, ThreadCtx &ctx, const Options &o)
@@ -187,8 +188,16 @@ runWorkload(NvAlloc &alloc, ThreadCtx &ctx, const Options &o)
         if (o.tx && i % 256 == 255) {
             alloc.txBegin(ctx);
             uint64_t off = alloc.txAlloc(ctx, 64 + (i & 0xc0), nullptr);
+            size_t pick = c.live.empty() ? 0 : c.rnd() % c.live.size();
+            bool freed = !c.live.empty() &&
+                         alloc.txFree(ctx, c.live[pick]) == NvStatus::Ok;
+            alloc.txWrite(ctx, alloc.rootWord(0), i);
             if (i % 512 == 255 && off != 0) {
                 alloc.txCommit(ctx);
+                if (freed) {
+                    c.live[pick] = c.live.back();
+                    c.live.pop_back();
+                }
                 c.live.push_back(off);
             } else {
                 alloc.txAbort(ctx);
