@@ -30,6 +30,20 @@
  * the record/byte gauges) and to validate headers and checksums, and
  * the tx layer has already resolved any in-flight mutation
  * all-or-nothing before the walk starts.
+ *
+ * The chain walk is sliced. The bucket table is cut into contiguous
+ * slices, one per worker, with min(hardware threads, 8, buckets /
+ * 4096) workers and at least one; worker 0 is the calling thread, and
+ * a slice whose thread cannot be started is walked by the caller. A
+ * worker writes chain_len_ only for its own buckets and tallies
+ * records, key and value bytes and corrupt records locally; the
+ * caller adds the tallies into the stats after the join, so the totals
+ * and every stats.kv.* leaf equal a serial walk's. At open nothing
+ * else can reach the table yet, so a rebuilding worker reads bucket
+ * words without locks and prefetches the head record of the bucket
+ * 16 slots ahead. verify() runs on the same walker but takes each
+ * bucket's stripe lock and reads no bucket word outside it, so it does
+ * not prefetch.
  */
 
 #ifndef NVALLOC_KV_KV_STORE_H
@@ -173,11 +187,33 @@ class KvStore
         bool corrupt = false;      //!< chain walk hit a bad record
     };
 
+    /** What a chain walk over some buckets found. */
+    struct WalkTally
+    {
+        uint64_t records = 0;
+        uint64_t key_bytes = 0;
+        uint64_t value_bytes = 0;
+        uint64_t corrupt = 0;
+    };
+
+    /** Rebuild: lock-free, prefetching, fills chain_len_ (open only).
+     *  Verify: each bucket under its stripe lock. */
+    enum class WalkMode : uint8_t
+    {
+        Rebuild,
+        Verify,
+    };
+
     KvStore(NvAlloc &heap, unsigned root_index);
 
     KvStatus create(const KvOptions &opt);
     KvStatus attach(uint64_t super_off);
     KvStatus rebuild();
+
+    /** Walk every chain, one contiguous slice of buckets per worker
+     *  (file comment), and return the summed tallies. */
+    WalkTally walkChains(WalkMode mode);
+    WalkTally walkSlice(uint64_t first, uint64_t end, WalkMode mode);
 
     uint64_t bucketOf(std::string_view key) const;
     VLock &stripeOf(uint64_t bucket);

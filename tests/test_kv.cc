@@ -24,10 +24,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kv/kv_c.h"
@@ -331,6 +333,132 @@ TEST_F(KvFixture, StatsCtlSubtreeFollowsTraffic)
     store_.reset();
     EXPECT_EQ(ctlValue(*alloc_, "stats.kv.inserts"), 0u);
     EXPECT_EQ(ctlValue(*alloc_, "stats.kv.records"), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Rebuild parity: the sliced chain walk counts what a serial walk does
+// ---------------------------------------------------------------------
+
+/** The leading fields of the persistent record header (kv_store.cc). */
+struct RecordHead
+{
+    uint64_t next;
+    uint32_t vlen;
+    uint16_t klen;
+    uint16_t flags;
+};
+
+/**
+ * Fill a store of `buckets` buckets, break the checksums of the head
+ * records of the two buckets either side of the first slice edge and
+ * the header of one lone record (klen = 0), reopen, and check every
+ * rebuilt total against what the live store counted.
+ */
+void
+checkRebuildParity(uint64_t buckets)
+{
+    SCOPED_TRACE(buckets);
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    PmDevice dev(dcfg);
+    auto heap = NvAlloc::openOrDie(dev, envConfig());
+    ThreadCtx *ctx = heap->attachThread();
+    ASSERT_NE(ctx, nullptr);
+    KvOptions ko;
+    ko.buckets = buckets;
+    auto store = KvStore::open(*heap, ko);
+    ASSERT_NE(store, nullptr);
+    ASSERT_EQ(store->buckets(), buckets);
+    constexpr int kN = 20000;
+    for (int i = 0; i < kN; ++i) {
+        uint32_t len = i % 500 == 0 ? 16384 : 48 + i % 100;
+        ASSERT_EQ(store->put(*ctx, ycsbKey(i), ycsbValue(i, 0, len)),
+                  KvStatus::Ok);
+    }
+
+    // The walker's worker rule (kv_store.h); with one worker there is
+    // no slice edge, and the middle of the table stands in for it.
+    const uint64_t workers = std::max<uint64_t>(
+        1, std::min<uint64_t>({std::thread::hardware_concurrency(), 8,
+                               buckets / 4096}));
+    const uint64_t edge = workers > 1 ? buckets / workers : buckets / 2;
+    // The super block's table_off field (kv_store.cc) locates the table.
+    const uint64_t table = *static_cast<const uint64_t *>(
+        heap->at(*heap->rootWord(0) + 16));
+    auto head = [&](uint64_t b) {
+        return *static_cast<const uint64_t *>(heap->at(table + b * 8));
+    };
+    for (uint64_t b : {edge - 1, edge}) {
+        for (int i = kN; head(b) == 0; ++i) {
+            std::string key = ycsbKey(i);
+            if (store->bucketWordOffset(key) == table + b * 8) {
+                ASSERT_EQ(store->put(*ctx, key, "pinned"), KvStatus::Ok);
+            }
+        }
+    }
+    uint64_t lone = 0;
+    for (uint64_t b = 0; b < buckets && lone == 0; ++b) {
+        uint64_t off = head(b);
+        if (off && b != edge - 1 && b != edge &&
+            static_cast<const RecordHead *>(heap->at(off))->next == 0)
+            lone = off;
+    }
+    ASSERT_NE(lone, 0u);
+
+    const uint64_t records = store->count();
+    const uint64_t max_chain = store->maxChain();
+    uint64_t key_bytes = store->stats().key_bytes.load();
+    uint64_t value_bytes = store->stats().value_bytes.load();
+    ASSERT_GE(max_chain, 2u);
+
+    // A header that fails the sanity check ends its chain's walk: the
+    // lone record no longer counts, in records, bytes or chain length.
+    auto *lh = static_cast<RecordHead *>(heap->at(lone));
+    const uint16_t lone_klen = lh->klen;
+    key_bytes -= lh->klen;
+    value_bytes -= lh->vlen;
+    lh->klen = 0;
+    // A checksum mismatch is counted, and the record still is.
+    unsigned char *key0[2];
+    for (unsigned i = 0; i < 2; ++i) {
+        key0[i] = static_cast<unsigned char *>(
+            heap->at(head(edge - 1 + i) + KvStore::kRecordHeader));
+        *key0[i] ^= 0xff;
+    }
+
+    store.reset();
+    ko.create = false;
+    store = KvStore::open(*heap, ko);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->count(), records - 1);
+    EXPECT_EQ(store->stats().rebuilds.load(), 1u);
+    EXPECT_EQ(store->stats().rebuilt_records.load(), records - 1);
+    EXPECT_EQ(store->stats().key_bytes.load(), key_bytes);
+    EXPECT_EQ(store->stats().value_bytes.load(), value_bytes);
+    EXPECT_EQ(store->stats().corrupt_records.load(), 3u);
+    EXPECT_EQ(store->maxChain(), max_chain);
+
+    EXPECT_EQ(store->verify(), KvStatus::Corrupt);
+    EXPECT_EQ(store->stats().corrupt_records.load(), 6u);
+    lh->klen = lone_klen;
+    for (unsigned char *k : key0)
+        *k ^= 0xff;
+    EXPECT_EQ(store->verify(), KvStatus::Ok);
+    EXPECT_EQ(store->stats().corrupt_records.load(), 6u);
+    store.reset();
+    heap->detachThread(ctx);
+}
+
+TEST(KvRebuild, SlicedWalkMatchesTheSerialTotals)
+{
+    // 2^15 buckets: eight slices, or one per hardware thread.
+    checkRebuildParity(uint64_t{1} << 15);
+}
+
+TEST(KvRebuild, OneWorkerBelowTheFloorMatchesTheSameTotals)
+{
+    // 2^12 buckets: below two slices' worth, so the caller walks alone.
+    checkRebuildParity(uint64_t{1} << 12);
 }
 
 TEST(KvOpen, GcVariantAndOccupiedRootRefused)
