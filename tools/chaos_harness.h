@@ -704,16 +704,14 @@ ChaosHarness::run()
             unsigned ls = pickSmallSlot(heap, slots);
             unsigned tx_flushes =
                 1 + (fs != kSlots ? 1 : 0) + (ls != kSlots ? 2 : 0);
-            // nth >= 2: the transaction's very first flush is its first
-            // journal append, and cutting it leaves no durable trace of
-            // the transaction at all — recovery then (correctly) has
-            // nothing to resolve, which the resolved-counter check
-            // below cannot tell apart from a lost transaction. The
-            // nothing-persisted shape is the plain crash class's
-            // territory; this class always tears a *journaled* tx.
+            // Flush 2 or later: the section's first flush is usually
+            // the transaction's first journal append, and a crash there
+            // tears nothing (the skip rule below).
             unsigned nth = 2 + unsigned(rng_.nextBounded(tx_flushes + 3));
             dev.armCrashAtFlush(nth);
+            const uint64_t ring_off = heap.walRingOffset(ctx->wal_slot);
             heap.txBegin(*ctx);
+            const uint32_t tx_id = ctx->tx.id();
             if (fs != kSlots && heap.txAlloc(*ctx, 96, &slots[fs]) != 0)
                 sizes_[fs] = 96;
             if (ls != kSlots &&
@@ -723,12 +721,24 @@ ChaosHarness::run()
             }
             heap.txWrite(*ctx, heap.rootWord(1), round + 1);
             heap.txCommit(*ctx);
-            if (dev.crashTriggered()) {
-                pending_tx_crash_ = true;
-            } else {
-                ++skipped_[unsigned(ev)];
-            }
+            const bool crashed = dev.crashTriggered();
             heap.simulateCrash();
+            // The round tears the transaction only if the crash image
+            // holds one of its journal entries; each append is fenced,
+            // so that is true once its first entry is durable. A crash
+            // before it (in a slab refill the staged txAlloc ran
+            // first, say) leaves nothing to resolve, which the
+            // resolved-counter check at the next open cannot tell
+            // from a lost transaction: the round counts as skipped.
+            bool journaled = false;
+            if (crashed)
+                Wal::forEachIntact(&dev, ring_off, [&](const WalEntry &e) {
+                    journaled = journaled || e.tx_id == tx_id;
+                });
+            if (journaled)
+                pending_tx_crash_ = true;
+            else
+                ++skipped_[unsigned(ev)];
             ++rounds_run_;
             continue;
         }
