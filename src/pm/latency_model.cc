@@ -10,6 +10,9 @@ namespace {
 
 constexpr unsigned kMruCap = 8;      // recent distinct lines tracked
 constexpr uint64_t kXpLine = 256;    // Optane internal write granule
+constexpr unsigned kXpBufLines = 64; // XPBuffer: 16 KB of 256 B XPLines [40]
+constexpr unsigned kXpIndexSlots = 2 * kXpBufLines; // at most half full
+constexpr uint8_t kNoNode = 0xff;
 
 /** Owner-thread increment of a count block cell: only the owning
  *  thread writes it, so a relaxed load + store replaces a fetch_add. */
@@ -19,6 +22,104 @@ bump(std::atomic<uint64_t> &a)
     a.store(a.load(std::memory_order_relaxed) + 1,
             std::memory_order_relaxed);
 }
+
+/**
+ * The XPLines one thread's flushes hold in the XPBuffer, in LRU order:
+ * kXpBufLines fixed nodes on a doubly linked list (head = most recently
+ * used), found through an open-addressed index with linear probing, so
+ * a flush costs O(1) at any capacity.
+ */
+class XpBuffer
+{
+  public:
+    /** True if the XPLine was buffered; either way it becomes the most
+     *  recently used, and a miss into a full buffer evicts the least
+     *  recently used. */
+    bool
+    touch(uint64_t xpline)
+    {
+        unsigned i = home(xpline);
+        for (; index_[i] != 0; i = (i + 1) % kXpIndexSlots) {
+            uint8_t n = uint8_t(index_[i] - 1);
+            if (line_[n] == xpline) {
+                if (head_ != n) {
+                    unlink(n);
+                    pushFront(n);
+                }
+                return true;
+            }
+        }
+        uint8_t n;
+        if (size_ < kXpBufLines) {
+            n = size_++;
+        } else {
+            n = tail_;
+            unlink(n);
+            forget(line_[n]);
+            i = home(xpline);
+            while (index_[i] != 0)
+                i = (i + 1) % kXpIndexSlots;
+        }
+        line_[n] = xpline;
+        index_[i] = uint8_t(n + 1);
+        pushFront(n);
+        return false;
+    }
+
+  private:
+    static_assert(kXpIndexSlots == 128, "home() hashes to 7 bits");
+
+    static unsigned
+    home(uint64_t xpline)
+    {
+        return unsigned((xpline / kXpLine) * 0x9e3779b97f4a7c15ULL >> 57);
+    }
+
+    /** Drop `xpline` from the index, shifting later entries of its
+     *  probe run back so every lookup still finds them. */
+    void
+    forget(uint64_t xpline)
+    {
+        unsigned i = home(xpline);
+        while (line_[index_[i] - 1] != xpline)
+            i = (i + 1) % kXpIndexSlots;
+        for (unsigned j = (i + 1) % kXpIndexSlots; index_[j] != 0;
+             j = (j + 1) % kXpIndexSlots) {
+            unsigned h = home(line_[index_[j] - 1]);
+            // The entry at j may fill the hole at i only if its probe
+            // from h passes i.
+            if ((j - h) % kXpIndexSlots >= (j - i) % kXpIndexSlots) {
+                index_[i] = index_[j];
+                i = j;
+            }
+        }
+        index_[i] = 0;
+    }
+
+    void
+    unlink(uint8_t n)
+    {
+        (prev_[n] != kNoNode ? next_[prev_[n]] : head_) = next_[n];
+        (next_[n] != kNoNode ? prev_[next_[n]] : tail_) = prev_[n];
+    }
+
+    void
+    pushFront(uint8_t n)
+    {
+        prev_[n] = kNoNode;
+        next_[n] = head_;
+        (head_ != kNoNode ? prev_[head_] : tail_) = n;
+        head_ = n;
+    }
+
+    uint64_t line_[kXpBufLines] = {};
+    uint8_t prev_[kXpBufLines] = {};
+    uint8_t next_[kXpBufLines] = {};
+    uint8_t index_[kXpIndexSlots] = {}; //!< node + 1; 0 = empty slot
+    uint8_t head_ = kNoNode;
+    uint8_t tail_ = kNoNode;
+    uint8_t size_ = 0;
+};
 
 } // namespace
 
@@ -44,8 +145,7 @@ struct LatencyModel::ThreadState
     uint64_t mru[kMruCap] = {};
     unsigned mru_len = 0;
 
-    // LRU set of buffered 256 B XPLines.
-    std::vector<uint64_t> xplines;
+    XpBuffer xpbuf;
 
     uint64_t last_miss_xpline = ~uint64_t{0};
 
@@ -72,23 +172,6 @@ struct LatencyModel::ThreadState
         if (fresh && mru_len < kMruCap)
             ++mru_len;
         return fresh ? kMruCap : found;
-    }
-
-    /** True if the XPLine was buffered; refreshes LRU either way. */
-    bool
-    touchXpLine(uint64_t xpline, unsigned capacity)
-    {
-        for (size_t i = 0; i < xplines.size(); ++i) {
-            if (xplines[i] == xpline) {
-                xplines.erase(xplines.begin() + i);
-                xplines.push_back(xpline);
-                return true;
-            }
-        }
-        xplines.push_back(xpline);
-        if (xplines.size() > capacity)
-            xplines.erase(xplines.begin());
-        return false;
     }
 };
 
@@ -200,7 +283,7 @@ LatencyModel::onFlush(uint64_t line, TimeKind kind)
     }
 
     uint64_t xpline = line & ~(kXpLine - 1);
-    if (ts.touchXpLine(xpline, params_.xpbuf_lines)) {
+    if (ts.xpbuf.touch(xpline)) {
         noteClass(FlushClass::XpLineHit, ts);
         VClock::advance(params_.xpline_hit, kind);
     } else {

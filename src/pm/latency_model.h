@@ -57,7 +57,6 @@ struct LatencyParams
     uint64_t issue = 20;         //!< fixed CPU cost of any clwb
     uint64_t fence = 30;         //!< sfence
 
-    unsigned xpbuf_lines = 64;   //!< XPBuffer capacity: 16 KB of 256 B XPLines [40]
     unsigned media_slots = 8;    //!< concurrent media writes (2 DIMMs x 4 WPQ slots)
 };
 

@@ -2,13 +2,14 @@
  * @file
  * Tests of the flush latency model against the behaviours §3.1
  * documents: the reflush-distance cost curve (800→500 ns over
- * distances 0-3), sequential-vs-random media costs, XPBuffer hits,
- * classification counters (per thread, summed across exited
- * threads), and the trace hook.
+ * distances 0-3), sequential-vs-random media costs, XPBuffer hits and
+ * its LRU order, classification counters (per thread, summed across
+ * exited threads), and the trace hook.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -102,6 +103,56 @@ TEST_F(LatencyModelTest, XpBufferHitsAreCheap)
         flushCost((i % 5) * 64);
     uint64_t cost = flushCost((40 % 5) * 64);
     EXPECT_EQ(cost, p.issue + p.xpline_hit);
+}
+
+TEST_F(LatencyModelTest, XpBufferKeepsExactLruOrder)
+{
+    // A seeded stream over 100 XPLines (more than the 64 the buffer
+    // holds), classified again by the plain rules: a line among the
+    // last reflush_window distinct lines is a reflush and leaves the
+    // buffer alone; otherwise its XPLine hits if it is among the 64
+    // most recently used, and becomes the most recently used.
+    const LatencyParams &p = dev_->model().params();
+    constexpr size_t kMru = 8, kXpBuf = 64;
+    std::vector<uint64_t> mru; // most recent first
+    std::vector<uint64_t> lru; // least recent first
+    uint64_t reflush = 0, hit = 0, miss = 0;
+    uint64_t x = 7;
+    for (unsigned i = 0; i < 20000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        uint64_t xpline = ((x >> 33) % 100) * 4096;
+        uint64_t line = xpline + ((x >> 20) % 4) * 64;
+        flushCost(line);
+        auto m = std::find(mru.begin(), mru.end(), line);
+        size_t distance = kMru;
+        if (m != mru.end()) {
+            distance = size_t(m - mru.begin());
+            mru.erase(m);
+        }
+        mru.insert(mru.begin(), line);
+        if (mru.size() > kMru)
+            mru.pop_back();
+        if (distance < p.reflush_window) {
+            ++reflush;
+            continue;
+        }
+        auto l = std::find(lru.begin(), lru.end(), xpline);
+        if (l != lru.end()) {
+            ++hit;
+            lru.erase(l);
+        } else {
+            ++miss;
+        }
+        lru.push_back(xpline);
+        if (lru.size() > kXpBuf)
+            lru.erase(lru.begin());
+    }
+    auto c = dev_->flushCounts();
+    EXPECT_EQ(c.reflush, reflush);
+    EXPECT_EQ(c.xpline_hit, hit);
+    EXPECT_EQ(c.sequential + c.random, miss);
+    EXPECT_GT(hit, 1000u);
+    EXPECT_GT(miss, 1000u);
 }
 
 TEST_F(LatencyModelTest, CountersClassifyEveryFlush)
