@@ -20,7 +20,14 @@
  * corruption was detected (the matching stats.hardening.* counter
  * moved) and contained (the heap still audits clean, repairable damage
  * was repaired, and — after a crash — recovery converged with every
- * persistently published block still allocated).
+ * persistently published block still allocated and a torn transaction
+ * resolved).
+ *
+ * The pool soak (tools/pool_chaos_harness.h) runs the same round
+ * machinery — donor heap, slot table, fault policy, crash round,
+ * recovery check and final sweep — against the hostile member of a
+ * pool, so both soaks share one crash round, one torn-tx rule and one
+ * recovery check.
  *
  * Shared by tools/nvalloc_chaos.cc (CLI soak) and tests/test_chaos.cc
  * (ctest registration, including the soak-labeled long run).
@@ -33,6 +40,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,9 +142,72 @@ class ChaosHarness
     }
 
   protected:
-    // The injection routines, slot oracle and per-round state are
-    // shared with PoolChaosHarness (tools/pool_chaos_harness.h), which
-    // drives them against the victim member of a multi-tenant pool.
+    // The injection routines, slot oracle, per-round state and round
+    // machinery are shared with PoolChaosHarness
+    // (tools/pool_chaos_harness.h), which drives them against the
+    // victim member of a multi-tenant pool.
+
+    /** The cross-heap donor: a second live heap on its own device. Its
+     *  blocks' offsets are valid device offsets of the primary heap
+     *  too (the devices are the same address space model), which is
+     *  exactly the bug shape: a pointer from heap A freed into heap B.
+     *  Padding pushes the donor's candidate blocks to high offsets the
+     *  primary heap never maps, so the free classifies as wild there
+     *  and the registry can attribute it to the donor. ctx is null if
+     *  the attach failed; the heap's destructor drains it otherwise. */
+    struct Donor
+    {
+        explicit Donor(size_t device_mb)
+            : dev(PmDeviceConfig{.size = device_mb << 20}),
+              heap(NvAlloc::openOrDie(dev)), ctx(heap->attachThread())
+        {
+            if (!ctx)
+                return;
+            size_t pad = (device_mb / 8) << 20;
+            for (unsigned i = 0; i < 2; ++i)
+                heap->allocOffset(*ctx, pad, nullptr);
+            for (unsigned i = 0; i < 48; ++i) {
+                uint64_t off = heap->allocOffset(
+                    *ctx, i % 5 == 0 ? 32 * 1024 : 128, nullptr);
+                if (off)
+                    offs.push_back(off);
+            }
+        }
+
+        PmDevice dev;
+        std::unique_ptr<NvAlloc> heap;
+        ThreadCtx *ctx;
+        std::vector<uint64_t> offs;
+    };
+
+    /** Allocate the zeroed, durable slot table at rootWord(0); its
+     *  offset, or 0 if the allocation failed. */
+    static uint64_t
+    newSlotTable(NvAlloc &heap, ThreadCtx &ctx)
+    {
+        heap.mallocTo(ctx, kSlots * 8, heap.rootWord(0));
+        const uint64_t off = *heap.rootWord(0);
+        if (off) {
+            void *slots = heap.at(off);
+            std::memset(slots, 0, kSlots * 8);
+            heap.device().persistFence(slots, kSlots * 8,
+                                       TimeKind::FlushData);
+        }
+        return off;
+    }
+
+    /** Fresh fault policy per round (reseeded): unfenced flushes may
+     *  tear or drop when this round crashes. */
+    void
+    armRoundFaults(PmDevice &dev, unsigned round) const
+    {
+        FaultPolicy fp;
+        fp.seed = opt_.seed * 1000003ULL + round + 1;
+        fp.staged_persist_fraction = 0.7;
+        fp.word_granularity = true;
+        dev.setFaultPolicy(fp);
+    }
+
     NvAllocConfig
     config() const
     {
@@ -246,6 +317,78 @@ class ChaosHarness
                 PmDevice &dev, uint64_t *slots, unsigned round,
                 const std::vector<uint64_t> &donor_offs);
 
+    /** Run a Crash or (LOG-only) TornTx round on `heap` and crash it;
+     *  the caller reopens. True if the crash tore a transaction that
+     *  the next open's recovery must resolve. */
+    bool crashRound(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
+                    PmDevice &dev, uint64_t *slots, unsigned round);
+
+    /**
+     * The recovery check of a heap opened after a round: the slot
+     * table's root word still names table_off, every persistently
+     * published block survived (sizes are volatile and rebuilt lazily:
+     * a slot whose size is unknown is still freeable), the heap audits
+     * clean, and a transaction the crash tore (`torn`) was resolved
+     * one way or the other — the slot checks verify whichever way
+     * all-or-nothing. On success the crash (`crashed`) or the torn
+     * transaction counts as detected.
+     */
+    bool
+    recovered(NvAlloc &heap, uint64_t table_off, bool crashed, bool torn,
+              unsigned round, ChaosEvent ev)
+    {
+        if (*heap.rootWord(0) != table_off)
+            return fail(round, ev, "slot table root lost");
+        const auto *slots =
+            static_cast<const uint64_t *>(heap.at(table_off));
+        for (unsigned s = 0; s < kSlots; ++s)
+            if (slots[s] != 0 && !offsetLive(heap, slots[s]))
+                return fail(round, ev,
+                            "published block lost at slot " +
+                                std::to_string(s));
+        HeapAuditor auditor(heap);
+        AuditReport rep = auditor.audit();
+        if (rep.violations() != 0)
+            return fail(round, ev, "post-open audit:\n" + rep.summary());
+        if (torn) {
+            uint64_t committed = 0, rolled_back = 0;
+            heap.ctlRead("stats.tx.recovered_committed", &committed);
+            heap.ctlRead("stats.tx.recovered_rolled_back", &rolled_back);
+            if (committed + rolled_back == 0)
+                return fail(round, ChaosEvent::TornTx,
+                            "crashed transaction not resolved");
+            ++detected_[unsigned(ChaosEvent::TornTx)];
+        }
+        if (crashed)
+            ++detected_[unsigned(ChaosEvent::Crash)];
+        return true;
+    }
+
+    /** Final life: every published block still frees cleanly and the
+     *  emptied heap audits clean — the soak converged. Detaches ctx. */
+    bool
+    finalSweep(NvAlloc &heap, ThreadCtx &ctx, uint64_t table_off)
+    {
+        auto *slots = static_cast<uint64_t *>(heap.at(table_off));
+        for (unsigned s = 0; s < kSlots; ++s) {
+            if (slots[s] != 0 &&
+                heap.freeFrom(ctx, &slots[s]) != NvStatus::Ok) {
+                error_ = "final free of slot " + std::to_string(s) +
+                         " rejected";
+                return false;
+            }
+        }
+        heap.hardening().drainQuarantine();
+        HeapAuditor auditor(heap);
+        AuditReport rep = auditor.audit();
+        if (rep.violations() != 0) {
+            error_ = "final audit:\n" + rep.summary();
+            return false;
+        }
+        heap.detachThread(&ctx);
+        return true;
+    }
+
     ChaosOptions opt_;
     Rng rng_;
     std::string error_;
@@ -254,8 +397,6 @@ class ChaosHarness
     uint64_t detected_[kEventCount] = {};
     uint64_t skipped_[kEventCount] = {};
     std::vector<size_t> sizes_; //!< per-slot sizes (volatile oracle)
-    bool pending_crash_ = false;
-    bool pending_tx_crash_ = false;
 };
 
 inline bool
@@ -556,65 +697,96 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
     case ChaosEvent::Crash:
     case ChaosEvent::TornTx:
     case ChaosEvent::kCount:
-        break; // handled by the round loop
+        break; // crashRound runs these
     }
     return true;
 }
 
 inline bool
+ChaosHarness::crashRound(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
+                         PmDevice &dev, uint64_t *slots, unsigned round)
+{
+    if (ev == ChaosEvent::Crash) {
+        unsigned nth = 1 + unsigned(rng_.nextBounded(150));
+        dev.armCrashAtFlush(nth);
+        churn(heap, ctx, slots, opt_.ops_per_round, dev,
+              /*crash_mode=*/true);
+        heap.simulateCrash();
+        return false;
+    }
+
+    // Stage a multi-op transaction — an alloc into a free slot, a free
+    // of a live one with its pointer clear, and a scratch word update —
+    // and crash at a random flush inside it (ops, commit record, or the
+    // apply phase).
+    churn(heap, ctx, slots, opt_.ops_per_round / 2, dev,
+          /*crash_mode=*/false);
+    unsigned fs = kSlots;
+    for (unsigned s = 0; s < kSlots && fs == kSlots; ++s)
+        if (slots[s] == 0)
+            fs = s;
+    unsigned ls = pickSmallSlot(heap, slots);
+    unsigned tx_flushes =
+        1 + (fs != kSlots ? 1 : 0) + (ls != kSlots ? 2 : 0);
+    // Flush 2 or later: the section's first flush is usually the
+    // transaction's first journal append, and a crash there tears
+    // nothing (the skip rule below).
+    unsigned nth = 2 + unsigned(rng_.nextBounded(tx_flushes + 3));
+    dev.armCrashAtFlush(nth);
+    const uint64_t ring_off = heap.walRingOffset(ctx.wal_slot);
+    heap.txBegin(ctx);
+    const uint32_t tx_id = ctx.tx.id();
+    if (fs != kSlots && heap.txAlloc(ctx, 96, &slots[fs]) != 0)
+        sizes_[fs] = 96;
+    if (ls != kSlots && heap.txFree(ctx, slots[ls]) == NvStatus::Ok) {
+        heap.txWrite(ctx, &slots[ls], 0);
+        sizes_[ls] = 0;
+    }
+    heap.txWrite(ctx, heap.rootWord(1), round + 1);
+    heap.txCommit(ctx);
+    const bool crashed = dev.crashTriggered();
+    heap.simulateCrash();
+    // The round tears the transaction only if the crash image holds one
+    // of its journal entries; each append is fenced, so that is true
+    // once its first entry is durable. A crash before it (in a slab
+    // refill the staged txAlloc ran first, say) leaves nothing to
+    // resolve, which the recovery check cannot tell from a lost
+    // transaction: the round counts as skipped.
+    bool journaled = false;
+    if (crashed)
+        Wal::forEachIntact(&dev, ring_off, [&](const WalEntry &e) {
+            journaled = journaled || e.tx_id == tx_id;
+        });
+    if (!journaled)
+        ++skipped_[unsigned(ev)];
+    return journaled;
+}
+
+inline bool
 ChaosHarness::run()
 {
-    PmDeviceConfig dcfg;
-    dcfg.size = opt_.device_mb << 20;
-    dcfg.shadow = true;
-    PmDevice dev(dcfg);
-
-    // The cross-heap donor: a second live heap on its own device. Its
-    // blocks' offsets are valid device offsets of the primary heap too
-    // (the devices are the same address space model), which is exactly
-    // the bug shape: a pointer from heap A freed into heap B. Padding
-    // pushes the donor's candidate blocks to high offsets the primary
-    // heap never maps, so the free classifies as wild there and the
-    // registry can attribute it to the donor.
-    PmDeviceConfig donor_cfg;
-    donor_cfg.size = opt_.device_mb << 20;
-    PmDevice donor_dev(donor_cfg);
-    NvAllocConfig donor_heap_cfg;
-    auto donor_h = NvAlloc::openOrDie(donor_dev, donor_heap_cfg);
-    NvAlloc &donor = *donor_h;
-    ThreadCtx *donor_ctx = donor.attachThread();
-    if (!donor_ctx) {
+    PmDevice dev(PmDeviceConfig{.size = opt_.device_mb << 20,
+                                .shadow = true});
+    Donor donor(opt_.device_mb);
+    if (!donor.ctx) {
         error_ = "donor heap attach failed";
         return false;
     }
-    size_t pad = (opt_.device_mb / 8) << 20;
-    for (unsigned i = 0; i < 2; ++i)
-        donor.allocOffset(*donor_ctx, pad, nullptr);
-    std::vector<uint64_t> donor_offs;
-    for (unsigned i = 0; i < 48; ++i) {
-        uint64_t off = donor.allocOffset(
-            *donor_ctx, i % 5 == 0 ? 32 * 1024 : 128, nullptr);
-        if (off)
-            donor_offs.push_back(off);
-    }
-
     sizes_.assign(kSlots, 0);
     uint64_t table_off = 0;
+    // What the previous round left for this open's recovery to resolve.
+    bool pending_crash = false;
+    bool pending_tx_crash = false;
 
-    for (unsigned round = 0; round < opt_.rounds; ++round) {
+    // The open after the last round is the final one: it runs the
+    // recovery check and the final sweep, and no event.
+    for (unsigned round = 0;; ++round) {
         ChaosEvent ev = ChaosEvent(round % kEventCount);
-        if (opt_.verbose)
+        if (opt_.verbose && round < opt_.rounds)
             std::fprintf(stderr, "chaos: round %u event %s\n", round,
                          chaosEventName(ev));
 
-        // Fresh fault policy per round (reseeded): unfenced flushes
-        // may tear or drop when this round crashes.
-        FaultPolicy fp;
-        fp.seed = opt_.seed * 1000003ULL + round + 1;
-        fp.staged_persist_fraction = 0.7;
-        fp.word_granularity = true;
-        dev.setFaultPolicy(fp);
-
+        armRoundFaults(dev, round);
         auto heap_h = NvAlloc::openOrDie(dev, config());
         NvAlloc &heap = *heap_h;
         if (heap.openStatus() != NvStatus::Ok)
@@ -622,123 +794,28 @@ ChaosHarness::run()
         ThreadCtx *ctx = heap.attachThread();
         if (!ctx)
             return fail(round, ev, "attach failed");
+        if (round == 0)
+            table_off = newSlotTable(heap, *ctx);
+        if (table_off == 0)
+            return fail(round, ev, "slot table alloc failed");
 
-        uint64_t *slots;
-        if (round == 0) {
-            heap.mallocTo(*ctx, kSlots * 8, heap.rootWord(0));
-            table_off = *heap.rootWord(0);
-            if (!table_off)
-                return fail(round, ev, "slot table alloc failed");
-            slots = static_cast<uint64_t *>(heap.at(table_off));
-            std::memset(slots, 0, kSlots * 8);
-            dev.persistFence(slots, kSlots * 8, TimeKind::FlushData);
-        } else {
-            if (*heap.rootWord(0) != table_off)
-                return fail(round, ev, "slot table root lost");
-            slots = static_cast<uint64_t *>(heap.at(table_off));
-            // Recovery convergence: every persistently published block
-            // must have survived; sizes are volatile and rebuilt lazily
-            // (a slot whose size is unknown is still freeable).
-            for (unsigned s = 0; s < kSlots; ++s) {
-                if (slots[s] != 0 && !offsetLive(heap, slots[s]))
-                    return fail(round, ev,
-                                "published block lost at slot " +
-                                    std::to_string(s));
-                if (slots[s] == 0)
-                    sizes_[s] = 0;
-            }
-        }
-
-        // Post-open audit: whatever the previous round did (including
-        // a mid-operation crash), recovery converged to a clean heap.
-        {
-            HeapAuditor auditor(heap);
-            AuditReport rep = auditor.audit();
-            if (rep.violations() != 0)
-                return fail(round, ev,
-                            "post-open audit:\n" + rep.summary());
-        }
-        if (pending_crash_) {
-            ++detected_[unsigned(ChaosEvent::Crash)];
-            pending_crash_ = false;
-        }
-        if (pending_tx_crash_) {
-            // The previous round crashed inside a transaction; this
-            // open's recovery must have resolved the group one way or
-            // the other (the slot checks above verified whichever way
-            // all-or-nothing).
-            uint64_t committed = 0, rolled_back = 0;
-            heap.ctlRead("stats.tx.recovered_committed", &committed);
-            heap.ctlRead("stats.tx.recovered_rolled_back", &rolled_back);
-            if (committed + rolled_back == 0)
-                return fail(round, ChaosEvent::TornTx,
-                            "crashed transaction not resolved");
-            ++detected_[unsigned(ChaosEvent::TornTx)];
-            pending_tx_crash_ = false;
-        }
+        // Whatever the previous round did (including a mid-operation
+        // crash), recovery converged to a clean heap.
+        if (!recovered(heap, table_off, pending_crash, pending_tx_crash,
+                       round, ev))
+            return false;
+        if (round == opt_.rounds)
+            return finalSweep(heap, *ctx, table_off);
+        auto *slots = static_cast<uint64_t *>(heap.at(table_off));
 
         ++injected_[unsigned(ev)];
-        if (ev == ChaosEvent::Crash) {
-            unsigned nth = 1 + unsigned(rng_.nextBounded(150));
-            dev.armCrashAtFlush(nth);
-            churn(heap, *ctx, slots, opt_.ops_per_round, dev,
-                  /*crash_mode=*/true);
-            heap.simulateCrash();
-            pending_crash_ = true; // verified at the next open
-            ++rounds_run_;
-            continue;
-        }
-
-        if (ev == ChaosEvent::TornTx &&
-            heap.config().consistency == Consistency::Log) {
-            // Stage a multi-op transaction — an alloc into a free
-            // slot, a free of a live one with its pointer clear, and a
-            // scratch word update — and crash at a random flush inside
-            // it (ops, commit record, or the apply phase).
-            churn(heap, *ctx, slots, opt_.ops_per_round / 2, dev,
-                  /*crash_mode=*/false);
-            unsigned fs = kSlots;
-            for (unsigned s = 0; s < kSlots && fs == kSlots; ++s)
-                if (slots[s] == 0)
-                    fs = s;
-            unsigned ls = pickSmallSlot(heap, slots);
-            unsigned tx_flushes =
-                1 + (fs != kSlots ? 1 : 0) + (ls != kSlots ? 2 : 0);
-            // Flush 2 or later: the section's first flush is usually
-            // the transaction's first journal append, and a crash there
-            // tears nothing (the skip rule below).
-            unsigned nth = 2 + unsigned(rng_.nextBounded(tx_flushes + 3));
-            dev.armCrashAtFlush(nth);
-            const uint64_t ring_off = heap.walRingOffset(ctx->wal_slot);
-            heap.txBegin(*ctx);
-            const uint32_t tx_id = ctx->tx.id();
-            if (fs != kSlots && heap.txAlloc(*ctx, 96, &slots[fs]) != 0)
-                sizes_[fs] = 96;
-            if (ls != kSlots &&
-                heap.txFree(*ctx, slots[ls]) == NvStatus::Ok) {
-                heap.txWrite(*ctx, &slots[ls], 0);
-                sizes_[ls] = 0;
-            }
-            heap.txWrite(*ctx, heap.rootWord(1), round + 1);
-            heap.txCommit(*ctx);
-            const bool crashed = dev.crashTriggered();
-            heap.simulateCrash();
-            // The round tears the transaction only if the crash image
-            // holds one of its journal entries; each append is fenced,
-            // so that is true once its first entry is durable. A crash
-            // before it (in a slab refill the staged txAlloc ran
-            // first, say) leaves nothing to resolve, which the
-            // resolved-counter check at the next open cannot tell
-            // from a lost transaction: the round counts as skipped.
-            bool journaled = false;
-            if (crashed)
-                Wal::forEachIntact(&dev, ring_off, [&](const WalEntry &e) {
-                    journaled = journaled || e.tx_id == tx_id;
-                });
-            if (journaled)
-                pending_tx_crash_ = true;
-            else
-                ++skipped_[unsigned(ev)];
+        pending_crash = ev == ChaosEvent::Crash;
+        pending_tx_crash = false;
+        if (pending_crash ||
+            (ev == ChaosEvent::TornTx &&
+             heap.config().consistency == Consistency::Log)) {
+            pending_tx_crash =
+                crashRound(ev, heap, *ctx, dev, slots, round);
             ++rounds_run_;
             continue;
         }
@@ -751,7 +828,7 @@ ChaosHarness::run()
 
         churn(heap, *ctx, slots, opt_.ops_per_round, dev,
               /*crash_mode=*/false);
-        if (!inject(ev, heap, *ctx, dev, slots, round, donor_offs))
+        if (!inject(ev, heap, *ctx, dev, slots, round, donor.offs))
             return false;
 
         // Containment: repair what is repairable (smashed header,
@@ -767,71 +844,6 @@ ChaosHarness::run()
         heap.detachThread(ctx);
         ++rounds_run_;
     }
-
-    // Final life: everything still frees cleanly, and the emptied heap
-    // audits clean — the soak converged.
-    {
-        auto heap_h = NvAlloc::openOrDie(dev, config());
-        NvAlloc &heap = *heap_h;
-        if (heap.openStatus() != NvStatus::Ok) {
-            error_ = "final open failed";
-            return false;
-        }
-        ThreadCtx *ctx = heap.attachThread();
-        if (!ctx) {
-            error_ = "final attach failed";
-            return false;
-        }
-        if (pending_crash_) {
-            // The last round crashed; recovery converged iff this open
-            // audits clean (the free sweep below re-checks every slot).
-            HeapAuditor auditor(heap);
-            AuditReport rep = auditor.audit();
-            if (rep.violations() != 0) {
-                error_ = "post-crash final audit:\n" + rep.summary();
-                return false;
-            }
-            ++detected_[unsigned(ChaosEvent::Crash)];
-            pending_crash_ = false;
-        }
-        if (pending_tx_crash_) {
-            uint64_t committed = 0, rolled_back = 0;
-            heap.ctlRead("stats.tx.recovered_committed", &committed);
-            heap.ctlRead("stats.tx.recovered_rolled_back", &rolled_back);
-            if (committed + rolled_back == 0) {
-                error_ = "final open: crashed transaction not resolved";
-                return false;
-            }
-            HeapAuditor auditor(heap);
-            AuditReport rep = auditor.audit();
-            if (rep.violations() != 0) {
-                error_ = "post-tx-crash final audit:\n" + rep.summary();
-                return false;
-            }
-            ++detected_[unsigned(ChaosEvent::TornTx)];
-            pending_tx_crash_ = false;
-        }
-        auto *slots = static_cast<uint64_t *>(heap.at(table_off));
-        for (unsigned s = 0; s < kSlots; ++s) {
-            if (slots[s] != 0 &&
-                heap.freeFrom(*ctx, &slots[s]) != NvStatus::Ok) {
-                error_ = "final free of slot " + std::to_string(s) +
-                         " rejected";
-                return false;
-            }
-        }
-        heap.hardening().drainQuarantine();
-        HeapAuditor auditor(heap);
-        AuditReport rep = auditor.audit();
-        if (rep.violations() != 0) {
-            error_ = "final audit:\n" + rep.summary();
-            return false;
-        }
-        heap.detachThread(ctx);
-    }
-
-    donor.detachThread(donor_ctx);
-    return true;
 }
 
 } // namespace nvalloc

@@ -27,6 +27,10 @@
  *    every published block of every tenant and audits all members
  *    clean.
  *
+ * The victim's crash and torn-tx rounds, the recovery check after its
+ * reopen and the final sweep are the single-heap soak's own
+ * (ChaosHarness::crashRound, recovered, finalSweep).
+ *
  * Deterministic for a given ChaosOptions. Shared by nvalloc_chaos.cc
  * (--pool) and tests/test_pool.cc (ctest registration, including the
  * soak-labeled long run).
@@ -68,12 +72,6 @@ class PoolChaosHarness : public ChaosHarness
         // we offered (same-config re-opens stay `existing`).
         cfg.fault_containment = true;
         return cfg;
-    }
-
-    bool
-    poolFail(unsigned round, ChaosEvent ev, const std::string &msg)
-    {
-        return fail(round, ev, "[pool] " + msg);
     }
 
     uint64_t
@@ -118,42 +116,32 @@ PoolChaosHarness::runPool()
             error_ = std::string("attach ") + kNames[t] + " failed";
             return false;
         }
-        heaps[t]->mallocTo(*ctxs[t], kSlots * 8, heaps[t]->rootWord(0));
-        table_off[t] = *heaps[t]->rootWord(0);
+        table_off[t] = newSlotTable(*heaps[t], *ctxs[t]);
         if (!table_off[t]) {
             error_ = std::string(kNames[t]) + " slot table alloc failed";
             return false;
         }
-        auto *slots = static_cast<uint64_t *>(heaps[t]->at(table_off[t]));
-        std::memset(slots, 0, kSlots * 8);
-        devs[t]->persistFence(slots, kSlots * 8, TimeKind::FlushData);
         tsizes[t].assign(kSlots, 0);
     }
 
-    // The cross-heap donor (same shape as the single-heap soak): its
-    // padded-high offsets are what a stale cross-tenant pointer looks
-    // like when freed into the hostile member.
-    PmDeviceConfig donor_dcfg;
-    donor_dcfg.size = opt_.device_mb << 20;
-    PmDevice donor_dev(donor_dcfg);
-    NvAllocConfig donor_cfg;
-    auto donor_h = NvAlloc::openOrDie(donor_dev, donor_cfg);
-    NvAlloc &donor = *donor_h;
-    ThreadCtx *donor_ctx = donor.attachThread();
-    if (!donor_ctx) {
+    // The cross-heap donor: its padded-high offsets are what a stale
+    // cross-tenant pointer looks like when freed into the hostile member.
+    Donor donor(opt_.device_mb);
+    if (!donor.ctx) {
         error_ = "donor heap attach failed";
         return false;
     }
-    size_t pad = (opt_.device_mb / 8) << 20;
-    for (unsigned i = 0; i < 2; ++i)
-        donor.allocOffset(*donor_ctx, pad, nullptr);
-    std::vector<uint64_t> donor_offs;
-    for (unsigned i = 0; i < 48; ++i) {
-        uint64_t off = donor.allocOffset(
-            *donor_ctx, i % 5 == 0 ? 32 * 1024 : 128, nullptr);
-        if (off)
-            donor_offs.push_back(off);
-    }
+
+    // The siblings' plain mutator traffic, each on its own slot sizes.
+    auto churnSiblings = [&] {
+        for (unsigned t = 1; t < kTenants; ++t) {
+            sizes_.swap(tsizes[t]);
+            churn(*heaps[t], *ctxs[t],
+                  static_cast<uint64_t *>(heaps[t]->at(table_off[t])),
+                  opt_.ops_per_round, *devs[t], /*crash_mode=*/false);
+            sizes_.swap(tsizes[t]);
+        }
+    };
 
     bool late_tenant_done = false;
 
@@ -179,111 +167,30 @@ PoolChaosHarness::runPool()
              victim->config().consistency == Consistency::Log);
 
         if (crash_round) {
-            // Fresh per-round fault policy on the victim device only:
-            // the siblings' devices never crash, so their unfenced
-            // stores are not at stake.
-            FaultPolicy fp;
-            fp.seed = opt_.seed * 1000003ULL + round + 1;
-            fp.staged_persist_fraction = 0.7;
-            fp.word_granularity = true;
-            devs[0]->setFaultPolicy(fp);
-
+            // The fault policy goes on the victim device only: the
+            // siblings' devices never crash, so their unfenced stores
+            // are not at stake.
+            armRoundFaults(*devs[0], round);
             sizes_.swap(tsizes[0]);
-            if (ev == ChaosEvent::Crash) {
-                unsigned nth = 1 + unsigned(rng_.nextBounded(150));
-                devs[0]->armCrashAtFlush(nth);
-                churn(*victim, *ctxs[0], vslots, opt_.ops_per_round,
-                      *devs[0], /*crash_mode=*/true);
-            } else {
-                // Stage a multi-op transaction and crash inside it.
-                churn(*victim, *ctxs[0], vslots, opt_.ops_per_round / 2,
-                      *devs[0], /*crash_mode=*/false);
-                unsigned fs = kSlots;
-                for (unsigned s = 0; s < kSlots && fs == kSlots; ++s)
-                    if (vslots[s] == 0)
-                        fs = s;
-                unsigned ls = pickSmallSlot(*victim, vslots);
-                unsigned tx_flushes =
-                    1 + (fs != kSlots ? 1 : 0) + (ls != kSlots ? 2 : 0);
-                unsigned nth =
-                    1 + unsigned(rng_.nextBounded(tx_flushes + 3));
-                devs[0]->armCrashAtFlush(nth);
-                victim->txBegin(*ctxs[0]);
-                if (fs != kSlots &&
-                    victim->txAlloc(*ctxs[0], 96, &vslots[fs]) != 0)
-                    sizes_[fs] = 96;
-                if (ls != kSlots &&
-                    victim->txFree(*ctxs[0], vslots[ls]) ==
-                        NvStatus::Ok) {
-                    victim->txWrite(*ctxs[0], &vslots[ls], 0);
-                    sizes_[ls] = 0;
-                }
-                victim->txWrite(*ctxs[0], victim->rootWord(1),
-                                round + 1);
-                victim->txCommit(*ctxs[0]);
-                if (!devs[0]->crashTriggered())
-                    ++skipped_[unsigned(ev)];
-            }
-            bool tx_crashed = ev == ChaosEvent::TornTx &&
-                              devs[0]->crashTriggered();
-            victim->simulateCrash();
+            bool torn =
+                crashRound(ev, *victim, *ctxs[0], *devs[0], vslots, round);
             sizes_.swap(tsizes[0]);
 
             // Siblings serve across the victim's crash.
-            for (unsigned t = 1; t < kTenants; ++t) {
-                sizes_.swap(tsizes[t]);
-                churn(*heaps[t], *ctxs[t],
-                      static_cast<uint64_t *>(
-                          heaps[t]->at(table_off[t])),
-                      opt_.ops_per_round, *devs[t],
-                      /*crash_mode=*/false);
-                sizes_.swap(tsizes[t]);
-            }
+            churnSiblings();
 
             // Member-local recovery through the pool; siblings are
             // untouched by it.
             HeapPool::MemberResult r = pool.reopen(kNames[0]);
             if (!r)
-                return poolFail(round, ev, "victim reopen failed");
+                return fail(round, ev, "victim reopen failed");
             heaps[0] = victim = r.heap;
             ctxs[0] = victim->attachThread();
             if (!ctxs[0])
-                return poolFail(round, ev, "victim re-attach failed");
-            if (*victim->rootWord(0) != table_off[0])
-                return poolFail(round, ev, "victim slot table root lost");
-            vslots = static_cast<uint64_t *>(victim->at(table_off[0]));
-            for (unsigned s = 0; s < kSlots; ++s) {
-                if (vslots[s] != 0 && !offsetLive(*victim, vslots[s]))
-                    return poolFail(round, ev,
-                                    "published block lost at slot " +
-                                        std::to_string(s));
-                if (vslots[s] == 0)
-                    tsizes[0][s] = 0;
-            }
-            HeapAuditor auditor(*victim);
-            AuditReport rep = auditor.audit();
-            if (rep.violations() != 0)
-                return poolFail(round, ev,
-                                "post-reopen audit:\n" + rep.summary());
-            if (tx_crashed) {
-                uint64_t committed = 0, rolled_back = 0;
-                victim->ctlRead("stats.tx.recovered_committed",
-                                &committed);
-                victim->ctlRead("stats.tx.recovered_rolled_back",
-                                &rolled_back);
-                if (committed + rolled_back == 0) {
-                    // The crash landed before the group record was
-                    // persisted (or the torn-word policy dropped it):
-                    // recovery correctly found nothing to resolve, and
-                    // the audit + slot sweep above proved the
-                    // all-or-nothing outcome was "nothing".
-                    ++skipped_[unsigned(ChaosEvent::TornTx)];
-                } else {
-                    ++detected_[unsigned(ChaosEvent::TornTx)];
-                }
-            } else if (ev == ChaosEvent::Crash) {
-                ++detected_[unsigned(ChaosEvent::Crash)];
-            }
+                return fail(round, ev, "victim re-attach failed");
+            if (!recovered(*victim, table_off[0],
+                           ev == ChaosEvent::Crash, torn, round, ev))
+                return false;
         } else {
             if (ev == ChaosEvent::TornTx)
                 ++skipped_[unsigned(ev)]; // tx classes are LOG-only
@@ -293,7 +200,7 @@ PoolChaosHarness::runPool()
                   *devs[0], /*crash_mode=*/false);
             bool inject_ok = ev == ChaosEvent::TornTx ||
                              inject(ev, *victim, *ctxs[0], *devs[0],
-                                    vslots, round, donor_offs);
+                                    vslots, round, donor.offs);
             // Once per soak, a stray bitmap bit rides along: patrol
             // cannot repair a popcount mismatch in place, so the
             // victim must cross into Quarantined (not just Degraded).
@@ -316,15 +223,7 @@ PoolChaosHarness::runPool()
                 return false;
 
             // ...while the siblings run plain mutator traffic.
-            for (unsigned t = 1; t < kTenants; ++t) {
-                sizes_.swap(tsizes[t]);
-                churn(*heaps[t], *ctxs[t],
-                      static_cast<uint64_t *>(
-                          heaps[t]->at(table_off[t])),
-                      opt_.ops_per_round, *devs[t],
-                      /*crash_mode=*/false);
-                sizes_.swap(tsizes[t]);
-            }
+            churnSiblings();
 
             // Detection: hardened-free classes escalate at the
             // faulting op; metadata classes within the patrol budget.
@@ -354,10 +253,10 @@ PoolChaosHarness::runPool()
                     ++slices;
                 }
                 if (unsigned(victim->health()) < unsigned(goal))
-                    return poolFail(round, ev,
-                                    "victim not detected within " +
-                                        std::to_string(kPatrolBudget) +
-                                        " patrol slices");
+                    return fail(round, ev,
+                                "victim not detected within " +
+                                    std::to_string(kPatrolBudget) +
+                                    " patrol slices");
                 if (want_quarantine)
                     ++quarantine_rounds_;
             }
@@ -369,8 +268,7 @@ PoolChaosHarness::runPool()
                            unsigned(HeapHealth::Degraded);
         if (victim_down &&
             victim->allocOffset(*ctxs[0], 64, nullptr) != 0)
-            return poolFail(round, ev,
-                            "degraded victim served an allocation");
+            return fail(round, ev, "degraded victim served an allocation");
 
         // ...and a new member can open (and serve) while the victim
         // sits quarantined.
@@ -380,22 +278,21 @@ PoolChaosHarness::runPool()
             HeapPool::MemberResult late =
                 pool.open("late", *devs.back(), poolConfig());
             if (!late)
-                return poolFail(round, ev,
-                                "open during quarantine failed");
+                return fail(round, ev, "open during quarantine failed");
             ThreadCtx *lctx = late.heap->attachThread();
             if (!lctx)
-                return poolFail(round, ev, "late tenant attach failed");
+                return fail(round, ev, "late tenant attach failed");
             uint64_t loff =
                 late.heap->allocOffset(*lctx, 256, nullptr);
             if (loff == 0 ||
                 late.heap->freeOffset(*lctx, loff, nullptr) !=
                     NvStatus::Ok)
-                return poolFail(round, ev,
-                                "late tenant failed to serve during "
-                                "quarantine");
+                return fail(round, ev,
+                            "late tenant failed to serve during "
+                            "quarantine");
             late.heap->detachThread(lctx);
             if (pool.close("late") != NvStatus::Ok)
-                return poolFail(round, ev, "late tenant close failed");
+                return fail(round, ev, "late tenant close failed");
             late_tenant_done = true;
         }
 
@@ -403,19 +300,19 @@ PoolChaosHarness::runPool()
         // had zero failed allocations this round.
         for (unsigned t = 1; t < kTenants; ++t) {
             if (heaps[t]->health() != HeapHealth::Serving)
-                return poolFail(round, ev,
-                                std::string("sibling ") + kNames[t] +
-                                    " left Serving");
+                return fail(round, ev,
+                            std::string("sibling ") + kNames[t] +
+                                " left Serving");
             if (failedAllocs(*heaps[t]) != sibling_failed[t])
-                return poolFail(round, ev,
-                                std::string("sibling ") + kNames[t] +
-                                    " had failed allocations");
+                return fail(round, ev,
+                            std::string("sibling ") + kNames[t] +
+                                " had failed allocations");
             HeapAuditor auditor(*heaps[t]);
             AuditReport rep = auditor.audit();
             if (rep.violations() != 0)
-                return poolFail(round, ev,
-                                std::string("sibling ") + kNames[t] +
-                                    " audit:\n" + rep.summary());
+                return fail(round, ev,
+                            std::string("sibling ") + kNames[t] +
+                                " audit:\n" + rep.summary());
         }
 
         // Convergence: repair + re-audit returns the victim to
@@ -424,50 +321,30 @@ PoolChaosHarness::runPool()
         // refuses while its thread still holds tcache-lent blocks.
         victim->detachThread(ctxs[0]);
         if (pool.restore(kNames[0]) != NvStatus::Ok)
-            return poolFail(round, ev, "victim restore failed");
+            return fail(round, ev, "victim restore failed");
         if (victim->health() != HeapHealth::Serving)
-            return poolFail(round, ev,
-                            "victim not Serving after restore");
+            return fail(round, ev, "victim not Serving after restore");
         ctxs[0] = victim->attachThread();
         if (!ctxs[0])
-            return poolFail(round, ev,
-                            "victim re-attach after restore failed");
+            return fail(round, ev, "victim re-attach after restore failed");
         ++rounds_run_;
     }
 
     if (!late_tenant_done &&
         opt_.rounds > unsigned(ChaosEvent::HeaderSmash)) {
-        error_ = "[pool] quarantine round never ran (no late-tenant "
-                 "open was exercised)";
+        error_ = "quarantine round never ran (no late-tenant open was "
+                 "exercised)";
         return false;
     }
 
-    // Final sweep: every tenant's published blocks still free cleanly
-    // and every member audits clean — the pool converged.
+    // Every tenant's published blocks still free cleanly and every
+    // member audits clean — the pool converged.
     for (unsigned t = 0; t < kTenants; ++t) {
-        auto *slots =
-            static_cast<uint64_t *>(heaps[t]->at(table_off[t]));
-        for (unsigned s = 0; s < kSlots; ++s) {
-            if (slots[s] != 0 &&
-                heaps[t]->freeFrom(*ctxs[t], &slots[s]) !=
-                    NvStatus::Ok) {
-                error_ = std::string("[pool] final free of ") +
-                         kNames[t] + " slot " + std::to_string(s) +
-                         " rejected";
-                return false;
-            }
-        }
-        heaps[t]->hardening().drainQuarantine();
-        HeapAuditor auditor(*heaps[t]);
-        AuditReport rep = auditor.audit();
-        if (rep.violations() != 0) {
-            error_ = std::string("[pool] final audit of ") + kNames[t] +
-                     ":\n" + rep.summary();
+        if (!finalSweep(*heaps[t], *ctxs[t], table_off[t])) {
+            error_ = std::string(kNames[t]) + ": " + error_;
             return false;
         }
-        heaps[t]->detachThread(ctxs[t]);
     }
-    donor.detachThread(donor_ctx);
     return true;
 }
 
