@@ -1,5 +1,7 @@
 #include "kv/kv_store.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
@@ -266,12 +268,21 @@ KvStore::rebuild()
     return KvStatus::Ok;
 }
 
+uint64_t
+KvStore::walkers(uint64_t buckets)
+{
+    cpu_set_t mask;
+    const uint64_t cpus = sched_getaffinity(0, sizeof(mask), &mask) == 0
+                              ? uint64_t(CPU_COUNT(&mask))
+                              : 1;
+    return std::max<uint64_t>(
+        1, std::min({cpus, kMaxWalkers, buckets / kBucketsPerWalker}));
+}
+
 KvStore::WalkTally
 KvStore::walkChains(WalkMode mode)
 {
-    const uint64_t workers = std::max<uint64_t>(
-        1, std::min({uint64_t{std::thread::hardware_concurrency()},
-                     kMaxWalkers, buckets_ / kBucketsPerWalker}));
+    const uint64_t workers = walkers(buckets_);
     std::vector<WalkTally> tally(workers);
     auto walk = [&](uint64_t w) {
         tally[w] = walkSlice(buckets_ * w / workers,

@@ -23,13 +23,13 @@
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "kv/kv_c.h"
@@ -376,11 +376,9 @@ checkRebuildParity(uint64_t buckets)
                   KvStatus::Ok);
     }
 
-    // The walker's worker rule (kv_store.h); with one worker there is
-    // no slice edge, and the middle of the table stands in for it.
-    const uint64_t workers = std::max<uint64_t>(
-        1, std::min<uint64_t>({std::thread::hardware_concurrency(), 8,
-                               buckets / 4096}));
+    // The walker's worker rule; with one worker there is no slice
+    // edge, and the middle of the table stands in for it.
+    const uint64_t workers = KvStore::walkers(buckets);
     const uint64_t edge = workers > 1 ? buckets / workers : buckets / 2;
     // The super block's table_off field (kv_store.cc) locates the table.
     const uint64_t table = *static_cast<const uint64_t *>(
@@ -451,7 +449,7 @@ checkRebuildParity(uint64_t buckets)
 
 TEST(KvRebuild, SlicedWalkMatchesTheSerialTotals)
 {
-    // 2^15 buckets: eight slices, or one per hardware thread.
+    // 2^15 buckets: eight slices, or one per CPU the thread may use.
     checkRebuildParity(uint64_t{1} << 15);
 }
 
@@ -459,6 +457,26 @@ TEST(KvRebuild, OneWorkerBelowTheFloorMatchesTheSameTotals)
 {
     // 2^12 buckets: below two slices' worth, so the caller walks alone.
     checkRebuildParity(uint64_t{1} << 12);
+}
+
+TEST(KvRebuild, WorkerCountFollowsTheAffinityMask)
+{
+    // Pinned to one CPU, the thread starts no walker beside itself,
+    // however many CPUs the host has.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const uint64_t pinned = KvStore::walkers(uint64_t{1} << 20);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(KvStore::walkers(uint64_t{1} << 20),
+              std::min<uint64_t>(CPU_COUNT(&saved), 8));
 }
 
 TEST(KvOpen, GcVariantAndOccupiedRootRefused)
