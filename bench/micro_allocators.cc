@@ -4,15 +4,18 @@
  * single-threaded malloc/free pairs for one small and one large size,
  * reporting both real wall time (code efficiency) and modeled virtual
  * ns per operation (the figure-level metric); plus the CRC-32C kernel
- * behind every persistent checksum.
+ * behind every persistent checksum and the wall cost of handing one
+ * VLock between threads.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "nvalloc/vlock.h"
 #include "workloads/harness.h"
 
 using namespace nvalloc;
@@ -66,7 +69,41 @@ void BM_Large(benchmark::State &s)
     allocFreePairs(s, AllocKind(s.range(0)), 128 * 1024);
 }
 
+/** Busy-waits about `ns` of wall time. */
+void
+spinFor(std::chrono::nanoseconds ns)
+{
+    auto until = std::chrono::steady_clock::now() + ns;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+}
+
+VLock handoff_lock;
+
+/** Every thread holds one shared VLock for about 1 µs (booking 1 µs of
+ *  virtual hold, as a real section does) and works about 1 µs outside
+ *  it, so with two threads nearly every acquisition waits for the
+ *  other's release. Wall ns per acquisition: the time per iteration. */
+void
+BM_VLockHandoff(benchmark::State &state)
+{
+    using namespace std::chrono_literals;
+    if (state.thread_index() == 0)
+        handoff_lock.reset(); // the other threads wait at the loop start
+    VClock::reset();
+    for (auto _ : state) {
+        {
+            VLockGuard g(handoff_lock);
+            VClock::advance(1000, TimeKind::Other);
+            spinFor(1us);
+        }
+        spinFor(1us);
+    }
+}
+
 } // namespace
+
+BENCHMARK(BM_VLockHandoff)->Threads(1)->Threads(2)->UseRealTime();
 
 BENCHMARK(BM_Small)
     ->Arg(int(AllocKind::Pmdk))

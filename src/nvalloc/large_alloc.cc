@@ -237,10 +237,11 @@ LargeAllocator::splitFront(Veh *veh, uint64_t size)
     front->off = veh->off;
     front->size = size;
 
+    // Every page of the remainder already resolves to veh; only the
+    // front's pages are remapped, below.
     removeFree(veh);
     veh->off += size;
     veh->size -= size;
-    rtree_.setRange(veh->off, veh->size, veh);
     insertFree(veh, veh->state); // remainder keeps its commit state
     if (!log_)
         descriptorWrite(veh, 2);

@@ -1,5 +1,6 @@
 #include "nvalloc/slab.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "common/logging.h"
@@ -39,8 +40,17 @@ VSlab::VSlab(PmDevice *dev, uint64_t slab_off, unsigned cls,
     // reclaimed list keeps whatever its previous owner wrote there
     // (user data, a guard's redzone fill, ...). A stale bitmap or
     // index table would fabricate allocated blocks, so the header
-    // establishes its own zero state before the fields are written.
-    std::memset(hdr_, 0, kSlabHeaderSize);
+    // establishes its own zero state first: the zeroed body (bitmap
+    // and index table) is fenced before line 0 (magic, geometry, crc)
+    // is written. Sharing one epoch, a crash could land line 0 and
+    // drop body lines, leaving a trusted header over stale bits.
+    static_assert(offsetof(SlabHeader, bitmap) == kCacheLine);
+    std::memset(reinterpret_cast<char *>(hdr_) + kCacheLine, 0,
+                kSlabHeaderSize - kCacheLine);
+    persistHeaderLine(hdr_->bitmap, kSlabHeaderSize - kCacheLine);
+    dev_->fence();
+
+    std::memset(hdr_, 0, kCacheLine);
     hdr_->magic = kSlabMagic;
     hdr_->size_class = uint16_t(cls);
     hdr_->flag = 0;
@@ -55,11 +65,7 @@ VSlab::VSlab(PmDevice *dev, uint64_t slab_off, unsigned cls,
     hdr_->new_size_class = 0;
     hdr_->new_stripes = 0;
     updateHeaderCrc();
-    // Persist the whole header, not just the first line: the zeroed
-    // bitmap and index table must reach media with the magic, or a
-    // crash could recover a trusted header over the previous owner's
-    // stale bytes.
-    persistHeaderLine(hdr_, kSlabHeaderSize);
+    persistHeaderLine(hdr_, kCacheLine);
     dev_->fence();
 
     avail_.store(geo_.capacity, std::memory_order_relaxed);

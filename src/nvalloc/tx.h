@@ -59,6 +59,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/host_lock.h"
 #include "common/size_classes.h"
 
 namespace nvalloc {
@@ -93,7 +94,7 @@ struct TxContext
 
 /**
  * A set of block offsets split into 64 shards by key hash, each with
- * its own cache-line-aligned mutex, set and size count. Every
+ * its own cache-line-aligned HostLock, set and size count. Every
  * operation touches one shard, so transactions on unrelated blocks
  * never meet on a lock or a written cache line. `size()`, and
  * `contains()` on an empty shard, take no lock: they read the shard
@@ -109,7 +110,7 @@ class ShardedKeySet
     insert(Key key)
     {
         Shard &s = shardOf(key);
-        std::lock_guard<std::mutex> g(s.mu);
+        std::lock_guard<HostLock> g(s.mu);
         if (!s.keys.insert(key).second)
             return false;
         s.count.store(s.keys.size(), std::memory_order_relaxed);
@@ -120,7 +121,7 @@ class ShardedKeySet
     erase(Key key)
     {
         Shard &s = shardOf(key);
-        std::lock_guard<std::mutex> g(s.mu);
+        std::lock_guard<HostLock> g(s.mu);
         s.keys.erase(key);
         s.count.store(s.keys.size(), std::memory_order_relaxed);
     }
@@ -131,7 +132,7 @@ class ShardedKeySet
         const Shard &s = shardOf(key);
         if (s.count.load(std::memory_order_relaxed) == 0)
             return false;
-        std::lock_guard<std::mutex> g(s.mu);
+        std::lock_guard<HostLock> g(s.mu);
         return s.keys.count(key) != 0;
     }
 
@@ -151,7 +152,7 @@ class ShardedKeySet
     {
         std::vector<Key> out;
         for (const Shard &s : shards_) {
-            std::lock_guard<std::mutex> g(s.mu);
+            std::lock_guard<HostLock> g(s.mu);
             out.insert(out.end(), s.keys.begin(), s.keys.end());
         }
         return out;
@@ -162,7 +163,7 @@ class ShardedKeySet
 
     struct alignas(kCacheLine) Shard
     {
-        mutable std::mutex mu;
+        mutable HostLock mu;
         std::unordered_set<Key> keys;
         std::atomic<uint64_t> count{0};
     };

@@ -2,15 +2,17 @@
  * @file
  * Mutex with virtual-time contention modeling.
  *
- * Wraps a real std::mutex (for actual correctness under concurrency)
- * and mirrors every hold in virtual time through a VServer: at unlock,
- * the elapsed virtual hold is booked into the lock's windowed
- * capacity, and whatever queueing delay the booking implies is added
- * to the holder's clock. Threads that hammer a hot arena therefore
+ * Wraps a HostLock for actual correctness under concurrency (it
+ * spins about 3 µs, then parks; common/host_lock.h) and mirrors every
+ * hold in virtual time through a VServer: at unlock, the elapsed
+ * virtual hold is booked into the lock's windowed capacity, and
+ * whatever queueing delay the booking implies is added to the
+ * holder's clock. Threads that hammer a hot arena therefore
  * accumulate virtual wait exactly as they would accumulate wall-clock
  * wait on a real multicore — which is what makes thread-scaling curves
  * meaningful on a single-core host — while uncontended locks cost
- * nothing.
+ * nothing. How the host lock hands over changes no virtual cost, only
+ * the order in which contending holds are booked.
  */
 
 #ifndef NVALLOC_NVALLOC_VLOCK_H
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <mutex>
 
+#include "common/host_lock.h"
 #include "common/logging.h"
 #include "pm/vclock.h"
 
@@ -57,7 +60,7 @@ class VLock
     void reset() { server_.reset(); }
 
   private:
-    std::mutex mutex_;
+    HostLock mutex_;
     VServer server_;
     uint64_t entry_ = 0; //!< holder's clock at acquisition
 };

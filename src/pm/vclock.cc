@@ -1,6 +1,7 @@
 #include "pm/vclock.h"
 
 #include <cstring>
+#include <mutex>
 
 namespace nvalloc {
 
@@ -84,7 +85,7 @@ VServer::reserve(uint64_t arrival, uint64_t hold_ns)
 {
     if (hold_ns == 0)
         return arrival;
-    std::lock_guard<std::mutex> g(mutex_);
+    std::lock_guard<HostLock> g(mutex_);
 
     if (!touched_) {
         busy_ = std::make_unique<uint64_t[]>(kWindows);
@@ -127,7 +128,7 @@ VServer::reserve(uint64_t arrival, uint64_t hold_ns)
 void
 VServer::reset()
 {
-    std::lock_guard<std::mutex> g(mutex_);
+    std::lock_guard<HostLock> g(mutex_);
     touched_ = false;
     busy_.reset();
     tag_.reset();

@@ -16,10 +16,16 @@
  * busy-nanoseconds of its capacity each window has consumed. A hold is
  * placed into the first window at or after its arrival time with
  * spare capacity; whatever does not fit spills forward. Queueing
- * delay is therefore a function of virtual-time utilization only —
- * it does not depend on the order in which the host's scheduler
- * happens to run the threads, which is what makes the model sound on
- * a single core where threads' clocks drift arbitrarily far apart.
+ * delay is therefore a function of virtual-time utilization, which
+ * keeps the model sound on a single core where threads' clocks drift
+ * arbitrarily far apart. Holds are still booked in the order host
+ * threads reach the server, so when contending holds share a window,
+ * which of them waits follows the host's lock hand-offs.
+ *
+ * Each server's window ring is guarded by a HostLock
+ * (common/host_lock.h), which spins before it parks. The host lock
+ * decides only that booking order and the wall time a booking takes,
+ * never what a booking costs in virtual time.
  *
  * Time is also broken down by TimeKind so the Fig. 11 execution-time
  * breakdowns (FlushMeta / FlushWAL / Search / Other) fall out of the
@@ -32,7 +38,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+
+#include "common/host_lock.h"
 
 namespace nvalloc {
 
@@ -109,7 +116,7 @@ class VServer
   private:
     static constexpr unsigned kWindows = 512;
 
-    std::mutex mutex_;
+    HostLock mutex_; //!< guards the window ring for one booking
     uint64_t window_ns_;
     uint64_t capacity_; //!< busy-ns capacity per window
     std::unique_ptr<uint64_t[]> busy_;  //!< by window % kWindows

@@ -98,6 +98,27 @@ TEST_F(LargeFixture, SplitLeavesRemainderFree)
     EXPECT_GE(rest->size, 192u * 1024u);
 }
 
+TEST_F(LargeFixture, SplitRemainderResolvesToItsVeh)
+{
+    init(true);
+    // The first allocation splits a fresh region's only extent, the
+    // second splits that remainder again.
+    for (uint64_t size : {64 * 1024, 32 * 1024}) {
+        uint64_t a = large_->allocate(size, false);
+        ASSERT_NE(a, 0u);
+        Veh *front = large_->findVeh(a);
+        ASSERT_NE(front, nullptr);
+        EXPECT_EQ(large_->findVeh(a + size - 1), front);
+        Veh *rest = large_->findVeh(a + size);
+        ASSERT_NE(rest, nullptr);
+        EXPECT_NE(rest, front);
+        EXPECT_EQ(rest->off, a + size);
+        EXPECT_EQ(rest->state, Veh::State::Reclaimed);
+        EXPECT_EQ(large_->findVeh(rest->off + rest->size - 1), rest)
+            << "last page of the remainder";
+    }
+}
+
 TEST_F(LargeFixture, CoalesceMergesNeighbors)
 {
     init(true);

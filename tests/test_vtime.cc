@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests of the virtual-time machinery: per-thread clocks with kind
- * attribution, the windowed capacity server (VServer), and the
- * contention-modeling lock (VLock).
+ * attribution, the windowed capacity server (VServer), the
+ * contention-modeling lock (VLock), and the host lock under both
+ * (HostLock): mutual exclusion, parked waiters and hand-offs.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
 #include <thread>
+#include <vector>
 
+#include "common/host_lock.h"
 #include "nvalloc/vlock.h"
 #include "pm/vclock.h"
 
@@ -165,6 +171,88 @@ TEST(VLock, HoldWithNoVirtualWorkIsFree)
     lock.lock();
     lock.unlock(); // zero-duration hold books nothing
     EXPECT_EQ(VClock::now(), 0u);
+}
+
+TEST(HostLock, ContendedIncrementsAreExact)
+{
+    // A plain counter: any overlap of two critical sections would
+    // lose an increment (and TSan would name the race).
+    constexpr unsigned kThreads = 8;
+    constexpr unsigned kIncrements = 50'000;
+    HostLock lock;
+    uint64_t counter = 0;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&] {
+            for (unsigned i = 0; i < kIncrements; ++i) {
+                std::lock_guard<HostLock> g(lock);
+                ++counter;
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(counter, uint64_t(kThreads) * kIncrements);
+}
+
+TEST(HostLock, WaitersParkedPastTheSpinAllAcquire)
+{
+    // The holder keeps the lock 25 ms, thousands of times the spin
+    // budget, so every waiter parks; each release must wake the next.
+    constexpr unsigned kWaiters = 6;
+    HostLock lock;
+    std::atomic<unsigned> started{0};
+    unsigned acquired = 0; // guarded by lock
+    lock.lock();
+    std::vector<std::thread> waiters;
+    for (unsigned t = 0; t < kWaiters; ++t)
+        waiters.emplace_back([&] {
+            started.fetch_add(1);
+            std::lock_guard<HostLock> g(lock);
+            ++acquired;
+        });
+    while (started.load() < kWaiters)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    EXPECT_EQ(acquired, 0u);
+    lock.unlock();
+    for (auto &t : waiters)
+        t.join();
+    std::lock_guard<HostLock> g(lock);
+    EXPECT_EQ(acquired, kWaiters);
+}
+
+TEST(HostLock, TwoThreadsPingPongTheLock)
+{
+    // Each thread acts only on its own turn and passes the turn on,
+    // so the lock changes hands on every step: a lost wake-up hangs
+    // the test, a broken exclusion breaks the alternation.
+    constexpr unsigned kSteps = 20'000;
+    HostLock lock;
+    unsigned turn = 0, steps = 0; // guarded by lock
+    std::vector<unsigned> order;  // guarded by lock
+    order.reserve(kSteps);
+    auto player = [&](unsigned me) {
+        for (;;) {
+            {
+                std::lock_guard<HostLock> g(lock);
+                if (steps == kSteps)
+                    return;
+                if (turn == me) {
+                    order.push_back(me);
+                    turn = 1 - me;
+                    ++steps;
+                    continue;
+                }
+            }
+            std::this_thread::yield(); // not our turn: let the other in
+        }
+    };
+    std::thread a(player, 0u), b(player, 1u);
+    a.join();
+    b.join();
+    ASSERT_EQ(order.size(), kSteps);
+    for (unsigned i = 0; i < kSteps; ++i)
+        ASSERT_EQ(order[i], i % 2) << "step " << i;
 }
 
 } // namespace
