@@ -4,8 +4,9 @@
  * single-threaded malloc/free pairs for one small and one large size,
  * reporting both real wall time (code efficiency) and modeled virtual
  * ns per operation (the figure-level metric); plus the CRC-32C kernel
- * behind every persistent checksum and the wall cost of handing one
- * VLock between threads.
+ * behind every persistent checksum, the wall cost of handing one
+ * VLock between threads and that of threads sharing one device's
+ * media server.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "common/checksum.h"
 #include "common/rng.h"
 #include "nvalloc/vlock.h"
+#include "pm/pm_device.h"
 #include "workloads/harness.h"
 
 using namespace nvalloc;
@@ -101,9 +103,48 @@ BM_VLockHandoff(benchmark::State &state)
     }
 }
 
+/** The device every BM_SharedMediaFlush thread flushes, built once. */
+PmDevice &
+sharedFlushDevice()
+{
+    static PmDevice dev([] {
+        PmDeviceConfig cfg;
+        cfg.size = size_t{1} << 30;
+        return cfg;
+    }());
+    return dev;
+}
+
+/** Every thread flushes random lines (xorshift, as micro_latency_model's
+ *  BM_RandomFlush does) of one shared device, so nearly every flush
+ *  misses the XPBuffer and books the model's one media server. Wall ns
+ *  per flush: the time per iteration. */
+void
+BM_SharedMediaFlush(benchmark::State &state)
+{
+    PmDevice &dev = sharedFlushDevice();
+    if (state.thread_index() == 0)
+        dev.model().reset(); // the other threads wait at the loop start
+    VClock::reset();
+    const uint64_t lines = dev.size() / kCacheLine;
+    uint64_t x = 88172645463325252ULL + uint64_t(state.thread_index());
+    for (auto _ : state) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        dev.flushLine(dev.base() + (x % lines) * kCacheLine,
+                      TimeKind::FlushMeta);
+    }
+}
+
 } // namespace
 
 BENCHMARK(BM_VLockHandoff)->Threads(1)->Threads(2)->UseRealTime();
+BENCHMARK(BM_SharedMediaFlush)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
 
 BENCHMARK(BM_Small)
     ->Arg(int(AllocKind::Pmdk))

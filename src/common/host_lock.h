@@ -1,6 +1,6 @@
 /**
  * @file
- * The host lock under every VLock, VServer and tx-registry shard.
+ * The host lock under every VLock and tx-registry shard.
  *
  * One 4-byte futex word: 0 free, 1 held, 2 held with sleepers (the
  * three-state mutex of Drepper's "Futexes Are Tricky"). lock() takes a
@@ -10,15 +10,16 @@
  * notify_one only when the word it released read 2, so a hand-off
  * between spinners makes no system call.
  *
- * The sections it guards are short (an extent split, a VServer
- * booking, a shard's set insert: 1-3 µs), the same reason jemalloc's
- * mutex spins before it blocks. Parking on the first failed try, as
+ * The sections it guards are short (an extent split, a KV stripe's
+ * record update, a shard's set insert: 1-3 µs), the same reason
+ * jemalloc's mutex spins before it blocks. Parking on the first failed try, as
  * glibc's std::mutex does, costs a contended waiter a 20-30 µs futex
  * wait and wake round trip for each such section.
  *
- * The virtual model never charges for this lock: VLock and VServer
- * price contention on the virtual clocks. The host lock decides only
- * the order in which contending holds are booked.
+ * The virtual model never charges for this lock: VLock prices
+ * contention on the virtual clocks through its VServer, which takes no
+ * lock of its own. The host lock decides only the order in which
+ * contending holds are booked.
  */
 
 #ifndef NVALLOC_COMMON_HOST_LOCK_H

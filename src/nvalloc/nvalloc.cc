@@ -74,6 +74,7 @@ NvAlloc::NvAlloc(PmDevice &dev, NvAllocConfig cfg)
     if (cfg_.trace_ring_capacity)
         tel_.startTracing(cfg_.trace_ring_capacity);
     flush_base_ = dev_.model().counts();
+    media_late_base_ = dev_.model().mediaLateBookings();
     log_.setTelemetry(&tel_);
     large_.setTelemetry(&tel_);
 

@@ -512,8 +512,10 @@ class NvAlloc
     // destroyed last.
     Telemetry tel_;
     //! The device model's counts when this heap opened; the
-    //! stats.flush.* leaves read the model's counts minus these.
+    //! stats.flush.* leaves and stats.degraded.media_late_bookings
+    //! read the model's counts minus these.
     FlushClassCounts flush_base_;
+    uint64_t media_late_base_ = 0;
 
     BookkeepingLog log_;
     LargeAllocator large_;

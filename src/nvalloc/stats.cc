@@ -115,6 +115,13 @@ NvAlloc::buildCtlRegistry()
         }
     }
 
+    // Media bookings behind the media server's horizon, counted by
+    // the model like the flushes and read the same way.
+    ctl_.registerName("stats.degraded.media_late_bookings", [this] {
+        uint64_t now = dev_.model().mediaLateBookings();
+        return now > media_late_base_ ? now - media_late_base_ : 0;
+    });
+
     // WAL commits are derived from the per-thread rings' own append
     // sequences (plus detached rings' retained totals) instead of a
     // hot-path counter.

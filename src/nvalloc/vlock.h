@@ -12,7 +12,8 @@
  * wait on a real multicore — which is what makes thread-scaling curves
  * meaningful on a single-core host — while uncontended locks cost
  * nothing. How the host lock hands over changes no virtual cost, only
- * the order in which contending holds are booked.
+ * the order in which contending holds are booked. The booking runs
+ * under the host lock and takes none of its own: VServer is lock-free.
  */
 
 #ifndef NVALLOC_NVALLOC_VLOCK_H
@@ -71,8 +72,8 @@ using VLockGuard = std::lock_guard<VLock>;
  * Debug assertion that a region acquires no VLock — the ISSUE 9
  * acceptance check for the small alloc/free hit path. Release builds
  * compile it away entirely. Deliberately scoped to the allocator's own
- * locks: the virtual-time substrate (VServer bookkeeping, telemetry
- * shards) may use host mutexes internally without modeling — or
+ * locks: the virtual-time substrate (VServer bookings, telemetry
+ * shards) may synchronize internally without modeling — or
  * constituting — allocator serialization.
  */
 class VLockFreeScope

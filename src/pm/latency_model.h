@@ -110,6 +110,12 @@ class LatencyModel
      *  count in the system: a heap's stats.flush.* leaves read it. */
     FlushClassCounts counts() const;
 
+    /** XPLine misses whose media booking landed behind the media
+     *  server's horizon (VServer::lateBookings), since construction
+     *  or the last reset(). stats.degraded.media_late_bookings reads
+     *  it. */
+    uint64_t mediaLateBookings() const { return media_.lateBookings(); }
+
     /**
      * Begin recording flush offsets (for the Fig. 2 scatter). Calling
      * it while a trace is already running restarts the trace: the

@@ -1,7 +1,8 @@
 #include "pm/vclock.h"
 
-#include <cstring>
-#include <mutex>
+#include <algorithm>
+
+#include "common/logging.h"
 
 namespace nvalloc {
 
@@ -64,20 +65,31 @@ VClock::snapshot()
 }
 
 VServer::VServer(unsigned units, uint64_t window_ns)
-    : window_ns_(window_ns), capacity_(uint64_t(units) * window_ns)
+    : window_ns_(window_ns), units_(units),
+      capacity_(uint64_t(units) * window_ns)
 {
+    NV_ASSERT(units > 0 && window_ns > 0 && capacity_ < (uint64_t{1} << 32));
 }
 
-uint64_t &
-VServer::slotBusy(uint64_t window)
+VServer::~VServer()
 {
-    unsigned slot = unsigned(window % kWindows);
-    if (tag_[slot] != window) {
-        // Stale slot from a window far in the past: recycle.
-        tag_[slot] = window;
-        busy_[slot] = 0;
-    }
-    return busy_[slot];
+    delete[] ring_.load(std::memory_order_relaxed);
+}
+
+std::atomic<uint64_t> *
+VServer::words()
+{
+    std::atomic<uint64_t> *ring = ring_.load(std::memory_order_acquire);
+    if (ring)
+        return ring;
+    // Every word starts as epoch 0, busy 0: window i maps to slot i.
+    auto *fresh = new std::atomic<uint64_t>[kWindows]{};
+    if (ring_.compare_exchange_strong(ring, fresh,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire))
+        return fresh;
+    delete[] fresh; // another booking installed its ring first
+    return ring;
 }
 
 uint64_t
@@ -85,53 +97,53 @@ VServer::reserve(uint64_t arrival, uint64_t hold_ns)
 {
     if (hold_ns == 0)
         return arrival;
-    std::lock_guard<HostLock> g(mutex_);
+    std::atomic<uint64_t> *ring = words();
 
-    if (!touched_) {
-        busy_ = std::make_unique<uint64_t[]>(kWindows);
-        tag_ = std::make_unique<uint64_t[]>(kWindows);
-        std::memset(busy_.get(), 0, kWindows * sizeof(uint64_t));
-        // Tag 0 is valid for window 0; mark others stale.
-        for (unsigned i = 0; i < kWindows; ++i)
-            tag_[i] = i; // identity: window i maps to slot i initially
-        touched_ = true;
-    }
-
-    // First window at/after the arrival with spare capacity.
     uint64_t w = arrival / window_ns_;
-    while (slotBusy(w) >= capacity_)
-        ++w;
+    if (uint32_t(ring[w % kWindows].load(std::memory_order_relaxed) >> 32) >
+        uint32_t(w / kWindows))
+        late_.fetch_add(1, std::memory_order_relaxed);
 
-    // The start time reflects how much of this window is already
-    // booked (holds are packed from the window start; sub-window
-    // ordering is below the model's resolution).
-    uint64_t within = slotBusy(w);
-    uint64_t start = w * window_ns_ + within / (capacity_ / window_ns_);
-    if (start < arrival)
-        start = arrival;
-
-    // Book the hold, spilling into subsequent windows.
+    // Claim a share of each window from the arrival's on, skipping
+    // full ones, until the hold is booked. The start time reflects how
+    // much of the first claimed window was already booked (holds are
+    // packed from the window start; sub-window ordering is below the
+    // model's resolution).
+    uint64_t start = 0;
     uint64_t remaining = hold_ns;
-    uint64_t v = w;
-    while (remaining > 0) {
-        uint64_t &busy = slotBusy(v);
-        uint64_t space = capacity_ - busy;
-        uint64_t use = remaining < space ? remaining : space;
-        busy += use;
+    for (bool first = true;; ++w) {
+        std::atomic<uint64_t> &slot = ring[w % kWindows];
+        uint64_t epoch = uint32_t(w / kWindows);
+        uint64_t word = slot.load(std::memory_order_relaxed);
+        uint64_t busy, use = 0;
+        do {
+            // A word from another epoch is a stale window: empty.
+            busy = (word >> 32) == epoch ? word & 0xffffffffu : 0;
+            if (busy >= capacity_)
+                break;
+            use = std::min(remaining, capacity_ - busy);
+        } while (!slot.compare_exchange_weak(word,
+                                             (epoch << 32) | (busy + use),
+                                             std::memory_order_relaxed));
+        if (busy >= capacity_)
+            continue;
+        if (first) {
+            start = std::max(arrival, w * window_ns_ + busy / units_);
+            first = false;
+        }
         remaining -= use;
-        if (remaining)
-            ++v;
+        if (remaining == 0)
+            return start;
     }
-    return start;
 }
 
 void
 VServer::reset()
 {
-    std::lock_guard<HostLock> g(mutex_);
-    touched_ = false;
-    busy_.reset();
-    tag_.reset();
+    if (std::atomic<uint64_t> *ring = ring_.load(std::memory_order_acquire))
+        for (unsigned i = 0; i < kWindows; ++i)
+            ring[i].store(0, std::memory_order_relaxed);
+    late_.store(0, std::memory_order_relaxed);
 }
 
 } // namespace nvalloc

@@ -18,14 +18,14 @@
  * spare capacity; whatever does not fit spills forward. Queueing
  * delay is therefore a function of virtual-time utilization, which
  * keeps the model sound on a single core where threads' clocks drift
- * arbitrarily far apart. Holds are still booked in the order host
- * threads reach the server, so when contending holds share a window,
- * which of them waits follows the host's lock hand-offs.
+ * arbitrarily far apart.
  *
- * Each server's window ring is guarded by a HostLock
- * (common/host_lock.h), which spins before it parks. The host lock
- * decides only that booking order and the wall time a booking takes,
- * never what a booking costs in virtual time.
+ * A VServer takes no host lock. Each window is one atomic word, and a
+ * booking claims its share of a window with one compare-and-swap
+ * (one more per window it spills into). Holds are booked in the order
+ * host threads win those CASes, so when contending holds share a
+ * window, which of them waits follows the host's interleaving; the
+ * host decides only that order, never what a booking costs.
  *
  * Time is also broken down by TimeKind so the Fig. 11 execution-time
  * breakdowns (FlushMeta / FlushWAL / Search / Other) fall out of the
@@ -36,10 +36,8 @@
 #define NVALLOC_PM_VCLOCK_H
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <memory>
-
-#include "common/host_lock.h"
 
 namespace nvalloc {
 
@@ -102,28 +100,54 @@ class VClock
  * start time; the caller advances its own clock by (start - arrival)
  * + hold (or just the wait, if the hold already elapsed naturally, as
  * VLock does).
+ *
+ * The windows live in a ring of kWindows atomic words, created on the
+ * first booking. Window w owns word w % kWindows, which packs the
+ * window's ring epoch (w / kWindows, high 32 bits) with the busy-ns
+ * booked in it (low 32 bits). A word holding another epoch reads as
+ * an empty window, and the booking that claims it installs its own
+ * epoch. Thread-safe without a lock: concurrent bookings are ordered
+ * per window by their CASes, and a booking that spills is not atomic
+ * across its windows.
  */
 class VServer
 {
   public:
     explicit VServer(unsigned units = 1, uint64_t window_ns = 200'000);
+    ~VServer();
+
+    VServer(const VServer &) = delete;
+    VServer &operator=(const VServer &) = delete;
 
     /** Book a hold; returns its virtual start time (>= arrival). */
     uint64_t reserve(uint64_t arrival, uint64_t hold_ns);
 
+    /**
+     * Bookings that arrived behind the ring's horizon: their first
+     * window's word already held a later epoch, at least kWindows
+     * windows ahead. Such a booking is served as if its window were
+     * idle and overwrites the later window's bookings.
+     */
+    uint64_t
+    lateBookings() const
+    {
+        return late_.load(std::memory_order_relaxed);
+    }
+
+    /** Forget every booking and the late count. Not safe against
+     *  concurrent bookings: call it between phases. */
     void reset();
 
   private:
     static constexpr unsigned kWindows = 512;
 
-    HostLock mutex_; //!< guards the window ring for one booking
-    uint64_t window_ns_;
-    uint64_t capacity_; //!< busy-ns capacity per window
-    std::unique_ptr<uint64_t[]> busy_;  //!< by window % kWindows
-    std::unique_ptr<uint64_t[]> tag_;   //!< absolute window index
-    bool touched_ = false;
+    std::atomic<uint64_t> *words();
 
-    uint64_t &slotBusy(uint64_t window);
+    const uint64_t window_ns_;
+    const uint64_t units_;
+    const uint64_t capacity_; //!< busy-ns capacity per window, < 2^32
+    std::atomic<std::atomic<uint64_t> *> ring_{nullptr};
+    std::atomic<uint64_t> late_{0};
 };
 
 } // namespace nvalloc

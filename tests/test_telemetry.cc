@@ -338,6 +338,38 @@ TEST(FlushLeaves, CountOnlyTheOpenHeapsFlushes)
     }
 }
 
+// stats.degraded.media_late_bookings is the model's media-server count
+// of late bookings minus the one at heap open, like the flush leaves.
+// A miss is late when an earlier miss booked the same ring slot a whole
+// ring (512 windows of 200 µs) later in virtual time.
+TEST(MediaLateBookings, CountOnlyTheOpenHeapsLateBookings)
+{
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    PmDevice dev(dcfg);
+    constexpr uint64_t kRingNs = 512 * 200'000;
+    uint64_t from_end = 0;
+    auto lateMiss = [&](uint64_t at) {
+        // Fresh XPLines at the device's far end: both flushes miss.
+        VClock::setNow(at + kRingNs);
+        dev.flushLine(dev.base() + dev.size() - (from_end += 4096),
+                      TimeKind::FlushMeta);
+        VClock::setNow(at);
+        dev.flushLine(dev.base() + dev.size() - (from_end += 4096),
+                      TimeKind::FlushMeta);
+    };
+    VClock::reset();
+    lateMiss(0);
+    ASSERT_EQ(dev.model().mediaLateBookings(), 1u);
+
+    auto heap = NvAlloc::openOrDie(dev);
+    EXPECT_EQ(readCtl(*heap, "stats.degraded.media_late_bookings"), 0u)
+        << "the late miss before the open is not this heap's";
+    lateMiss(VClock::now());
+    EXPECT_EQ(dev.model().mediaLateBookings(), 2u);
+    EXPECT_EQ(readCtl(*heap, "stats.degraded.media_late_bookings"), 1u);
+}
+
 TEST_F(TelemetryHeap, LargeGaugesFollowExtents)
 {
     const uint64_t kSize = 300 * 1024;

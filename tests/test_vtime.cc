@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests of the virtual-time machinery: per-thread clocks with kind
- * attribution, the windowed capacity server (VServer), the
- * contention-modeling lock (VLock), and the host lock under both
- * (HostLock): mutual exclusion, parked waiters and hand-offs.
+ * attribution, the windowed capacity server (VServer) against a copy of
+ * its earlier locked ring, the contention-modeling lock (VLock), and
+ * the host lock under it (HostLock): mutual exclusion, parked waiters
+ * and hand-offs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common/host_lock.h"
+#include "common/rng.h"
 #include "nvalloc/vlock.h"
 #include "pm/vclock.h"
 
@@ -117,6 +120,166 @@ TEST(VServer, ResetClearsHistory)
     server.reserve(0, 1'000'000);
     server.reset();
     EXPECT_EQ(server.reserve(0, 100), 0u);
+}
+
+TEST(VServer, CountsBookingsBehindTheHorizon)
+{
+    VServer server(1, 1000);
+    // Window 512 takes slot 0 for ring epoch 1.
+    EXPECT_EQ(server.reserve(512'000, 100), 512'000u);
+    EXPECT_EQ(server.lateBookings(), 0u);
+    // Window 0 maps to the same slot a whole ring behind: it is served
+    // as an idle window, as it always was, and counted as late.
+    EXPECT_EQ(server.reserve(0, 100), 0u);
+    EXPECT_EQ(server.lateBookings(), 1u);
+    server.reset();
+    EXPECT_EQ(server.lateBookings(), 0u);
+}
+
+/**
+ * The windowed capacity server as it was before it went lock-free: a
+ * host lock around a ring of busy counts tagged with their absolute
+ * window. A slot tagged with another window is recycled on touch.
+ * Kept here only as the reference VServer must match.
+ */
+class LockedRing
+{
+  public:
+    LockedRing(unsigned units, uint64_t window_ns)
+        : window_ns_(window_ns), capacity_(uint64_t(units) * window_ns)
+    {
+        for (unsigned i = 0; i < kWindows; ++i)
+            tag_[i] = i;
+    }
+
+    uint64_t
+    reserve(uint64_t arrival, uint64_t hold_ns)
+    {
+        if (hold_ns == 0)
+            return arrival;
+        std::lock_guard<HostLock> g(mutex_);
+        uint64_t w = arrival / window_ns_;
+        while (slotBusy(w) >= capacity_)
+            ++w;
+        uint64_t within = slotBusy(w);
+        uint64_t start = w * window_ns_ + within / (capacity_ / window_ns_);
+        if (start < arrival)
+            start = arrival;
+        uint64_t remaining = hold_ns;
+        uint64_t v = w;
+        while (remaining > 0) {
+            uint64_t &busy = slotBusy(v);
+            uint64_t space = capacity_ - busy;
+            uint64_t use = remaining < space ? remaining : space;
+            busy += use;
+            remaining -= use;
+            if (remaining)
+                ++v;
+        }
+        return start;
+    }
+
+  private:
+    static constexpr unsigned kWindows = 512;
+
+    uint64_t &
+    slotBusy(uint64_t window)
+    {
+        unsigned slot = unsigned(window % kWindows);
+        if (tag_[slot] != window) {
+            tag_[slot] = window;
+            busy_[slot] = 0;
+        }
+        return busy_[slot];
+    }
+
+    HostLock mutex_;
+    uint64_t window_ns_;
+    uint64_t capacity_;
+    uint64_t busy_[kWindows] = {};
+    uint64_t tag_[kWindows];
+};
+
+/**
+ * Replays one seeded stream through both servers and compares every
+ * start. Arrivals mostly creep forward at about the server's capacity,
+ * so windows fill and holds queue and spill; 2% jump forward past idle
+ * windows, and 0.1% jump back more than a ring (512 windows), where
+ * the slot already holds a later epoch. Holds run from 1 ns to three
+ * windows.
+ */
+void
+replayAgainstLockedRing(unsigned units, uint64_t window_ns)
+{
+    constexpr unsigned kBookings = 120'000;
+    constexpr uint64_t kRing = 512;
+    VServer server(units, window_ns);
+    LockedRing ref(units, window_ns);
+    Rng rng(units * window_ns);
+    uint64_t arrival = 2 * kRing * window_ns;
+    uint64_t delayed = 0, spilled = 0;
+    for (unsigned i = 0; i < kBookings; ++i) {
+        uint64_t r = rng.nextBounded(1000);
+        if (r < 20)
+            arrival += (2 + rng.nextBounded(80)) * window_ns;
+        else if (r == 20 && arrival > 2 * kRing * window_ns)
+            arrival -= (kRing + 1 + rng.nextBounded(64)) * window_ns;
+        else
+            arrival += rng.nextBounded(2 * window_ns / (5 * units));
+        uint64_t hold = rng.nextBounded(20) == 0
+                            ? 1 + rng.nextBounded(3 * window_ns)
+                            : 1 + rng.nextBounded(window_ns / 4);
+        uint64_t want = ref.reserve(arrival, hold);
+        ASSERT_EQ(server.reserve(arrival, hold), want)
+            << "booking " << i << ": arrival " << arrival << ", hold "
+            << hold;
+        delayed += want > arrival;
+        spilled += (want + hold - 1) / window_ns > want / window_ns;
+    }
+    // The stream exercised queueing, spill and the recycle rule.
+    EXPECT_GT(delayed, kBookings / 10);
+    EXPECT_GT(spilled, kBookings / 100);
+    EXPECT_GT(server.lateBookings(), 0u);
+}
+
+TEST(VServer, MatchesTheLockedRingSingleThreaded)
+{
+    replayAgainstLockedRing(1, 1000);
+    replayAgainstLockedRing(8, 200'000);
+}
+
+TEST(VServer, ConcurrentBookingsLoseNothing)
+{
+    // 20,000 holds of 100 ns, all arriving at 0, fill windows 0-199 of
+    // 10 µs exactly, inside the ring: every start from 0 to 1,999,900
+    // is taken once. A lost CAS update repeats a start and skips
+    // another. (With 1 µs windows the holds would span 2,000 windows,
+    // and the recycle rule would hand window 0 out again.)
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kHolds = 5'000;
+    VServer server(1, 10'000);
+    std::atomic<bool> go{false};
+    std::vector<std::vector<uint64_t>> starts(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            starts[t].reserve(kHolds);
+            while (!go.load())
+                std::this_thread::yield();
+            for (unsigned i = 0; i < kHolds; ++i)
+                starts[t].push_back(server.reserve(0, 100));
+        });
+    go.store(true);
+    for (auto &t : threads)
+        t.join();
+    std::vector<uint64_t> all;
+    for (const auto &s : starts)
+        all.insert(all.end(), s.begin(), s.end());
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(all.size(), size_t(kThreads) * kHolds);
+    for (size_t i = 0; i < all.size(); ++i)
+        ASSERT_EQ(all[i], 100 * i) << "sorted start " << i;
+    EXPECT_EQ(server.lateBookings(), 0u);
 }
 
 TEST(VLock, UncontendedLockAddsNoTime)
