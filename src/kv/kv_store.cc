@@ -491,8 +491,9 @@ KvStore::putLocked(ThreadCtx &ctx, uint64_t b, std::string_view key,
     uint32_t old_vlen = 0;
     if (f.off) {
         // Replace = free old + unlink + link new, one transaction.
-        // The free is journaled now but applied at commit, where it
-        // routes through the hardening quarantine (delayed reuse).
+        // The free is journaled now but applied at commit, where the
+        // block goes to this thread's tcache, or through the hardening
+        // quarantine (delayed reuse) when one is configured.
         RecordHeader *oh = static_cast<RecordHeader *>(heap_.at(f.off));
         old_vlen = oh->vlen;
         if (heap_.txFree(ctx, f.off) != NvStatus::Ok ||
@@ -603,8 +604,9 @@ KvStore::erase(ThreadCtx &ctx, std::string_view key)
     RecordHeader *h = static_cast<RecordHeader *>(heap_.at(f.off));
     uint16_t klen = h->klen;
     uint32_t vlen = h->vlen;
-    // Free-then-unlink: both land atomically at commit (the free via
-    // the quarantine, the unlink via the journaled word write), and
+    // Free-then-unlink: both land atomically at commit (the free
+    // into this thread's tcache, or the quarantine when one is
+    // configured; the unlink via the journaled word write), and
     // the stripe lock keeps readers out until the record is out of
     // the chain.
     if (heap_.txFree(ctx, f.off) != NvStatus::Ok ||

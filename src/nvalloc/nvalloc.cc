@@ -1201,12 +1201,13 @@ NvAlloc::gateRetire(const FreeCall &c, VSlab *slab, bool locked,
     // Mostly-idle slabs are morph candidates; blocks freed into a
     // tcache or the quarantine stay lent and would pin them, so those
     // frees go straight back to the slab (like blocks_before, §5.2).
+    // Any caller with a thread feeds its tcache: a plain free, and a
+    // live commit apply or rollback. Recovery has none.
     bool keep_unpinned = cfg_.slab_morphing &&
                          slab->occupancy() <= cfg_.morph_threshold;
     if (!keep_unpinned && quarantineFrees())
         f.route = SmallFree::Route::Quarantine;
-    else if (!keep_unpinned && c.mode == FreeMode::Strict &&
-             !c.ctx->tcache.full(f.cls))
+    else if (!keep_unpinned && c.ctx && !c.ctx->tcache.full(f.cls))
         f.route = SmallFree::Route::Tcache;
     else
         f.route = SmallFree::Route::Pending;

@@ -587,8 +587,8 @@ class NvAlloc
     void recoverHeap();
     void quarantineSlab(uint64_t off);
     void replayWals();
-    bool redoEntry(const WalEntry &e);
-    bool undoEntry(const WalEntry &e);
+    bool redoEntry(const WalEntry &e, ThreadCtx *ctx = nullptr);
+    bool undoEntry(const WalEntry &e, ThreadCtx *ctx = nullptr);
     uint64_t *journaledWord(uint64_t off);
     void landWord(uint64_t *w, uint64_t value);
     bool rollForwardAlloc(uint64_t block);
@@ -615,7 +615,9 @@ class NvAlloc
                     //!< already-free block is a DoubleFree
         Validate,   //!< txFree: the same checks, nothing changes
         Idempotent, //!< commit apply, rollback, replay: retire without
-                    //!< journaling; an already-free block is a no-op
+                    //!< journaling (into the resolving thread's
+                    //!< tcache when live); an already-free block is a
+                    //!< no-op
     };
 
     /** What the pipeline did with one free. */
@@ -628,7 +630,8 @@ class NvAlloc
 
     struct FreeCall
     {
-        ThreadCtx *ctx;     //!< Strict/Validate: journal ring, tcache
+        ThreadCtx *ctx;     //!< journal ring (Strict), tcache; null
+                            //!< only in recovery
         uint64_t off;
         uint64_t *where;    //!< Strict: attach word cleared on retire
         uint64_t where_off; //!< journaled where-offset (Strict)
@@ -648,13 +651,14 @@ class NvAlloc
     bool quarantineFrees() const;
 
     /** Commit apply, rollback and replay: retire `off` if it is still
-     *  allocated, unjournaled, never into a tcache. */
+     *  allocated, unjournaled. A live resolution passes its thread's
+     *  `ctx`, whose tcache takes the block like a plain free's;
+     *  recovery passes none, so no block reaches a tcache there. */
     FreeResult
-    settleFree(uint64_t off)
+    settleFree(uint64_t off, ThreadCtx *ctx)
     {
         return freeBlock(
-            FreeCall{nullptr, off, nullptr, kWalNoWhere,
-                     FreeMode::Idempotent});
+            FreeCall{ctx, off, nullptr, kWalNoWhere, FreeMode::Idempotent});
     }
 
     // Hardening hooks (nvalloc.cc, hardening.h).

@@ -314,12 +314,13 @@ NvAlloc::replayWals()
  * The redo rule of a journaled op, shared by transaction commit, the
  * redo of a committed transaction's run and the replay of a plain op
  * (DESIGN.md §11): an allocation claims its block again if its bit
- * was lost and publishes it, a free retires its block, a word write
- * lands its new value. Idempotent. Returns false when a free found
- * its block already free.
+ * was lost and publishes it, a free retires its block (into `ctx`'s
+ * tcache when the commit passes one), a word write lands its new
+ * value. Idempotent. Returns false when a free found its block
+ * already free.
  */
 bool
-NvAlloc::redoEntry(const WalEntry &e)
+NvAlloc::redoEntry(const WalEntry &e, ThreadCtx *ctx)
 {
     uint64_t block = e.block_op >> 2;
     switch (WalOp(e.block_op & 3)) {
@@ -332,7 +333,7 @@ NvAlloc::redoEntry(const WalEntry &e)
             landWord(journaledWord(e.where_off), block);
         return true;
     case kWalFree:
-        return settleFree(block) == FreeResult::Retired;
+        return settleFree(block, ctx) == FreeResult::Retired;
     case kWalTxData:
         if ((block & 7) == 0)
             landWord(journaledWord(block), e.size);
@@ -345,17 +346,18 @@ NvAlloc::redoEntry(const WalEntry &e)
 /**
  * The undo rule, shared by transaction abort, the undo of an
  * uncommitted transaction's run and the replay of a plain op: an
- * allocation returns its block, a word write restores its old value,
- * a free changes nothing (it mutated nothing before its commit).
- * Idempotent. Returns false when there was nothing to undo.
+ * allocation returns its block (into `ctx`'s tcache when the abort
+ * passes one), a word write restores its old value, a free changes
+ * nothing (it mutated nothing before its commit). Idempotent.
+ * Returns false when there was nothing to undo.
  */
 bool
-NvAlloc::undoEntry(const WalEntry &e)
+NvAlloc::undoEntry(const WalEntry &e, ThreadCtx *ctx)
 {
     uint64_t block = e.block_op >> 2;
     switch (WalOp(e.block_op & 3)) {
     case kWalAlloc: {
-        bool retired = settleFree(block) == FreeResult::Retired;
+        bool retired = settleFree(block, ctx) == FreeResult::Retired;
         // An uncommitted allocation was never published, so the
         // attach word cannot hold the block — but scrub it
         // defensively against torn-entry replay with verify off.

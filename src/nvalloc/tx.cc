@@ -191,10 +191,11 @@ NvAlloc::txCommit(ThreadCtx &ctx)
     // would displace the commit record as the ring's newest entry, and
     // a crash mid-apply would then lose the not-yet-applied remainder.
     // Recovery redoes the run idempotently instead. Word writes landed
-    // in place at txWrite time.
+    // in place at txWrite time. Freed blocks go to this thread's
+    // tcache, like a plain free's.
     ctx.wal.forEachSince(ctx.tx.start, false, [&](const WalEntry &e) {
         if (WalOp(e.block_op & 3) != kWalTxData)
-            redoEntry(e);
+            redoEntry(e, &ctx);
     });
 
     // Seal: every applied effect is individually persisted above, so
@@ -224,9 +225,10 @@ NvAlloc::txAbort(ThreadCtx &ctx)
     // Roll back newest-first so overlapping word updates unwind in
     // reverse order. Crash-safe at every point: until the abort record
     // below lands, recovery sees a recordless run and performs this
-    // same (idempotent) undo itself.
+    // same (idempotent) undo itself. Returned blocks go to this
+    // thread's tcache.
     ctx.wal.forEachSince(ctx.tx.start, true,
-                         [&](const WalEntry &e) { undoEntry(e); });
+                         [&](const WalEntry &e) { undoEntry(e, &ctx); });
 
     dev_.fence();
     ctx.wal.appendTxMark(ctx.tx.id(), kWalTxAbort, ops);

@@ -57,6 +57,8 @@ ctlValue(NvAlloc &alloc, const char *name)
 class TxFixture : public ::testing::Test
 {
   protected:
+    virtual NvAllocConfig config() const { return envConfig(); }
+
     void
     SetUp() override
     {
@@ -64,7 +66,7 @@ class TxFixture : public ::testing::Test
         dcfg.size = size_t{1} << 28;
         dcfg.shadow = true;
         dev_ = std::make_unique<PmDevice>(dcfg);
-        alloc_ = NvAlloc::openOrDie(*dev_, envConfig());
+        alloc_ = NvAlloc::openOrDie(*dev_, config());
         ctx_ = alloc_->attachThread();
         ASSERT_NE(ctx_, nullptr);
     }
@@ -455,6 +457,145 @@ TEST_F(TxFixture, FastPathJournalCostUnchanged)
         << "commit = commit mark + applied seal, apply journals nothing";
 }
 
+// ---------------------------------------------------------------------
+// Live resolution feeds the resolving thread's tcache
+// ---------------------------------------------------------------------
+
+/**
+ * Allocate plain `size` blocks, kept live in `kept`, until at least
+ * `min_kept` are kept and this thread's cache of their class holds
+ * exactly `cached` blocks; returns the class. With at most one block
+ * cached, the next pop does not depend on the sub-tcache cursor. The
+ * kept blocks fill their slab past the morph threshold, so a free into
+ * it is not sent straight back to the slab (gateRetire's
+ * keep-unpinned rule).
+ */
+unsigned
+leaveCachedBlocks(NvAlloc &alloc, ThreadCtx &ctx, size_t size,
+                  unsigned cached, size_t min_kept,
+                  std::vector<uint64_t> &kept)
+{
+    unsigned cls = 0;
+    do {
+        uint64_t off = alloc.allocOffset(ctx, size, nullptr);
+        if (off == 0) {
+            ADD_FAILURE() << "plain alloc failed after " << kept.size();
+            break;
+        }
+        kept.push_back(off);
+        cls = static_cast<VSlab *>(alloc.slabRadix().get(off))->sizeClass();
+    } while (kept.size() < min_kept || ctx.tcache.count(cls) != cached);
+    return cls;
+}
+
+/** The delayed-reuse quarantine, which the CI hardening legs switch
+ *  on, takes precedence over the tcache route: these tests pin the
+ *  tcache route with it off. */
+class TxTcacheFixture : public TxFixture
+{
+  protected:
+    NvAllocConfig
+    config() const override
+    {
+        NvAllocConfig cfg = envConfig();
+        cfg.quarantine_depth = 0;
+        return cfg;
+    }
+};
+
+TEST_F(TxTcacheFixture, ReplacingTransactionsRecycleTheFreedBlock)
+{
+    // A KV update in miniature: each transaction frees the block the
+    // previous one published and allocates its replacement. The commit
+    // apply hands the freed block to this thread's tcache, so the next
+    // transaction's allocation takes it back: no miss, no refill.
+    constexpr unsigned kTxs = 200;
+    std::vector<uint64_t> kept;
+    leaveCachedBlocks(*alloc_, *ctx_, 64, 1, 400, kept);
+    uint64_t cur = kept.back();
+    uint64_t freed = 0;
+    uint64_t miss = 0, refills = 0;
+    unsigned reused = 0;
+    for (unsigned k = 1; k <= kTxs; ++k) {
+        ASSERT_EQ(alloc_->txBegin(*ctx_), NvStatus::Ok);
+        ASSERT_EQ(alloc_->txFree(*ctx_, cur), NvStatus::Ok);
+        uint64_t next = alloc_->txAlloc(*ctx_, 64, alloc_->rootWord(0));
+        ASSERT_NE(next, 0u);
+        reused += next == freed;
+        ASSERT_EQ(alloc_->txCommit(*ctx_), NvStatus::Ok);
+        ASSERT_EQ(*alloc_->rootWord(0), next);
+        ASSERT_FALSE(blockIsLive(*alloc_, cur)) << "tx " << k;
+        freed = cur;
+        cur = next;
+        if (k == 1) {
+            miss = ctlValue(*alloc_, "stats.tcache.miss");
+            refills = ctlValue(*alloc_, "stats.slab.refills");
+        }
+    }
+    EXPECT_EQ(reused, kTxs - 1)
+        << "a tx's allocation did not return the block the previous "
+           "tx freed";
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tcache.miss"), miss);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.slab.refills"), refills);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tx.commits"), kTxs);
+    AuditReport rep = HeapAuditor(*alloc_).audit();
+    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
+}
+
+TEST_F(TxTcacheFixture, AbortedAllocIsTheNextAllocsBlock)
+{
+    std::vector<uint64_t> kept;
+    leaveCachedBlocks(*alloc_, *ctx_, 64, 1, 400, kept);
+    ASSERT_EQ(alloc_->txBegin(*ctx_), NvStatus::Ok);
+    uint64_t aborted = alloc_->txAlloc(*ctx_, 64, alloc_->rootWord(1));
+    ASSERT_NE(aborted, 0u);
+    ASSERT_EQ(alloc_->txAbort(*ctx_), NvStatus::Ok);
+    EXPECT_FALSE(blockIsLive(*alloc_, aborted));
+    uint64_t miss = ctlValue(*alloc_, "stats.tcache.miss");
+
+    // The rollback returned the block to this thread's tcache.
+    ASSERT_EQ(alloc_->txBegin(*ctx_), NvStatus::Ok);
+    EXPECT_EQ(alloc_->txAlloc(*ctx_, 64, alloc_->rootWord(1)), aborted);
+    ASSERT_EQ(alloc_->txCommit(*ctx_), NvStatus::Ok);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tcache.miss"), miss);
+    EXPECT_EQ(*alloc_->rootWord(1), aborted);
+    EXPECT_TRUE(blockIsLive(*alloc_, aborted));
+    AuditReport rep = HeapAuditor(*alloc_).audit();
+    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
+}
+
+TEST_F(TxFixture, RecoveryRedoLeavesNoBlockInAnyTcache)
+{
+    // The commit record lands and the apply does not: recovery redoes
+    // the run, and its free has no thread whose tcache could take the
+    // block, so the block goes back to its slab.
+    uint64_t old = alloc_->allocOffset(*ctx_, 64, alloc_->rootWord(0));
+    ASSERT_NE(old, 0u);
+    ASSERT_EQ(alloc_->txBegin(*ctx_), NvStatus::Ok);
+    ASSERT_EQ(alloc_->txFree(*ctx_, old), NvStatus::Ok);
+    uint64_t next = alloc_->txAlloc(*ctx_, 64, alloc_->rootWord(0));
+    ASSERT_NE(next, 0u);
+    dev_->armCrashAtFlush(1);
+    ASSERT_EQ(alloc_->txCommit(*ctx_), NvStatus::Ok);
+    ASSERT_TRUE(dev_->crashTriggered());
+    alloc_->simulateCrash();
+    ctx_ = nullptr;
+    alloc_.reset();
+    alloc_ = NvAlloc::openOrDie(*dev_, config());
+
+    EXPECT_EQ(alloc_->lastRecovery().tx_committed, 1u);
+    EXPECT_EQ(*alloc_->rootWord(0), next);
+    EXPECT_TRUE(blockIsLive(*alloc_, next));
+    EXPECT_FALSE(blockIsLive(*alloc_, old));
+    uint64_t lent = 0;
+    for (unsigned i = 0; i < alloc_->numArenas(); ++i)
+        alloc_->arena(i).forEachSlab(
+            [&](VSlab *slab) { lent += slab->lentBlocks(); });
+    EXPECT_EQ(lent, 0u) << "recovery lent a block to a tcache";
+    AuditReport rep = HeapAuditor(*alloc_).audit();
+    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
+}
+
 TEST(TxConcurrent, EightThreadRoundTripsCountExactly)
 {
     PmDeviceConfig dcfg;
@@ -690,6 +831,8 @@ enum class TxShape
     Mixed,       //!< small + large allocs, writes, frees
     AbortPath,   //!< ops then abort instead of commit
     Interleaved, //!< two thread contexts, two open txs interleaved
+    Recycle,     //!< allocs, fills and publishes the block a committed
+                 //!< tx freed into this thread's tcache
 };
 
 const char *
@@ -701,6 +844,7 @@ shapeName(TxShape s)
     case TxShape::Mixed: return "mixed";
     case TxShape::AbortPath: return "abort";
     case TxShape::Interleaved: return "interleaved";
+    case TxShape::Recycle: return "recycle";
     }
     return "?";
 }
@@ -758,6 +902,19 @@ effectInvisible(NvAlloc &a, uint64_t *slots, const Effect &e)
     return false;
 }
 
+/** The sweep's heap settings: the recycle shape pins the tcache route
+ *  (TxTcacheFixture). */
+NvAllocConfig
+sweepConfig(TxShape shape)
+{
+    NvAllocConfig cfg = envConfig();
+    if (shape == TxShape::Recycle)
+        cfg.quarantine_depth = 0;
+    return cfg;
+}
+
+constexpr char kRecycledContents[] = "written by the recycling tx";
+
 /**
  * Run one crash point: seeded pre-state, arm the crash at the nth
  * flush/fence, run the shape's transaction, simulate the crash
@@ -792,7 +949,7 @@ runTxCrashPoint(TxShape shape, bool at_fence, unsigned nth)
     bool triggered = false;
 
     {
-        auto alloc_h = NvAlloc::openOrDie(dev, envConfig());
+        auto alloc_h = NvAlloc::openOrDie(dev, sweepConfig(shape));
         NvAlloc &alloc = *alloc_h;
         ThreadCtx *ctx = alloc.attachThread();
         if (ctx == nullptr) {
@@ -820,6 +977,17 @@ runTxCrashPoint(TxShape shape, bool at_fence, unsigned nth)
                 ADD_FAILURE() << "pre-block " << i << " failed";
                 return false;
             }
+        }
+        if (shape == TxShape::Recycle) {
+            // Before the crash is armed, a committed tx frees pre[0]
+            // into this thread's tcache, left holding no other block
+            // of its class.
+            std::vector<uint64_t> kept;
+            leaveCachedBlocks(alloc, *ctx, 64, 0, 400, kept);
+            EXPECT_EQ(alloc.txBegin(*ctx), NvStatus::Ok);
+            EXPECT_EQ(alloc.txFree(*ctx, pre[0]), NvStatus::Ok);
+            EXPECT_EQ(alloc.txWrite(*ctx, &slots[8], 0), NvStatus::Ok);
+            EXPECT_EQ(alloc.txCommit(*ctx), NvStatus::Ok);
         }
         live_before = liveSmallBlocks(alloc);
 
@@ -907,12 +1075,26 @@ runTxCrashPoint(TxShape shape, bool at_fence, unsigned nth)
             // must roll its run back regardless of how far tx 1 got.
             break;
         }
+        case TxShape::Recycle:
+            EXPECT_EQ(alloc.txBegin(*ctx), NvStatus::Ok);
+            tx_alloc(*ctx, 64, small, 0, fx);
+            if (!fx.empty()) {
+                EXPECT_EQ(fx[0].off, pre[0])
+                    << "the tx did not take the freed block from the "
+                       "tcache";
+                void *p = alloc.at(fx[0].off);
+                std::memcpy(p, kRecycledContents, sizeof kRecycledContents);
+                dev.persist(p, sizeof kRecycledContents,
+                            TimeKind::FlushData);
+            }
+            EXPECT_EQ(alloc.txCommit(*ctx), NvStatus::Ok);
+            break;
         }
         triggered = dev.crashTriggered();
         alloc.simulateCrash();
     }
 
-    auto again_h = NvAlloc::openOrDie(dev, envConfig());
+    auto again_h = NvAlloc::openOrDie(dev, sweepConfig(shape));
     NvAlloc &again = *again_h;
     const RecoveryReport &rec = again.lastRecovery();
     EXPECT_TRUE(rec.performed);
@@ -974,6 +1156,13 @@ runTxCrashPoint(TxShape shape, bool at_fence, unsigned nth)
     };
     tally(fx, tx1_visible);
     tally(fx2, tx2_visible);
+    // A recycled block is published only with the new contents.
+    if (shape == TxShape::Recycle && tx1_visible) {
+        EXPECT_EQ(std::memcmp(again.at(fx[0].off), kRecycledContents,
+                              sizeof kRecycledContents),
+                  0)
+            << "recycled block published without the tx's contents";
+    }
     EXPECT_EQ(int64_t(liveSmallBlocks(again)), expect)
         << "leak/loss; tx1_visible=" << tx1_visible
         << " tx2_visible=" << tx2_visible
@@ -1041,7 +1230,7 @@ TEST_P(TxCrashSweep, AllOrNothingAtEveryFencePoint)
     RecordProperty("crash_points", int(nth));
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, TxCrashSweep, ::testing::Range(0, 5));
+INSTANTIATE_TEST_SUITE_P(Shapes, TxCrashSweep, ::testing::Range(0, 6));
 
 } // namespace
 } // namespace nvalloc
